@@ -44,7 +44,6 @@ from .openbook import (
     PageKnot,
     PageSurface,
     monodromy_matrix,
-    monodromy_matrix_reference,
     stabilize,
     tb_open_book,
     to_heegaard,
@@ -77,7 +76,6 @@ __all__ = [
     "load_document",
     "minimal_order",
     "monodromy_matrix",
-    "monodromy_matrix_reference",
     "nullhomologous_check",
     "parse_document",
     "smith_normal_form",

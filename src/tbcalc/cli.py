@@ -23,7 +23,6 @@ from .documents import (
     DocumentError,
     InputDocument,
     load_document,
-    parse_document,
     write_document,
 )
 from .heegaard import HeegaardData, TbResult, nullhomologous_check, tb_heegaard
@@ -113,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args: argparse.Namespace) -> InputDocument:
     if args.stdin or args.input == "-":
-        return parse_document(sys.stdin.read())
+        return load_document(sys.stdin)
     return load_document(args.input)
 
 

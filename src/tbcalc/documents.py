@@ -37,7 +37,13 @@ from typing import IO, Any, Union
 
 from .heegaard import HeegaardData
 from .lattice import IntegerMatrix
-from .openbook import DehnTwist, OpenBookPresentation, PageKnot, PageSurface
+from .openbook import (
+    DehnTwist,
+    OpenBookPresentation,
+    PageKnot,
+    PageSurface,
+    SkewSymmetryError,
+)
 
 __all__ = [
     "DocumentError",
@@ -119,7 +125,10 @@ def _as_vector(value: Any, path: str, length: int) -> tuple[int, ...]:
         raise ValidationError(path, "expected an array of integers")
     if len(value) != length:
         raise ValidationError(path, f"expected {length} entries, got {len(value)}")
-    return tuple(_as_int(e, f"{path}[{i}]") for i, e in enumerate(value))
+    for e in value:
+        if type(e) is not int:
+            return tuple(_as_int(e, f"{path}[{i}]") for i, e in enumerate(value))
+    return tuple(value)
 
 
 def _as_matrix(value: Any, path: str, rows: int, cols: int) -> IntegerMatrix:
@@ -127,6 +136,17 @@ def _as_matrix(value: Any, path: str, rows: int, cols: int) -> IntegerMatrix:
         raise ValidationError(path, "expected an array of rows")
     if len(value) != rows:
         raise ValidationError(path, f"expected {rows} rows, got {len(value)}")
+    # IntegerMatrix checks the entries; only a failure needs their paths
+    entries: list = []
+    for row in value:
+        if type(row) is not list or len(row) != cols:
+            break
+        entries += row
+    else:
+        try:
+            return IntegerMatrix(rows, cols, tuple(entries))
+        except TypeError:
+            pass
     parsed = [_as_vector(row, f"{path}[{i}]", cols) for i, row in enumerate(value)]
     return IntegerMatrix(rows, cols, tuple(e for row in parsed for e in row))
 
@@ -161,17 +181,18 @@ def _parse_open_book(obj: dict) -> tuple[OpenBookPresentation, PageKnot | None]:
 
     count = len(twists)
     pairings = _as_matrix(obj["twist_pairings"], "twist_pairings", count, count)
-    for k in range(count):
-        if pairings[k, k] != 0:
+    try:
+        open_book = OpenBookPresentation(page, tuple(twists), pairings)
+    except SkewSymmetryError as error:
+        m, k = error.row, error.col
+        if m == k:
             raise ValidationError(
                 f"twist_pairings[{k}][{k}]", "skew-symmetry violated (diagonal must be 0)"
-            )
-        for m in range(k + 1, count):
-            if pairings[k, m] != -pairings[m, k]:
-                raise ValidationError(
-                    f"twist_pairings[{m}][{k}]",
-                    f"skew-symmetry violated (must equal -twist_pairings[{k}][{m}])",
-                )
+            ) from error
+        raise ValidationError(
+            f"twist_pairings[{m}][{k}]",
+            f"skew-symmetry violated (must equal -twist_pairings[{k}][{m}])",
+        ) from error
 
     knot = None
     if "knot" in obj:
@@ -181,7 +202,7 @@ def _parse_open_book(obj: dict) -> tuple[OpenBookPresentation, PageKnot | None]:
         _require_keys(knot_obj, "knot.", {"arcs"}, set())
         knot = PageKnot(_as_vector(knot_obj["arcs"], "knot.arcs", page.arc_count))
 
-    return OpenBookPresentation(page, tuple(twists), pairings), knot
+    return open_book, knot
 
 
 def _parse_heegaard(obj: dict) -> tuple[HeegaardData, bool]:
@@ -250,14 +271,25 @@ def parse_document(text: str) -> InputDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as error:
         raise ParseError(f"invalid JSON: {error.msg}", error.lineno, error.colno) from error
+    except RecursionError as error:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from error
+    except ValueError as error:
+        # CPython refuses to convert integer literals of more than
+        # sys.get_int_max_str_digits() digits
+        raise ParseError(f"invalid JSON: integer literal too long ({error})") from error
     return document_from_obj(raw)
 
 
 def load_document(source: Union[str, Path, IO[str]]) -> InputDocument:
     """Parse a document from a path or an open text stream."""
-    if hasattr(source, "read"):
-        return parse_document(source.read())
-    return parse_document(Path(source).read_text())
+    try:
+        text = source.read() if hasattr(source, "read") else Path(source).read_text()
+    except UnicodeDecodeError as error:
+        raise ParseError(
+            f"cannot decode the document as {error.encoding}: {error.reason} "
+            f"at byte {error.start}"
+        ) from error
+    return parse_document(text)
 
 
 def document_to_obj(document: InputDocument) -> dict:

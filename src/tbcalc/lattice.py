@@ -11,6 +11,7 @@ abelian groups certified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -56,7 +57,10 @@ class IntegerMatrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        entries = tuple(_check_int(e) for e in self.entries)
+        entries = tuple(self.entries)
+        for e in entries:
+            if type(e) is not int:
+                _check_int(e)
         if len(entries) != self.rows * self.cols:
             raise ValueError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
@@ -77,7 +81,7 @@ class IntegerMatrix:
         for r in row_list:
             if len(r) != n_cols:
                 raise ValueError("rows must all have the same length")
-        return cls(n_rows, n_cols, tuple(e for r in row_list for e in r))
+        return cls(n_rows, n_cols, tuple(chain.from_iterable(row_list)))
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":

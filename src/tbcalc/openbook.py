@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, compress
+from operator import add
 
 from .heegaard import HeegaardData, TbResult
 from .lattice import IntegerMatrix, dot, kernel_basis, minimal_order
@@ -23,15 +24,11 @@ __all__ = [
     "DehnTwist",
     "OpenBookPresentation",
     "PageKnot",
-    "twist_image",
     "monodromy_matrix",
-    "monodromy_matrix_reference",
     "tb_open_book",
     "stabilize",
     "to_heegaard",
 ]
-
-_REFERENCE_TWIST_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -81,6 +78,23 @@ class PageKnot:
         object.__setattr__(self, "arc_pairings", tuple(self.arc_pairings))
 
 
+class SkewSymmetryError(ValueError):
+    """twist_pairings[row][col] differs from -twist_pairings[col][row].
+
+    row >= col; the pair reported is the first met scanning the columns
+    in order, each from the diagonal down.
+    """
+
+    def __init__(self, row: int, col: int):
+        super().__init__(
+            "twist_pairings diagonal must vanish"
+            if row == col
+            else "twist_pairings must be skew-symmetric"
+        )
+        self.row = row
+        self.col = col
+
+
 @dataclass(frozen=True)
 class OpenBookPresentation:
     """A page together with an ordered word of Dehn twists.
@@ -100,12 +114,16 @@ class OpenBookPresentation:
             raise ValueError(
                 f"twist_pairings must be {count}x{count} for {count} twists"
             )
+        # row k from the diagonal rightwards plus column k from the
+        # diagonal down vanishes exactly when the pairs (k, m >= k) are skew
+        pairings = self.twist_pairings.entries
         for k in range(count):
-            if self.twist_pairings[k, k] != 0:
-                raise ValueError("twist_pairings diagonal must vanish")
-            for m in range(k + 1, count):
-                if self.twist_pairings[k, m] != -self.twist_pairings[m, k]:
-                    raise ValueError("twist_pairings must be skew-symmetric")
+            start = k * count + k
+            upper = pairings[start : (k + 1) * count]
+            lower = pairings[start::count]
+            if any(map(add, upper, lower)):
+                offset = next(j for j, s in enumerate(map(add, upper, lower)) if s)
+                raise SkewSymmetryError(k + offset, k)
         for index, twist in enumerate(self.twists):
             if len(twist.arc_pairings) != self.page.arc_count:
                 raise ValueError(
@@ -118,38 +136,6 @@ class OpenBookPresentation:
         return len(self.twists)
 
 
-def twist_image(
-    class_coefficients: tuple[int, tuple[int, ...]],
-    twist_index: int,
-    open_book: OpenBookPresentation,
-) -> tuple[int, tuple[int, ...]]:
-    """Apply one twist of the word to a class a_j + sum_m v_m T_m.
-
-    Classes reachable from a cut arc stay in the span of that arc and
-    the twist curves, so a class is encoded as (base arc index, twist
-    coefficients).  The twist along T_k adds sign * (T_k . class) to the
-    k-th coefficient and changes nothing else.
-    """
-    arc_index, coefficients = class_coefficients
-    coefficients = tuple(coefficients)
-    twists = open_book.twists
-    if not 0 <= twist_index < len(twists):
-        raise IndexError(f"twist index {twist_index} out of range")
-    if not 0 <= arc_index < open_book.page.arc_count:
-        raise IndexError(f"arc index {arc_index} out of range")
-    if len(coefficients) != len(twists):
-        raise ValueError("need one coefficient per twist")
-    twist = twists[twist_index]
-    pairing = twist.arc_pairings[arc_index] + sum(
-        value * open_book.twist_pairings[twist_index, m]
-        for m, value in enumerate(coefficients)
-        if value
-    )
-    updated = list(coefficients)
-    updated[twist_index] += twist.sign * pairing
-    return (arc_index, tuple(updated))
-
-
 def monodromy_matrix(open_book: OpenBookPresentation) -> IntegerMatrix:
     """Pairing matrix of the monodromy word acting on the cut arcs.
 
@@ -157,6 +143,14 @@ def monodromy_matrix(open_book: OpenBookPresentation) -> IntegerMatrix:
     a_i; disjoint arcs contribute nothing themselves, so only the twist
     coefficients of the image matter.  An empty word gives the zero
     matrix.
+
+    One forward pass over the word: twist k sets the k-th coefficient of
+    every arc's image at once, to the vector
+    sign_k * (P_k + sum over m < k of (T_k . T_m) * coefficients_m),
+    where P_k holds the twist's arc pairings.  In matrix form this is the
+    forward substitution C = P^T (I - S L)^-1 S P, with S the signs and
+    L the strictly lower triangle of the twist pairings; each nonzero
+    pairing costs one row operation of length n.
 
     >>> annulus = OpenBookPresentation(
     ...     PageSurface(0, 2),
@@ -167,63 +161,23 @@ def monodromy_matrix(open_book: OpenBookPresentation) -> IntegerMatrix:
     [[1]]
     """
     arc_count = open_book.page.arc_count
-    twist_count = len(open_book.twists)
-    images = []
-    for j in range(arc_count):
-        state = (j, (0,) * twist_count)
-        for k in range(twist_count):
-            state = twist_image(state, k, open_book)
-        images.append(state[1])
-    rows = [
-        [
-            sum(
-                images[j][m] * open_book.twists[m].arc_pairings[i]
-                for m in range(twist_count)
-            )
-            for j in range(arc_count)
-        ]
-        for i in range(arc_count)
-    ]
-    return IntegerMatrix.from_rows(rows)
-
-
-def monodromy_matrix_reference(open_book: OpenBookPresentation) -> IntegerMatrix:
-    """The same pairing matrix by brute-force expansion; an oracle.
-
-    Sums over every nonempty increasing subsequence k_1 < ... < k_m of
-    the word: the subsequence contributes
-    sign_1 * ... * sign_m
-    * (T_km . T_km-1) * ... * (T_k2 . T_k1)
-    * (T_k1 . a_j) * (T_km . a_i)
-    to entry (i, j).  Exponential in the word length, hence guarded, and
-    deliberately free of the sweep logic in monodromy_matrix.
-    """
-    twist_count = len(open_book.twists)
-    if twist_count > _REFERENCE_TWIST_LIMIT:
-        raise ValueError(
-            f"reference expansion is limited to {_REFERENCE_TWIST_LIMIT} twists"
-        )
-    arc_count = open_book.page.arc_count
+    count = len(open_book.twists)
+    pairings = open_book.twist_pairings.entries
     rows = [[0] * arc_count for _ in range(arc_count)]
-    for length in range(1, twist_count + 1):
-        for chain in combinations(range(twist_count), length):
-            factor = 1
-            for k in chain:
-                factor *= open_book.twists[k].sign
-            for previous, current in zip(chain, chain[1:]):
-                factor *= open_book.twist_pairings[current, previous]
-                if factor == 0:
-                    break
-            if factor == 0:
-                continue
-            first = open_book.twists[chain[0]].arc_pairings
-            last = open_book.twists[chain[-1]].arc_pairings
-            for i in range(arc_count):
-                if last[i]:
-                    weight = factor * last[i]
-                    for j in range(arc_count):
-                        rows[i][j] += weight * first[j]
-    return IntegerMatrix(arc_count, arc_count, tuple(e for r in rows for e in r))
+    coefficients: list[list[int]] = []
+    for k, twist in enumerate(open_book.twists):
+        image = list(twist.arc_pairings)
+        lower = pairings[k * count : k * count + k]
+        for m in compress(range(k), lower):
+            weight = lower[m]
+            image = [a + weight * b for a, b in zip(image, coefficients[m])]
+        if twist.sign < 0:
+            image = [-a for a in image]
+        coefficients.append(image)
+        for i, weight in enumerate(twist.arc_pairings):
+            if weight:
+                rows[i] = [c + weight * a for c, a in zip(rows[i], image)]
+    return IntegerMatrix(arc_count, arc_count, tuple(chain.from_iterable(rows)))
 
 
 def tb_open_book(open_book: OpenBookPresentation, knot: PageKnot) -> TbResult | None:

@@ -3,8 +3,11 @@
 Everything here is deliberately written with different algorithms than the
 library: determinants by cofactor expansion instead of fraction-free
 elimination, solvability by rational elimination plus bounded lattice
-search instead of Smith reduction.  Agreement between the two routes is
-the point, so nothing in this module may import from tbcalc.
+search instead of Smith reduction, the monodromy pairing matrix twist by
+twist and arc by arc, or by subsequence expansion, instead of one forward
+substitution.  Agreement between the two routes is the point, so nothing
+in this module may import from tbcalc; the monodromy oracles only read the
+attributes of the open book they are given.
 """
 
 from __future__ import annotations
@@ -173,3 +176,100 @@ def brute_force_min_order(
         if witness is not None:
             return order, witness
     raise SearchBudgetExceeded(f"minimal order exceeds search limit {limit}")
+
+
+REFERENCE_TWIST_LIMIT = 20
+
+
+def twist_image(class_coefficients, twist_index: int, open_book):
+    """Apply one twist of the word to a class a_j + sum_m v_m T_m.
+
+    Classes reachable from a cut arc stay in the span of that arc and
+    the twist curves, so a class is encoded as (base arc index, twist
+    coefficients).  The twist along T_k adds sign * (T_k . class) to the
+    k-th coefficient and changes nothing else.
+    """
+    arc_index, coefficients = class_coefficients
+    coefficients = tuple(coefficients)
+    twists = open_book.twists
+    if not 0 <= twist_index < len(twists):
+        raise IndexError(f"twist index {twist_index} out of range")
+    if not 0 <= arc_index < open_book.page.arc_count:
+        raise IndexError(f"arc index {arc_index} out of range")
+    if len(coefficients) != len(twists):
+        raise ValueError("need one coefficient per twist")
+    twist = twists[twist_index]
+    pairing = twist.arc_pairings[arc_index] + sum(
+        value * open_book.twist_pairings[twist_index, m]
+        for m, value in enumerate(coefficients)
+        if value
+    )
+    updated = list(coefficients)
+    updated[twist_index] += twist.sign * pairing
+    return (arc_index, tuple(updated))
+
+
+def monodromy_by_steps(open_book) -> Rows:
+    """The pairing matrix C by applying twist_image arc by arc, twist by twist.
+
+    Entry (i, j) pairs the image of arc a_j with arc a_i.  Costs
+    n * l^2 pairing lookups, so it reaches long words the expansion
+    below cannot.
+    """
+    arc_count = open_book.page.arc_count
+    twist_count = len(open_book.twists)
+    images = []
+    for j in range(arc_count):
+        state = (j, (0,) * twist_count)
+        for k in range(twist_count):
+            state = twist_image(state, k, open_book)
+        images.append(state[1])
+    return [
+        [
+            sum(
+                images[j][m] * open_book.twists[m].arc_pairings[i]
+                for m in range(twist_count)
+            )
+            for j in range(arc_count)
+        ]
+        for i in range(arc_count)
+    ]
+
+
+def monodromy_matrix_reference(open_book) -> Rows:
+    """The same pairing matrix by brute-force expansion.
+
+    Sums over every nonempty increasing subsequence k_1 < ... < k_m of
+    the word: the subsequence contributes
+    sign_1 * ... * sign_m
+    * (T_km . T_km-1) * ... * (T_k2 . T_k1)
+    * (T_k1 . a_j) * (T_km . a_i)
+    to entry (i, j).  Exponential in the word length, hence guarded, and
+    deliberately free of any sweep logic.
+    """
+    twist_count = len(open_book.twists)
+    if twist_count > REFERENCE_TWIST_LIMIT:
+        raise ValueError(
+            f"reference expansion is limited to {REFERENCE_TWIST_LIMIT} twists"
+        )
+    arc_count = open_book.page.arc_count
+    rows = [[0] * arc_count for _ in range(arc_count)]
+    for length in range(1, twist_count + 1):
+        for chain in itertools.combinations(range(twist_count), length):
+            factor = 1
+            for k in chain:
+                factor *= open_book.twists[k].sign
+            for previous, current in zip(chain, chain[1:]):
+                factor *= open_book.twist_pairings[current, previous]
+                if factor == 0:
+                    break
+            if factor == 0:
+                continue
+            first = open_book.twists[chain[0]].arc_pairings
+            last = open_book.twists[chain[-1]].arc_pairings
+            for i in range(arc_count):
+                if last[i]:
+                    weight = factor * last[i]
+                    for j in range(arc_count):
+                        rows[i][j] += weight * first[j]
+    return rows

@@ -24,7 +24,6 @@ from tbcalc import (
     load_document,
     minimal_order,
     monodromy_matrix,
-    monodromy_matrix_reference,
     nullhomologous_check,
     smith_normal_form,
     solve_integer,
@@ -144,8 +143,8 @@ def test_c06_monodromy_oracle(criterion):
         for _ in range(500):
             book = helpers.random_open_book(rng, max_twists=8, max_arcs=4, bound=2)
             assert (
-                monodromy_matrix(book).entries
-                == monodromy_matrix_reference(book).entries
+                monodromy_matrix(book).to_rows()
+                == oracles.monodromy_matrix_reference(book)
             )
 
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import conftest
-from tbcalc import load_document, tb_heegaard, tb_open_book
+from tbcalc import ParseError, load_document, tb_heegaard, tb_open_book
 from tbcalc.cli import main
 
 
@@ -143,6 +143,50 @@ class TestTb:
         with pytest.raises(SystemExit) as info:
             main(["tb", "--bad-flag"])
         assert info.value.code == 1
+
+
+OVERLONG_LITERAL = json.dumps(KNOTLESS_OPENBOOK).replace("[-1]", "[" + "7" * 5000 + "]").encode()
+
+
+class TestHostileInput:
+    """Text that json or the decoder refuses ends in a named ParseError."""
+
+    @pytest.mark.parametrize(
+        "data,cause",
+        [
+            pytest.param(
+                OVERLONG_LITERAL,
+                "integer literal too long",
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-to-string limit",
+                ),
+            ),
+            (b"\xff\xfe{}", "cannot decode the document"),
+            (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+        ],
+        ids=["5000-digit-literal", "utf16-bom", "100k-nested-arrays"],
+    )
+    def test_file_exits_one(self, capsys, tmp_path, data, cause):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "tb", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("tbcalc: error: ")
+        assert cause in err
+
+    def test_undecodable_stdin_exits_one(self, capsys, monkeypatch):
+        stream = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stream)
+        code, _, err = run(capsys, "tb", "-")
+        assert code == 1
+        assert "cannot decode the document" in err
+
+    def test_error_type(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ParseError):
+            load_document(path)
 
 
 class TestHomology:

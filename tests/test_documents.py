@@ -188,3 +188,98 @@ def test_dumps_ends_with_newline():
     text = dumps_document(document)
     assert text.endswith("\n")
     assert json.loads(text)["mode"] == "heegaard"
+
+
+OPENBOOK_TWO_TWISTS = {
+    "mode": "openbook",
+    "page": {"genus": 0, "boundary": 3},
+    "twists": [{"sign": 1, "arcs": [1, 0]}, {"sign": -1, "arcs": [0, 2]}],
+    "twist_pairings": [[0, 1], [-1, 0]],
+    "knot": {"arcs": [1, 1]},
+}
+
+HEEGAARD_GENUS_TWO = {"mode": "heegaard", "genus": 2, "C": [[1, 0], [0, 2]], "A": [1, 0], "I": [0, 1]}
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.5, "1", None])
+@pytest.mark.parametrize(
+    "base,keys,path",
+    [
+        (OPENBOOK_TWO_TWISTS, ("twists", 1, "arcs", 1), "twists[1].arcs[1]"),
+        (OPENBOOK_TWO_TWISTS, ("knot", "arcs", 0), "knot.arcs[0]"),
+        (OPENBOOK_TWO_TWISTS, ("twist_pairings", 1, 0), "twist_pairings[1][0]"),
+        (OPENBOOK_TWO_TWISTS, ("twist_pairings", 0, 0), "twist_pairings[0][0]"),
+        (HEEGAARD_GENUS_TWO, ("C", 1, 0), "C[1][0]"),
+        (HEEGAARD_GENUS_TWO, ("C", 0, 1), "C[0][1]"),
+    ],
+)
+def test_non_integer_entry_named_by_path(base, keys, path, bad):
+    obj = json.loads(json.dumps(base))
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = bad
+    with pytest.raises(ValidationError) as info:
+        document_from_obj(obj)
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: expected an integer, got {bad!r}"
+
+
+def test_matrix_errors_keep_row_order():
+    # a bad entry in an earlier row wins over a short later row, and back
+    obj = openbook_obj(
+        twists=[{"sign": 1, "arcs": [1]}, {"sign": 1, "arcs": [1]}],
+        twist_pairings=[[0, "x"], [0]],
+    )
+    with pytest.raises(ValidationError, match=r"^twist_pairings\[0\]\[1\]: expected an integer"):
+        document_from_obj(obj)
+    obj["twist_pairings"] = [[0], [0, "x"]]
+    with pytest.raises(ValidationError, match=r"^twist_pairings\[0\]: expected 2 entries"):
+        document_from_obj(obj)
+
+
+def _skew_obj(pairings):
+    count = len(pairings)
+    return {
+        "mode": "openbook",
+        "page": {"genus": 0, "boundary": 2},
+        "twists": [{"sign": 1, "arcs": [1]}] * count,
+        "twist_pairings": pairings,
+    }
+
+
+def _skew_rows(count):
+    rows = [[0] * count for _ in range(count)]
+    for k in range(count):
+        for m in range(k + 1, count):
+            value = (3 * k + 5 * m) % 7 - 3
+            rows[k][m], rows[m][k] = value, -value
+    return rows
+
+
+def test_first_skew_violation_of_a_large_matrix():
+    rows = _skew_rows(150)
+    document_from_obj(_skew_obj(rows))
+    # column 40 is met before column 60, and within it row 149 before none
+    rows[120][60] += 1
+    rows[149][40] += 2
+    with pytest.raises(ValidationError) as info:
+        document_from_obj(_skew_obj(rows))
+    assert info.value.path == "twist_pairings[149][40]"
+    assert str(info.value) == (
+        "twist_pairings[149][40]: skew-symmetry violated "
+        "(must equal -twist_pairings[40][149])"
+    )
+    # an upper-triangle change is reported at its mirror entry
+    rows = _skew_rows(150)
+    rows[40][149] += 1
+    with pytest.raises(ValidationError, match=r"^twist_pairings\[149\]\[40\]: "):
+        document_from_obj(_skew_obj(rows))
+    # a diagonal entry is met before the rest of its column
+    rows[40][40] = 1
+    with pytest.raises(ValidationError) as info:
+        document_from_obj(_skew_obj(rows))
+    assert str(info.value) == (
+        "twist_pairings[40][40]: skew-symmetry violated (diagonal must be 0)"
+    )
+

@@ -68,6 +68,20 @@ class TestIntegerMatrix:
         with pytest.raises(TypeError):
             IntegerMatrix(1, 1, (1.5,))
 
+    @pytest.mark.parametrize("entry", [True, False, 1.0, "1", None])
+    def test_rejects_non_integer_entries(self, entry):
+        with pytest.raises(TypeError, match="expected a plain integer"):
+            IntegerMatrix(2, 2, (0, 1, entry, 3))
+
+    def test_accepts_int_subclass(self):
+        class Tagged(int):
+            pass
+
+        entry = Tagged(5)
+        matrix = IntegerMatrix(1, 2, (entry, 2))
+        assert matrix[0, 0] is entry
+        assert matrix.entries == (5, 2)
+
     def test_matmul(self):
         a = IntegerMatrix.from_rows([[1, 2], [3, 4]])
         b = IntegerMatrix.from_rows([[0, 1], [1, 0]])

@@ -3,9 +3,12 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import helpers
+import oracles
 from tbcalc import (
     DehnTwist,
     IntegerMatrix,
@@ -13,7 +16,6 @@ from tbcalc import (
     PageKnot,
     PageSurface,
     monodromy_matrix,
-    monodromy_matrix_reference,
     stabilize,
     tb_heegaard,
     tb_open_book,
@@ -120,7 +122,41 @@ class TestMonodromyMatrix:
         rng = random.Random(20260819)
         for _ in range(150):
             book = helpers.random_open_book(rng, max_twists=6, max_arcs=3, bound=2)
-            assert monodromy_matrix(book).entries == monodromy_matrix_reference(book).entries
+            assert monodromy_matrix(book).to_rows() == oracles.monodromy_matrix_reference(book)
+
+    @given(
+        arcs=st.integers(1, 6),
+        count=st.integers(100, 200),
+        density=st.sampled_from([0.0, 0.01, 0.03, 0.1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=15)
+    def test_matches_steps_on_long_sparse_words(self, arcs, count, density, seed):
+        # the word is drawn from a seeded generator: hypothesis itself
+        # cannot draw l * (n + 1) + l^2 / 2 values per example
+        rng = random.Random(seed)
+        page = PageSurface(0, arcs + 1)
+        twists = tuple(
+            DehnTwist(
+                rng.choice((1, -1)),
+                tuple(rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(arcs)),
+            )
+            for _ in range(count)
+        )
+        rows = [[0] * count for _ in range(count)]
+        for k in range(count):
+            for m in range(k):
+                if rng.random() < density:
+                    value = rng.choice((1, -1, 2, -2))
+                    rows[k][m], rows[m][k] = value, -value
+        book = OpenBookPresentation(page, twists, IntegerMatrix.from_rows(rows))
+        assert monodromy_matrix(book).to_rows() == oracles.monodromy_by_steps(book)
+
+    def test_steps_match_reference(self):
+        rng = random.Random(20261017)
+        for _ in range(100):
+            book = helpers.random_open_book(rng, max_twists=7, max_arcs=3, bound=2)
+            assert oracles.monodromy_by_steps(book) == oracles.monodromy_matrix_reference(book)
 
     def test_reference_guard(self):
         arcs = (1,)
@@ -131,7 +167,7 @@ class TestMonodromyMatrix:
             IntegerMatrix.zeros(count, count),
         )
         with pytest.raises(ValueError):
-            monodromy_matrix_reference(book)
+            oracles.monodromy_matrix_reference(book)
         assert monodromy_matrix(book).rows == 1
 
 
