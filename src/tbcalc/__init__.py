@@ -14,20 +14,13 @@ from .documents import (
     InputDocument,
     ParseError,
     ValidationError,
-    document_from_obj,
-    document_to_obj,
     dumps_document,
     load_document,
     parse_document,
     write_document,
 )
-from .heegaard import HeegaardData, TbResult, nullhomologous_check, tb_heegaard
-from .homology import (
-    AbelianGroup,
-    h1_complement,
-    h1_manifold,
-    verify_complement_lemma,
-)
+from .heegaard import HeegaardData, TbResult, tb_heegaard
+from .homology import AbelianGroup, Homology, h1_groups
 from .lattice import (
     IntegerMatrix,
     OrderCertificate,
@@ -36,7 +29,6 @@ from .lattice import (
     kernel_basis,
     minimal_order,
     smith_normal_form,
-    solve_integer,
 )
 from .openbook import (
     DehnTwist,
@@ -51,11 +43,13 @@ from .openbook import (
 
 __version__ = "0.1.0"
 
+# exactly the README's "Library" table and the types it names
 __all__ = [
     "AbelianGroup",
     "DehnTwist",
     "DocumentError",
     "HeegaardData",
+    "Homology",
     "InputDocument",
     "IntegerMatrix",
     "OpenBookPresentation",
@@ -66,24 +60,18 @@ __all__ = [
     "SmithDecomposition",
     "TbResult",
     "ValidationError",
-    "document_from_obj",
-    "document_to_obj",
     "dumps_document",
-    "h1_complement",
-    "h1_manifold",
+    "h1_groups",
     "invariant_factors",
     "kernel_basis",
     "load_document",
     "minimal_order",
     "monodromy_matrix",
-    "nullhomologous_check",
     "parse_document",
     "smith_normal_form",
-    "solve_integer",
     "stabilize",
     "tb_heegaard",
     "tb_open_book",
     "to_heegaard",
-    "verify_complement_lemma",
     "write_document",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,8 +26,8 @@ from .documents import (
     load_document,
     write_document,
 )
-from .heegaard import HeegaardData, TbResult, nullhomologous_check, tb_heegaard
-from .homology import AbelianGroup, h1_complement, h1_manifold, verify_complement_lemma
+from .heegaard import HeegaardData, TbResult, tb_heegaard
+from .homology import AbelianGroup, h1_groups
 from .openbook import monodromy_matrix, stabilize, tb_open_book, to_heegaard
 
 EXIT_OK = 0
@@ -207,23 +208,20 @@ def cmd_tb(document: InputDocument, args: argparse.Namespace) -> int:
 def cmd_homology(document: InputDocument, args: argparse.Namespace) -> int:
     _print_context(document, args)
     data, has_knot = _heegaard_view(document)
-    manifold = h1_manifold(data)
+    groups = h1_groups(data, has_knot)
     payload: dict = {
-        "h1_manifold": _group_obj(manifold),
+        "h1_manifold": _group_obj(groups.manifold),
         "h1_complement": None,
         "complement_lemma": None,
     }
-    lines = [f"H1(M) = {manifold}"]
-    if has_knot:
-        if nullhomologous_check(data) is not None:
-            exterior = h1_complement(data)
-            verdict = verify_complement_lemma(data)
-            payload["h1_complement"] = _group_obj(exterior)
-            payload["complement_lemma"] = verdict
-            lines.append(f"H1(M \\ nu K) = {exterior}")
-            lines.append(f"complement lemma: {'holds' if verdict else 'FAILS'}")
-        else:
-            lines.append("knot is not nullhomologous; exterior homology not reported")
+    lines = [f"H1(M) = {groups.manifold}"]
+    if groups.exterior is not None:
+        payload["h1_complement"] = _group_obj(groups.exterior)
+        payload["complement_lemma"] = groups.complement_lemma
+        lines.append(f"H1(M \\ nu K) = {groups.exterior}")
+        lines.append(f"complement lemma: {'holds' if groups.complement_lemma else 'FAILS'}")
+    elif has_knot:
+        lines.append("knot is not nullhomologous; exterior homology not reported")
     if args.machine:
         print(json.dumps(payload, indent=2))
     else:
@@ -295,6 +293,26 @@ def cmd_convert(document: InputDocument, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _exact_int_output():
+    """Let results print however many digits they have.
+
+    CPython 3.10.7+ refuses to turn an int of more than 4300 digits into
+    text by default, and certificates can outgrow that.  The limit is
+    lifted only while a command runs, so parsing still rejects such
+    literals in the input.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 _HANDLERS = {
     "tb": cmd_tb,
     "homology": cmd_homology,
@@ -307,7 +325,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         document = _load(args)
-        return _HANDLERS[args.command](document, args)
+        with _exact_int_output():
+            return _HANDLERS[args.command](document, args)
     except (UsageError, DocumentError) as error:
         print(f"tbcalc: error: {error}", file=sys.stderr)
         return EXIT_INPUT

@@ -19,10 +19,10 @@ from .lattice import (
     dot,
     kernel_basis,
     minimal_order,
-    solve_integer,
+    smith_normal_form,
 )
 
-__all__ = ["TbResult", "HeegaardData", "nullhomologous_check", "tb_heegaard"]
+__all__ = ["TbResult", "HeegaardData", "tb_heegaard"]
 
 
 @dataclass(frozen=True)
@@ -87,20 +87,16 @@ class HeegaardData:
             raise ValueError("dividing-set crossing count must be even")
 
 
-def nullhomologous_check(data: HeegaardData) -> tuple[int, ...] | None:
-    """Integer solution E of C @ E == A, or None when the knot is not
-    nullhomologous."""
-    return solve_integer(data.relations, data.knot_generators)
-
-
 def tb_heegaard(data: HeegaardData) -> TbResult | None:
     """Thurston-Bennequin invariant of the surface knot.
 
     tb = -(dividing crossings)/2 + <E, I>/d for the least d >= 1 with
     C @ E == d * A.  Returns None when no such d exists (the knot is not
-    rationally nullhomologous and tb is undefined).
+    rationally nullhomologous and tb is undefined).  C is factored once,
+    for both the order and the kernel.
     """
-    certificate = minimal_order(data.relations, data.knot_generators)
+    smith = smith_normal_form(data.relations)
+    certificate = minimal_order(smith, data.knot_generators)
     if certificate is None:
         return None
     value = Fraction(-data.dividing_intersections, 2) + Fraction(
@@ -108,7 +104,7 @@ def tb_heegaard(data: HeegaardData) -> TbResult | None:
     )
     orthogonal = all(
         dot(vector, data.knot_relations) == 0
-        for vector in kernel_basis(data.relations)
+        for vector in kernel_basis(smith)
     )
     return TbResult(
         order=certificate.order,

@@ -5,8 +5,8 @@ the manifold from the compressing-curve pairings C alone, the knot
 exterior from C extended by a meridian generator that each relation
 hits -I_j times.  For data coming from an actual embedded knot that is
 nullhomologous, the exterior group is the manifold group plus one free
-summand; the check below operationalizes that as a consistency test,
-since arbitrary pairing vectors need not come from an embedding.
+summand; h1_groups records that as a consistency test, since arbitrary
+pairing vectors need not come from an embedding.
 """
 
 from __future__ import annotations
@@ -14,15 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .heegaard import HeegaardData, nullhomologous_check
-from .lattice import IntegerMatrix, invariant_factors
+from .heegaard import HeegaardData
+from .lattice import IntegerMatrix, invariant_factors, minimal_order, smith_normal_form
 
-__all__ = [
-    "AbelianGroup",
-    "h1_manifold",
-    "h1_complement",
-    "verify_complement_lemma",
-]
+__all__ = ["AbelianGroup", "Homology", "h1_groups"]
 
 
 @dataclass(frozen=True)
@@ -70,40 +65,50 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def h1_manifold(data: HeegaardData) -> AbelianGroup:
-    """First homology of the ambient manifold: the cokernel of C.
+@dataclass(frozen=True)
+class Homology:
+    """First homology of the manifold and, for a nullhomologous knot, of
+    its exterior.
 
-    >>> h1_manifold(HeegaardData(1, IntegerMatrix.from_rows([[-2]]), (0,), (0,)))
-    AbelianGroup(torsion=(2,), free_rank=0)
+    exterior and complement_lemma are None when there is no knot or the
+    knot is not nullhomologous.  complement_lemma records whether
+    H1(exterior) == H1(manifold) + Z; False flags pairing data that
+    cannot come from an embedded knot.
     """
-    return AbelianGroup.from_invariant_factors(invariant_factors(data.relations))
+
+    manifold: AbelianGroup
+    exterior: AbelianGroup | None = None
+    complement_lemma: bool | None = None
 
 
-def h1_complement(data: HeegaardData) -> AbelianGroup:
-    """First homology of the knot exterior.
+def h1_groups(data: HeegaardData, with_knot: bool = True) -> Homology:
+    """H1 of the manifold, the cokernel of C, and of the knot exterior.
 
-    Presented on the surface generators plus a meridian mu, with relation
-    j reading as column j of C together with coefficient -I_j on mu.
+    The exterior is presented on the surface generators plus a meridian
+    mu, with relation j reading as column j of C together with
+    coefficient -I_j on mu.  One Smith form of C gives both H1(M) and
+    the nullhomology verdict (order 1); the extended matrix is factored
+    only for a nullhomologous knot.
+
+    >>> h1_groups(HeegaardData(1, IntegerMatrix.from_rows([[-2]]), (0,), (0,)), False)
+    Homology(manifold=AbelianGroup(torsion=(2,), free_rank=0), exterior=None, complement_lemma=None)
+    >>> h1_groups(HeegaardData(1, IntegerMatrix.from_rows([[-1]]), (-1,), (-1,))).complement_lemma
+    True
     """
+    smith = smith_normal_form(data.relations)
+    manifold = AbelianGroup.from_invariant_factors(invariant_factors(smith))
+    if not with_knot:
+        return Homology(manifold)
+    certificate = minimal_order(smith, data.knot_generators)
+    if certificate is None or certificate.order != 1:
+        return Homology(manifold)
     rows = data.relations.to_rows()
     rows.append([-value for value in data.knot_relations])
-    return AbelianGroup.from_invariant_factors(
-        invariant_factors(IntegerMatrix.from_rows(rows))
+    exterior = AbelianGroup.from_invariant_factors(
+        invariant_factors(smith_normal_form(IntegerMatrix.from_rows(rows)))
     )
-
-
-def verify_complement_lemma(data: HeegaardData) -> bool | None:
-    """Check H1(exterior) == H1(manifold) + Z; None when not applicable.
-
-    Only nullhomologous knots qualify, so data whose knot class is not in
-    the image of C yields None rather than a verdict.  A False verdict
-    flags pairing data that cannot come from an embedded knot.
-    """
-    if nullhomologous_check(data) is None:
-        return None
-    manifold = h1_manifold(data)
-    exterior = h1_complement(data)
-    return (
+    lemma = (
         exterior.torsion == manifold.torsion
         and exterior.free_rank == manifold.free_rank + 1
     )
+    return Homology(manifold, exterior, lemma)

@@ -2,10 +2,10 @@
 
 Everything in this module runs on Python's arbitrary-precision ints, so
 results are exact and nothing can overflow silently.  The central tool is
-the Smith normal form D = U @ M @ V with unimodular transforms U and V,
-from which integer linear systems are solved, kernels extracted, cokernel
-invariant factors read off, and orders of classes in finitely generated
-abelian groups certified.
+the Smith normal form D = U @ M @ V with unimodular transforms U and V.
+A matrix is factored once, and everything else is read off that one
+decomposition: orders of cokernel classes with integer witnesses (order 1
+solves the system itself), kernels, and cokernel invariant factors.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "OrderCertificate",
     "dot",
     "smith_normal_form",
-    "solve_integer",
     "kernel_basis",
     "minimal_order",
     "invariant_factors",
@@ -310,91 +309,66 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     return result
 
 
-def solve_integer(matrix: IntegerMatrix, target: Sequence[int]) -> tuple[int, ...] | None:
-    """Solve matrix @ x == target over the integers.
-
-    Returns the solution whose kernel component vanishes in the
-    Smith-transformed coordinates, or None when no integer solution
-    exists.
-
-    >>> m = IntegerMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 1]])
-    >>> x = solve_integer(m, (2, 1, 1))
-    >>> m @ x == (2, 1, 1)
-    True
-    >>> solve_integer(m, (0, 2, 1)) is None
-    True
-    """
-    target = tuple(_check_int(b) for b in target)
-    if len(target) != matrix.rows:
-        raise ValueError(f"target length {len(target)} != row count {matrix.rows}")
-    smith = smith_normal_form(matrix)
-    transformed = smith.U @ target
-    for i in range(smith.rank, matrix.rows):
-        if transformed[i]:
-            return None
-    y = [0] * matrix.cols
-    for i in range(smith.rank):
-        s = smith.D[i, i]
-        if transformed[i] % s:
-            return None
-        y[i] = transformed[i] // s
-    return smith.V @ y
-
-
-def kernel_basis(matrix: IntegerMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {x : matrix @ x == 0}.
+def kernel_basis(smith: SmithDecomposition) -> list[tuple[int, ...]]:
+    """Basis of the integer kernel {x : M @ x == 0} of the factored M.
 
     The trailing cols - rank columns of V; independent by unimodularity.
     An injective matrix yields the empty list.
+
+    >>> kernel_basis(smith_normal_form(IntegerMatrix.from_rows([[4, 2], [2, 1]])))
+    [(1, -2)]
     """
-    smith = smith_normal_form(matrix)
-    return [smith.V.column(j) for j in range(smith.rank, matrix.cols)]
+    return [smith.V.column(j) for j in range(smith.rank, smith.D.cols)]
 
 
 def minimal_order(
-    matrix: IntegerMatrix, target: Sequence[int]
+    smith: SmithDecomposition, target: Sequence[int]
 ) -> OrderCertificate | None:
-    """Least d >= 1 making matrix @ x == d * target solvable over the integers.
+    """Least d >= 1 making M @ x == d * target solvable over the integers.
 
-    Returns that order with a witness solution, or None when no positive
-    multiple of the target lies in the column span (the target's class in
-    the cokernel has infinite order).  The order is 1 exactly when
-    solve_integer succeeds.
+    M is the matrix that smith factors.  Returns that order with a
+    witness solution, or None when no positive multiple of the target
+    lies in the column span (the target's class in the cokernel has
+    infinite order).  Order 1 means M @ x == target itself is solvable,
+    and the witness is then the solution whose kernel component vanishes
+    in the Smith-transformed coordinates.
 
-    >>> minimal_order(IntegerMatrix.from_rows([[2]]), (1,))
+    >>> minimal_order(smith_normal_form(IntegerMatrix.from_rows([[2]])), (1,))
     OrderCertificate(order=2, solution=(1,))
-    >>> minimal_order(IntegerMatrix.from_rows([[0]]), (1,)) is None
+    >>> minimal_order(smith_normal_form(IntegerMatrix.from_rows([[0]])), (1,)) is None
     True
+    >>> m = IntegerMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 1]])
+    >>> minimal_order(smith_normal_form(m), (2, 1, 1))
+    OrderCertificate(order=1, solution=(2, 0, 1))
     """
     target = tuple(_check_int(b) for b in target)
-    if len(target) != matrix.rows:
-        raise ValueError(f"target length {len(target)} != row count {matrix.rows}")
-    smith = smith_normal_form(matrix)
+    rows, cols = smith.D.rows, smith.D.cols
+    if len(target) != rows:
+        raise ValueError(f"target length {len(target)} != row count {rows}")
     transformed = smith.U @ target
-    for i in range(smith.rank, matrix.rows):
+    for i in range(smith.rank, rows):
         if transformed[i]:
             return None
     order = 1
     for i in range(smith.rank):
         s = smith.D[i, i]
         order = lcm(order, s // gcd(s, transformed[i]))
-    y = [0] * matrix.cols
+    y = [0] * cols
     for i in range(smith.rank):
         y[i] = order * transformed[i] // smith.D[i, i]
     return OrderCertificate(order=order, solution=smith.V @ y)
 
 
-def invariant_factors(matrix: IntegerMatrix) -> tuple[int, ...]:
-    """Smith diagonal padded with zeros to one entry per matrix row.
+def invariant_factors(smith: SmithDecomposition) -> tuple[int, ...]:
+    """Smith diagonal padded with zeros to one entry per row of M.
 
-    Read columns as relations among row-indexed generators: the entries
-    are the invariant factors of the cokernel, with 1 marking trivial
-    summands and 0 marking free ones.  Leading units are kept; callers
-    normalize.
+    Read the columns of the factored M as relations among row-indexed
+    generators: the entries are the invariant factors of the cokernel,
+    with 1 marking trivial summands and 0 marking free ones.  Leading
+    units are kept; callers normalize.
 
-    >>> invariant_factors(IntegerMatrix.from_rows([[2, 0], [0, 3]]))
+    >>> invariant_factors(smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 3]])))
     (1, 6)
     """
-    smith = smith_normal_form(matrix)
     diagonal = list(smith.diagonal())
-    return tuple(diagonal + [0] * (matrix.rows - len(diagonal)))
+    return tuple(diagonal + [0] * (smith.D.rows - len(diagonal)))

@@ -12,12 +12,11 @@ the pairing matrix C that drives every downstream computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, compress
 from operator import add
 
-from .heegaard import HeegaardData, TbResult
-from .lattice import IntegerMatrix, dot, kernel_basis, minimal_order
+from .heegaard import HeegaardData, TbResult, tb_heegaard
+from .lattice import IntegerMatrix
 
 __all__ = [
     "PageSurface",
@@ -189,6 +188,11 @@ def tb_open_book(open_book: OpenBookPresentation, knot: PageKnot) -> TbResult | 
     exactly when A is orthogonal to the kernel of C, which the result
     records.  Returns None when no multiple of A lies in the image (the
     knot is not rationally nullhomologous and tb is undefined).
+
+    This is the Heegaard formula -dividing/2 + <E, I> / d with I = -A and
+    no dividing-set crossings, so tb_heegaard assembles it.  It keeps C
+    rather than going through to_heegaard, whose -C can reduce to another
+    certificate in E + ker C when C is singular.
     """
     pairings = knot.arc_pairings
     if len(pairings) != open_book.page.arc_count:
@@ -196,19 +200,9 @@ def tb_open_book(open_book: OpenBookPresentation, knot: PageKnot) -> TbResult | 
             f"knot pairs with {len(pairings)} arcs, page has "
             f"{open_book.page.arc_count}"
         )
-    pairing_matrix = monodromy_matrix(open_book)
-    certificate = minimal_order(pairing_matrix, pairings)
-    if certificate is None:
-        return None
-    value = Fraction(-dot(certificate.solution, pairings), certificate.order)
-    orthogonal = all(
-        dot(vector, pairings) == 0 for vector in kernel_basis(pairing_matrix)
-    )
-    return TbResult(
-        order=certificate.order,
-        tb=value,
-        certificate=certificate.solution,
-        kernel_orthogonal=orthogonal,
+    negated = tuple(-a for a in pairings)
+    return tb_heegaard(
+        HeegaardData(len(pairings), monodromy_matrix(open_book), pairings, negated)
     )
 
 

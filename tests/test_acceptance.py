@@ -19,19 +19,16 @@ from tbcalc import (
     AbelianGroup,
     dumps_document,
     parse_document,
-    h1_manifold,
+    h1_groups,
     kernel_basis,
     load_document,
     minimal_order,
     monodromy_matrix,
-    nullhomologous_check,
     smith_normal_form,
-    solve_integer,
     stabilize,
     tb_heegaard,
     tb_open_book,
     to_heegaard,
-    verify_complement_lemma,
 )
 from tbcalc.cli import main
 
@@ -82,18 +79,19 @@ def test_c02_overtwisted_unknot(criterion, capfd):
 def test_c03_heegaard_example(criterion):
     with criterion(3, "surface example: bounding and obstructed knots, H1 = Z"):
         solvable = fixture("heegaard-solvable").heegaard
-        witness = nullhomologous_check(solvable)
-        assert witness is not None
-        assert solvable.relations @ witness == solvable.knot_generators
+        witness = minimal_order(smith_normal_form(solvable.relations), solvable.knot_generators)
+        assert witness.order == 1
+        assert solvable.relations @ witness.solution == solvable.knot_generators
         assert tb_heegaard(solvable).order == 1
 
         obstructed = fixture("heegaard-obstructed").heegaard
-        assert nullhomologous_check(obstructed) is None
-        assert minimal_order(obstructed.relations, obstructed.knot_generators) is None
+        smith = smith_normal_form(obstructed.relations)
+        assert minimal_order(smith, obstructed.knot_generators) is None
         assert tb_heegaard(obstructed) is None
+        assert h1_groups(obstructed).exterior is None
 
-        assert h1_manifold(solvable) == AbelianGroup((), 1)
-        assert str(h1_manifold(solvable)) == "Z"
+        assert h1_groups(solvable).manifold == AbelianGroup((), 1)
+        assert str(h1_groups(solvable).manifold) == "Z"
 
 
 def test_c04_solution_family(criterion):
@@ -105,7 +103,7 @@ def test_c04_solution_family(criterion):
         assert result.order == 1
         assert result.kernel_orthogonal
 
-        kernel = kernel_basis(matrix)
+        kernel = kernel_basis(smith_normal_form(matrix))
         assert len(kernel) == 1
         base = result.certificate
         pairing = sum(e * a for e, a in zip(base, target))
@@ -195,7 +193,8 @@ def test_c08_smith_and_solver(criterion):
             size = rng.randint(0, 3)
             matrix = helpers.random_matrix(rng, size, rng.randint(0, 3), 3)
             target = helpers.random_vector(rng, matrix.rows, 3)
-            witness = solve_integer(matrix, target)
+            certificate = minimal_order(smith_normal_form(matrix), target)
+            witness = certificate.solution if certificate and certificate.order == 1 else None
             if witness is not None:
                 assert matrix @ witness == target
             try:
@@ -214,10 +213,10 @@ def test_c09_complement_lemma_on_conversions(criterion):
             document = fixture(name)
             if document.mode != "openbook" or document.knot is None:
                 continue
-            converted = to_heegaard(document.open_book, document.knot)
-            if nullhomologous_check(converted) is None:
+            groups = h1_groups(to_heegaard(document.open_book, document.knot))
+            if groups.exterior is None:
                 continue
-            assert verify_complement_lemma(converted) is True
+            assert groups.complement_lemma is True
             checked += 1
         assert checked >= 5
 

@@ -2,14 +2,19 @@
 
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 import conftest
-from tbcalc import ParseError, load_document, tb_heegaard, tb_open_book
+from tbcalc import ParseError, load_document, monodromy_matrix, tb_heegaard, tb_open_book
+from tbcalc.cli import _exact_int_output as unlimited_int_digits
 from tbcalc.cli import main
+
+# an open book whose certificate entries run past 10000 digits
+BIG_CERTIFICATE = pathlib.Path(__file__).resolve().parent / "data" / "big-certificate.json"
 
 
 def run(capsys, *argv):
@@ -187,6 +192,55 @@ class TestHostileInput:
         path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(ParseError):
             load_document(path)
+
+
+class TestHugeIntegers:
+    """Results print exactly however long they are; the input limit stays."""
+
+    def digit_limit(self):
+        return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+    def test_tb_prints_the_whole_certificate(self, capsys):
+        limit = self.digit_limit()
+        code, out, err = run(capsys, "tb", str(BIG_CERTIFICATE))
+        assert (code, err) == (0, "")
+        assert self.digit_limit() == limit
+        verdict, value, certificate = out.splitlines()
+        assert (verdict, value) == ("verdict: nullhomologous", "order 1, tb = -5843801350")
+        with unlimited_int_digits():
+            result = tb_open_book(*self.book_and_knot())
+            assert certificate == f"certificate E = {list(result.certificate)}"
+
+    def test_tb_json(self, capsys):
+        limit = self.digit_limit()
+        code, out, err = run(capsys, "tb", "--json", str(BIG_CERTIFICATE))
+        assert (code, err) == (0, "")
+        assert self.digit_limit() == limit
+        with unlimited_int_digits():
+            payload = json.loads(out)
+            assert max(len(str(abs(e))) for e in payload["certificate"]) > 10_000
+        book, knot = self.book_and_knot()
+        assert payload["order"] == 1
+        assert (payload["tb_numerator"], payload["tb_denominator"]) == (-5843801350, 1)
+        certificate = tuple(payload["certificate"])
+        assert monodromy_matrix(book) @ certificate == knot.arc_pairings
+        assert payload["tb_numerator"] == -sum(e * a for e, a in zip(certificate, knot.arc_pairings))
+
+    def test_stabilize_json(self, capsys, tmp_path):
+        out_path = tmp_path / "stab.json"
+        code, out, err = run(
+            capsys, "stabilize", "--json", "--sign", "+1", "-o", str(out_path), str(BIG_CERTIFICATE)
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["tb_before"] == {"numerator": -5843801350, "denominator": 1}
+        assert payload["tb_after"] == {"numerator": -5843801351, "denominator": 1}
+        assert payload["delta"] == {"numerator": -1, "denominator": 1}
+        assert load_document(out_path).open_book.page.arc_count == 19
+
+    def book_and_knot(self):
+        document = load_document(BIG_CERTIFICATE)
+        return document.open_book, document.knot
 
 
 class TestHomology:

@@ -8,13 +8,12 @@ import conftest
 from tbcalc import (
     ParseError,
     ValidationError,
-    document_from_obj,
-    document_to_obj,
     dumps_document,
     load_document,
     parse_document,
     write_document,
 )
+from tbcalc.documents import document_from_obj, document_to_obj
 
 
 def openbook_obj(**overrides):

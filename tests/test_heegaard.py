@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from tbcalc import HeegaardData, IntegerMatrix, TbResult, nullhomologous_check, tb_heegaard
+from tbcalc import HeegaardData, IntegerMatrix, TbResult, h1_groups, tb_heegaard
 
 S1XS2 = IntegerMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 1]])
 
@@ -55,10 +55,13 @@ class TestTbResult:
 
 
 class TestNullhomologousCheck:
+    """Nullhomology is order 1: the certificate then solves C @ E == A."""
+
     def test_frozen(self):
-        assert nullhomologous_check(data([[1, 1, 0], [0, 0, 1], [0, 0, 1]], [2, 1, 1], [1, 1, 2])) == (2, 0, 1)
-        assert nullhomologous_check(data([[1, 1, 0], [0, 0, 1], [0, 0, 1]], [0, 2, 1], [0, 0, 0])) is None
-        assert nullhomologous_check(data([[-2]], [-1], [-1])) is None
+        bounding = tb_heegaard(data([[1, 1, 0], [0, 0, 1], [0, 0, 1]], [2, 1, 1], [1, 1, 2]))
+        assert (bounding.order, bounding.certificate) == (1, (2, 0, 1))
+        assert tb_heegaard(data([[1, 1, 0], [0, 0, 1], [0, 0, 1]], [0, 2, 1], [0, 0, 0])) is None
+        assert tb_heegaard(data([[-2]], [-1], [-1])).order == 2
 
 
 class TestTbHeegaard:
@@ -103,8 +106,10 @@ class TestTbHeegaard:
         for _ in range(200):
             sample = helpers.random_heegaard(rng, max_genus=3, bound=2)
             result = tb_heegaard(sample)
+            # the homology record reads nullhomology off the same Smith form
+            nullhomologous = result is not None and result.order == 1
+            assert (h1_groups(sample).exterior is not None) == nullhomologous
             if result is None:
-                assert nullhomologous_check(sample) is None
                 continue
             finite += 1
             scaled = tuple(result.order * a for a in sample.knot_generators)

@@ -8,12 +8,14 @@ import helpers
 from tbcalc import (
     AbelianGroup,
     HeegaardData,
+    Homology,
     IntegerMatrix,
     PageKnot,
-    h1_complement,
-    h1_manifold,
+    h1_groups,
+    invariant_factors,
+    minimal_order,
+    smith_normal_form,
     to_heegaard,
-    verify_complement_lemma,
 )
 
 
@@ -54,6 +56,25 @@ class TestAbelianGroup:
         assert not AbelianGroup((), 1).is_trivial
 
 
+def h1_manifold(sample):
+    return h1_groups(sample, with_knot=False).manifold
+
+
+def cokernel(rows):
+    matrix = IntegerMatrix.from_rows(rows)
+    return AbelianGroup.from_invariant_factors(invariant_factors(smith_normal_form(matrix)))
+
+
+class TestRecord:
+    def test_frozen(self):
+        rational = data([[-2]], [-1], [-1])
+        assert h1_groups(rational) == Homology(AbelianGroup((2,), 0))
+        assert h1_groups(rational, with_knot=False) == Homology(AbelianGroup((2,), 0))
+        bounding = data([[-1]], [-1], [-1])
+        assert h1_groups(bounding) == Homology(AbelianGroup((), 0), AbelianGroup((), 1), True)
+        assert h1_groups(bounding, with_knot=False) == Homology(AbelianGroup((), 0))
+
+
 class TestH1Manifold:
     def test_frozen(self):
         assert h1_manifold(data([[-2]])) == AbelianGroup((2,), 0)
@@ -76,28 +97,30 @@ class TestH1Complement:
         disk = OpenBookPresentation(PageSurface(0, 1), (), IntegerMatrix.zeros(0, 0))
         converted = to_heegaard(disk, PageKnot(()))
         # no generators besides the meridian, which survives freely
-        assert h1_complement(converted) == AbelianGroup((), 1)
+        assert h1_groups(converted).exterior == AbelianGroup((), 1)
 
     def test_frozen(self):
         # relations [[-1]] with I = (-1): exterior of the standard unknot
-        assert h1_complement(data([[-1]], [-1], [-1])) == AbelianGroup((), 1)
+        assert h1_groups(data([[-1]], [-1], [-1])).exterior == AbelianGroup((), 1)
         # mu decouples when I = 0
-        assert h1_complement(data([[-2]], [0], [0])) == AbelianGroup((2,), 1)
-        assert h1_complement(data([[2]], [2], [1])) == AbelianGroup((), 1)
+        assert h1_groups(data([[-2]], [0], [0])).exterior == AbelianGroup((2,), 1)
+        assert h1_groups(data([[2]], [2], [1])).exterior == AbelianGroup((), 1)
 
     def test_zero_knot_relations_block_structure(self):
         rng = random.Random(99)
         for _ in range(50):
             sample = helpers.random_heegaard(rng, max_genus=3, bound=3)
+            # A = 0 always bounds, so the exterior is reported; it does not
+            # enter the exterior's relation matrix
             zeroed = HeegaardData(
                 sample.genus,
                 sample.relations,
-                sample.knot_generators,
+                (0,) * sample.genus,
                 (0,) * sample.genus,
                 sample.dividing_intersections,
             )
-            manifold = h1_manifold(zeroed)
-            exterior = h1_complement(zeroed)
+            groups = h1_groups(zeroed)
+            manifold, exterior = groups.manifold, groups.exterior
             assert exterior.torsion == manifold.torsion
             assert exterior.free_rank == manifold.free_rank + 1
 
@@ -105,21 +128,18 @@ class TestH1Complement:
 class TestComplementLemma:
     def test_true_on_unknot_conversion(self):
         converted = data([[-1]], [-1], [-1])
-        assert verify_complement_lemma(converted) is True
+        assert h1_groups(converted).complement_lemma is True
 
     def test_not_applicable_when_not_nullhomologous(self):
-        assert verify_complement_lemma(data([[-2]], [-1], [-1])) is None
-        assert (
-            verify_complement_lemma(
-                data([[1, 1, 0], [0, 0, 1], [0, 0, 1]], [0, 2, 1], [0, 0, 0])
-            )
-            is None
-        )
+        assert h1_groups(data([[-2]], [-1], [-1])).complement_lemma is None
+        obstructed = h1_groups(data([[1, 1, 0], [0, 0, 1], [0, 0, 1]], [0, 2, 1], [0, 0, 0]))
+        assert obstructed.complement_lemma is None
+        assert obstructed.exterior is None
 
     def test_false_on_inconsistent_synthetic_data(self):
         # A = (2) bounds, but I = (1) is not a row combination of C = [[2]]:
         # the exterior is Z while the manifold is Z/2, so the lemma fails
-        assert verify_complement_lemma(data([[2]], [2], [1])) is False
+        assert h1_groups(data([[2]], [2], [1])).complement_lemma is False
 
     def test_true_on_conversions_of_disjoint_twist_books(self):
         # books whose twists are mutually disjoint have symmetric C, and a
@@ -133,7 +153,7 @@ class TestComplementLemma:
                 book = type(book)(book.page, book.twists, zero)
             knot = helpers.random_bounding_knot(rng, book, bound=2)
             converted = to_heegaard(book, knot)
-            assert verify_complement_lemma(converted) is True
+            assert h1_groups(converted).complement_lemma is True
             held += 1
         assert held == 80
 
@@ -142,15 +162,21 @@ class TestComplementLemma:
         seen = {True: 0, False: 0, None: 0}
         for _ in range(150):
             sample = helpers.random_heegaard(rng, max_genus=3, bound=2)
-            verdict = verify_complement_lemma(sample)
-            seen[verdict] += 1
-            if verdict is None:
+            groups = h1_groups(sample)
+            seen[groups.complement_lemma] += 1
+            # the same groups, each from its own Smith form
+            rows = sample.relations.to_rows()
+            manifold = cokernel(rows)
+            assert groups.manifold == manifold
+            certificate = minimal_order(smith_normal_form(sample.relations), sample.knot_generators)
+            if certificate is None or certificate.order != 1:
+                assert groups.exterior is None and groups.complement_lemma is None
                 continue
-            manifold = h1_manifold(sample)
-            exterior = h1_complement(sample)
+            exterior = cokernel(rows + [[-value for value in sample.knot_relations]])
+            assert groups.exterior == exterior
             expected = (
                 exterior.torsion == manifold.torsion
                 and exterior.free_rank == manifold.free_rank + 1
             )
-            assert verdict == expected
+            assert groups.complement_lemma == expected
         assert seen[True] > 0 and seen[None] > 0

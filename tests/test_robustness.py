@@ -1,0 +1,154 @@
+"""Every input ends in exit code 0, 1 or 2: never in an exception.
+
+Inputs are arbitrary bytes and small, loosely shaped JSON documents
+(genus at most 3, at most 6 twists) that are often close to valid, so
+that they reach the lattice and homology layers as well as the parser.
+"""
+
+import contextlib
+import io
+import json
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from tbcalc.cli import main
+
+OUTPUT = "OUTPUT"
+COMMANDS = (
+    ("tb",),
+    ("tb", "--json", "-vv"),
+    ("homology", "-vv"),
+    ("homology", "--json"),
+    ("stabilize", "--sign", "+1", "-o", OUTPUT),
+    ("stabilize", "--sign", "-1", "--json", "-o", OUTPUT),
+    ("convert", "-o", OUTPUT),
+)
+
+small = st.integers(-3, 3)
+# anything JSON can hold, mostly small integers
+entries = st.one_of(
+    small,
+    small,
+    small,
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+)
+
+
+class Shape:
+    """Draws the parts of a document: exact when clean, loose otherwise."""
+
+    def __init__(self, draw, clean):
+        self.draw = draw
+        self.clean = clean
+
+    def length(self, n):
+        return n if self.clean else self.draw(st.sampled_from((n, n, n, n + 1, max(n - 1, 0))))
+
+    def vector(self, n):
+        entry = small if self.clean else entries
+        size = self.length(n)
+        return self.draw(st.lists(entry, min_size=size, max_size=size))
+
+    def matrix(self, n, skew=False):
+        if skew and (self.clean or self.draw(st.booleans())):
+            values = [[0] * n for _ in range(n)]
+            for k in range(n):
+                for m in range(k):
+                    values[k][m] = self.draw(small)
+                    values[m][k] = -values[k][m]
+            return values
+        return [self.vector(n) for _ in range(self.length(n))]
+
+    def pick(self, valid, invalid):
+        return self.draw(st.sampled_from(valid if self.clean else valid + invalid))
+
+
+@st.composite
+def openbook_documents(draw, clean):
+    shape = Shape(draw, clean)
+    genus = draw(st.integers(0, 3))
+    boundary = shape.pick((1, 2, 3), (0, -1))
+    n = max(2 * genus + boundary - 1, 0)
+    count = draw(st.integers(0, 6))
+    doc = {
+        "mode": "openbook",
+        "page": {"genus": genus, "boundary": boundary},
+        "twists": [
+            {"sign": shape.pick((1, -1), (0, 2, True)), "arcs": shape.vector(n)}
+            for _ in range(count)
+        ],
+        "twist_pairings": shape.matrix(count, skew=True),
+    }
+    if draw(st.booleans()):
+        doc["knot"] = {"arcs": shape.vector(n)}
+    return doc
+
+
+@st.composite
+def heegaard_documents(draw, clean):
+    shape = Shape(draw, clean)
+    genus = draw(st.integers(0, 3))
+    doc = {"mode": "heegaard", "genus": genus, "C": shape.matrix(genus)}
+    if draw(st.booleans()):
+        doc["A"] = shape.vector(genus)
+        doc["I"] = shape.vector(genus)
+        doc["dividing"] = shape.pick((0, 2, 4), (1, -2))
+    return doc
+
+
+@st.composite
+def mangled(draw, documents):
+    """A loose document, perhaps with a key dropped, added or replaced."""
+    doc = draw(documents)
+    how = draw(st.sampled_from(("keep", "drop", "add", "replace")))
+    key = draw(st.sampled_from(sorted(doc)))
+    if how == "drop":
+        del doc[key]
+    elif how == "add":
+        doc[draw(st.sampled_from(("knot", "A", "page", "extra", "name", "description")))] = draw(entries)
+    elif how == "replace":
+        doc[key] = draw(st.one_of(entries, st.lists(entries, max_size=3)))
+    return doc
+
+
+json_texts = st.one_of(
+    openbook_documents(clean=True),
+    heegaard_documents(clean=True),
+    mangled(openbook_documents(clean=False)),
+    mangled(heegaard_documents(clean=False)),
+    st.recursive(entries, lambda inner: st.lists(inner, max_size=3), max_leaves=6),
+).map(json.dumps)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("robustness")
+
+
+def run_every_command(workdir, data: bytes):
+    source = workdir / "input.json"
+    source.write_bytes(data)
+    output = str(workdir / "output.json")
+    for command in COMMANDS:
+        argv = [output if arg == OUTPUT else arg for arg in command] + [str(source)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, data)
+
+
+@given(st.binary(max_size=200))
+@settings(deadline=None, max_examples=100)
+def test_arbitrary_bytes(workdir, data):
+    run_every_command(workdir, data)
+
+
+@given(json_texts)
+@settings(deadline=None, max_examples=300)
+def test_loosely_shaped_documents(workdir, text):
+    run_every_command(workdir, text.encode())
