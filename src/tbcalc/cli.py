@@ -321,8 +321,12 @@ _HANDLERS = {
 }
 
 
+# built once per process: parse_args keeps no state between calls
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         document = _load(args)
         with _exact_int_output():

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Any, Union
 
@@ -327,8 +328,42 @@ def document_to_obj(document: InputDocument) -> dict:
     return obj
 
 
+def _dumps_indented(value: Any, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` for the values document_to_obj builds.
+
+    Containers nested at ``indent`` open on the current line and close on
+    a line of their own; a list of plain ints is joined in one C-level
+    call.  Everything else, int subclasses included, is written by
+    ``json.dumps`` itself.  Keys are strings.
+    """
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        separator = ",\n" + inner
+        if set(map(type, value)) == {int}:
+            body = separator.join(map(int.__repr__, value))
+        else:
+            body = separator.join([_dumps_indented(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join(
+            [
+                f"{encode_basestring_ascii(key)}: {_dumps_indented(item, inner)}"
+                for key, item in value.items()
+            ]
+        )
+        return f"{{\n{inner}{body}\n{indent}}}"
+    return json.dumps(value)
+
+
 def dumps_document(document: InputDocument) -> str:
-    return json.dumps(document_to_obj(document), indent=2) + "\n"
+    """The document as ``json.dumps(document_to_obj(document), indent=2)``
+    writes it, plus a trailing newline."""
+    return _dumps_indented(document_to_obj(document), "") + "\n"
 
 
 def write_document(document: InputDocument, path: Union[str, Path]) -> None:

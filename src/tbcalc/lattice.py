@@ -57,8 +57,9 @@ class IntegerMatrix:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         entries = tuple(self.entries)
-        for e in entries:
-            if type(e) is not int:
+        if set(map(type, entries)) - {int}:
+            # in order, so the first offending entry is the one reported
+            for e in entries:
                 _check_int(e)
         if len(entries) != self.rows * self.cols:
             raise ValueError(

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import conftest
-from tbcalc import ParseError, load_document, monodromy_matrix, tb_heegaard, tb_open_book
+from tbcalc import ParseError, cli, load_document, monodromy_matrix, tb_heegaard, tb_open_book
 from tbcalc.cli import _exact_int_output as unlimited_int_digits
 from tbcalc.cli import main
 
@@ -148,6 +148,31 @@ class TestTb:
         with pytest.raises(SystemExit) as info:
             main(["tb", "--bad-flag"])
         assert info.value.code == 1
+
+
+class TestParserReuse:
+    """main parses every call with one parser built at import."""
+
+    def test_calls_share_no_state(self, capsys, tmp_path, monkeypatch):
+        unknot = str(conftest.fixture_path("standard-unknot"))
+        monkeypatch.setattr(cli, "build_parser", None)  # main must not rebuild it
+        first = run(capsys, "tb", unknot)
+        assert run(capsys, "tb", "-vv", "--json", unknot)[0] == 0
+        assert run(capsys, "stabilize", "--sign", "-1", "-o", str(tmp_path / "s.json"), unknot)[0] == 0
+        with pytest.raises(SystemExit) as info:
+            main(["stabilize", "-o", str(tmp_path / "t.json"), unknot])
+        assert info.value.code == 1
+        usage = capsys.readouterr()
+        assert run(capsys, "tb", unknot) == first
+        assert run(capsys, "tb", "-v", unknot) == run(capsys, "tb", "-v", unknot)
+        assert not (tmp_path / "t.json").exists()
+
+        monkeypatch.undo()
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["stabilize", "-o", str(tmp_path / "t.json"), unknot])
+        assert capsys.readouterr() == usage
+        assert usage.out == ""
+        assert "error: the following arguments are required: --sign" in usage.err
 
 
 OVERLONG_LITERAL = json.dumps(KNOTLESS_OPENBOOK).replace("[-1]", "[" + "7" * 5000 + "]").encode()

@@ -81,6 +81,13 @@ class TestIntegerMatrix:
         assert matrix[0, 0] is entry
         assert matrix.entries == (5, 2)
 
+    def test_reports_the_first_non_integer_entry(self):
+        class Tagged(int):
+            pass
+
+        with pytest.raises(TypeError, match=r"got 2\.5$"):
+            IntegerMatrix(2, 2, (Tagged(1), 2.5, True, "x"))
+
     def test_matmul(self):
         a = IntegerMatrix.from_rows([[1, 2], [3, 4]])
         b = IntegerMatrix.from_rows([[0, 1], [1, 0]])
