@@ -3,8 +3,11 @@
 `dumps_document` must write exactly what `json.dumps(..., indent=2)`
 writes (plus a newline), checked on generated documents, and the
 commands' outputs on the nine fixtures must match the golden files under
-`tests/data/golden/`.  After an intended format change, rewrite those
-files with `PYTHONPATH=src python tests/test_written_bytes.py`.
+`tests/data/golden/`.  The two knotless documents under `tests/data/`
+pin the paths no fixture reaches: `convert` of an open book without a
+knot, and `tb` and `homology` of both modes without one.  After an
+intended format change, rewrite those files with
+`PYTHONPATH=src python tests/test_written_bytes.py`.
 """
 
 import contextlib
@@ -31,14 +34,27 @@ from tbcalc import (
 from tbcalc.cli import main
 from tbcalc.documents import InputDocument, document_to_obj
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "golden"
 OUTPUTS = GOLDEN / "outputs.json"
-COMMANDS = {
-    "stabilize+1": ("stabilize", "--sign", "+1"),
-    "stabilize-1": ("stabilize", "--sign", "-1"),
-    "convert": ("convert",),
-}
 WRITTEN = "out.json"
+COMMANDS = {
+    "stabilize+1": ("stabilize", "--sign", "+1", "-o", WRITTEN),
+    "stabilize-1": ("stabilize", "--sign", "-1", "-o", WRITTEN),
+    "convert": ("convert", "-o", WRITTEN),
+    "tb": ("tb",),
+    "homology": ("homology",),
+    "homology --json": ("homology", "--json"),
+}
+KNOTLESS = {
+    "knotless-openbook": ("convert", "homology", "homology --json", "tb"),
+    "knotless-heegaard": ("homology", "homology --json", "tb"),
+}
+CASES = [
+    (fixture, command)
+    for fixture in conftest.FIXTURE_NAMES
+    for command in ("convert", "stabilize+1", "stabilize-1")
+] + [(name, command) for name, commands in KNOTLESS.items() for command in commands]
 
 
 class Loud(int):
@@ -123,14 +139,19 @@ def test_int_subclass_prints_as_int():
     assert '"C": [\n    [\n      7\n    ]\n  ],\n  "A": [\n    -2\n  ]' in text
 
 
-def run_command(fixture, command):
-    """Run one command on a fixture in the current directory.
+def input_path(name):
+    return DATA / f"{name}.json" if name in KNOTLESS else conftest.fixture_path(name)
+
+
+def run_command(name, command):
+    """Run one command on a fixture or knotless document in the current
+    directory.
 
     Returns its exit code, stdout and stderr, and the bytes it wrote
     (None when it wrote nothing).
     """
     stdout, stderr = io.StringIO(), io.StringIO()
-    argv = [*COMMANDS[command], "-o", WRITTEN, str(conftest.fixture_path(fixture))]
+    argv = [*COMMANDS[command], str(input_path(name))]
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     written = pathlib.Path(WRITTEN)
@@ -143,8 +164,7 @@ def golden_path(fixture, command):
     return GOLDEN / f"{fixture}.{command}.json"
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@pytest.mark.parametrize("fixture", conftest.FIXTURE_NAMES)
+@pytest.mark.parametrize("fixture, command", CASES)
 def test_matches_golden_files(fixture, command, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     outputs, data = run_command(fixture, command)
@@ -158,15 +178,14 @@ def write_golden_files():
     outputs = {}
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
-        for fixture in conftest.FIXTURE_NAMES:
-            for command in sorted(COMMANDS):
-                outputs[f"{fixture} {command}"], data = run_command(fixture, command)
-                target = golden_path(fixture, command)
-                if data is None:
-                    target.unlink(missing_ok=True)
-                else:
-                    target.write_bytes(data)
-                    os.remove(WRITTEN)
+        for fixture, command in CASES:
+            outputs[f"{fixture} {command}"], data = run_command(fixture, command)
+            target = golden_path(fixture, command)
+            if data is None:
+                target.unlink(missing_ok=True)
+            else:
+                target.write_bytes(data)
+                os.remove(WRITTEN)
     OUTPUTS.write_text(json.dumps(outputs, indent=2, ensure_ascii=False) + "\n")
 
 
