@@ -136,20 +136,15 @@ def _tb_result(document: InputDocument) -> TbResult | None:
         if document.knot is None:
             raise UsageError('the document has no knot block; add "knot": {"arcs": [...]}')
         return tb_open_book(document.open_book, document.knot)
-    if not document.has_knot:
+    if document.heegaard.knot_generators is None:
         raise UsageError('the document has no knot data; add "A", "I" and "dividing"')
     return tb_heegaard(document.heegaard)
 
 
-def _heegaard_view(document: InputDocument) -> tuple[HeegaardData, bool]:
+def _heegaard_view(document: InputDocument) -> HeegaardData:
     if document.mode == "heegaard":
-        return document.heegaard, document.has_knot
-    open_book = document.open_book
-    if document.knot is not None:
-        return to_heegaard(open_book, document.knot), True
-    size = open_book.page.arc_count
-    zeros = (0,) * size
-    return HeegaardData(size, -monodromy_matrix(open_book), zeros, zeros, 0), False
+        return document.heegaard
+    return to_heegaard(document.open_book, document.knot)
 
 
 def _verdict(result: TbResult) -> str:
@@ -192,8 +187,8 @@ def cmd_tb(document: InputDocument, args: argparse.Namespace) -> int:
         payload = {
             "verdict": _verdict(result),
             "order": result.order,
-            "tb_numerator": result.tb_numerator,
-            "tb_denominator": result.tb_denominator,
+            "tb_numerator": result.tb.numerator,
+            "tb_denominator": result.tb.denominator,
             "certificate": list(result.certificate),
             "kernel_orthogonal": result.kernel_orthogonal,
         }
@@ -207,8 +202,8 @@ def cmd_tb(document: InputDocument, args: argparse.Namespace) -> int:
 
 def cmd_homology(document: InputDocument, args: argparse.Namespace) -> int:
     _print_context(document, args)
-    data, has_knot = _heegaard_view(document)
-    groups = h1_groups(data, has_knot)
+    data = _heegaard_view(document)
+    groups = h1_groups(data)
     payload: dict = {
         "h1_manifold": _group_obj(groups.manifold),
         "h1_complement": None,
@@ -220,7 +215,7 @@ def cmd_homology(document: InputDocument, args: argparse.Namespace) -> int:
         payload["complement_lemma"] = groups.complement_lemma
         lines.append(f"H1(M \\ nu K) = {groups.exterior}")
         lines.append(f"complement lemma: {'holds' if groups.complement_lemma else 'FAILS'}")
-    elif has_knot:
+    elif data.knot_generators is not None:
         lines.append("knot is not nullhomologous; exterior homology not reported")
     if args.machine:
         print(json.dumps(payload, indent=2))
@@ -241,10 +236,8 @@ def cmd_stabilize(document: InputDocument, args: argparse.Namespace) -> int:
     after = tb_open_book(stabilized, knot)
     write_document(
         InputDocument(
-            mode="openbook",
             open_book=stabilized,
             knot=knot,
-            has_knot=True,
             name=document.name,
             description=document.description,
         ),
@@ -275,12 +268,9 @@ def cmd_convert(document: InputDocument, args: argparse.Namespace) -> int:
     if document.mode != "openbook":
         raise UsageError("convert requires an openbook document")
     _print_context(document, args)
-    data, has_knot = _heegaard_view(document)
     write_document(
         InputDocument(
-            mode="heegaard",
-            heegaard=data,
-            has_knot=has_knot,
+            heegaard=_heegaard_view(document),
             name=document.name,
             description=document.description,
         ),

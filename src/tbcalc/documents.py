@@ -85,19 +85,20 @@ class ValidationError(DocumentError):
 class InputDocument:
     """One parsed input file.
 
-    Exactly one of open_book/heegaard is set, matching mode.  has_knot
-    records whether the document carried knot data; for heegaard
-    documents without it the HeegaardData knot vectors are zero-filled
-    and must not be fed to tb computations.
+    Exactly one of open_book/heegaard is set, and mode follows from
+    which.  A missing knot is None: knot for an open book, the knot
+    vectors of the HeegaardData for a heegaard document.
     """
 
-    mode: str
     open_book: OpenBookPresentation | None = None
     knot: PageKnot | None = None
     heegaard: HeegaardData | None = None
-    has_knot: bool = False
     name: str | None = None
     description: str | None = None
+
+    @property
+    def mode(self) -> str:
+        return "openbook" if self.open_book is not None else "heegaard"
 
 
 def _require_keys(obj: dict, path: str, required: set[str], optional: set[str]) -> None:
@@ -206,7 +207,7 @@ def _parse_open_book(obj: dict) -> tuple[OpenBookPresentation, PageKnot | None]:
     return open_book, knot
 
 
-def _parse_heegaard(obj: dict) -> tuple[HeegaardData, bool]:
+def _parse_heegaard(obj: dict) -> HeegaardData:
     genus = _as_int(obj["genus"], "genus")
     if genus < 0:
         raise ValidationError("genus", "must be nonnegative")
@@ -214,8 +215,7 @@ def _parse_heegaard(obj: dict) -> tuple[HeegaardData, bool]:
 
     block_keys = [key for key in ("A", "I", "dividing") if key in obj]
     if not block_keys:
-        zeros = (0,) * genus
-        return HeegaardData(genus, relations, zeros, zeros, 0), False
+        return HeegaardData(genus, relations)
     for key in ("A", "I"):
         if key not in obj:
             raise ValidationError(key, f"required alongside {', '.join(block_keys)}")
@@ -226,8 +226,7 @@ def _parse_heegaard(obj: dict) -> tuple[HeegaardData, bool]:
         raise ValidationError("dividing", "must be nonnegative")
     if dividing % 2:
         raise ValidationError("dividing", "must be even (a closed curve crosses the dividing set evenly)")
-    data = HeegaardData(genus, relations, knot_generators, knot_relations, dividing)
-    return data, True
+    return HeegaardData(genus, relations, knot_generators, knot_relations, dividing)
 
 
 def document_from_obj(obj: Any) -> InputDocument:
@@ -249,20 +248,10 @@ def document_from_obj(obj: Any) -> InputDocument:
     if mode == "openbook":
         open_book, knot = _parse_open_book(obj)
         return InputDocument(
-            mode=mode,
-            open_book=open_book,
-            knot=knot,
-            has_knot=knot is not None,
-            name=name,
-            description=description,
+            open_book=open_book, knot=knot, name=name, description=description
         )
-    heegaard, has_knot = _parse_heegaard(obj)
     return InputDocument(
-        mode=mode,
-        heegaard=heegaard,
-        has_knot=has_knot,
-        name=name,
-        description=description,
+        heegaard=_parse_heegaard(obj), name=name, description=description
     )
 
 
@@ -300,10 +289,8 @@ def document_to_obj(document: InputDocument) -> dict:
         obj["name"] = document.name
     if document.description is not None:
         obj["description"] = document.description
-    if document.mode == "openbook":
-        open_book = document.open_book
-        if open_book is None:
-            raise DocumentError("openbook document without open book data")
+    open_book = document.open_book
+    if open_book is not None:
         obj["page"] = {
             "genus": open_book.page.genus,
             "boundary": open_book.page.boundary_components,
@@ -321,7 +308,7 @@ def document_to_obj(document: InputDocument) -> dict:
         raise DocumentError("heegaard document without heegaard data")
     obj["genus"] = heegaard.genus
     obj["C"] = heegaard.relations.to_rows()
-    if document.has_knot:
+    if heegaard.knot_generators is not None:
         obj["A"] = list(heegaard.knot_generators)
         obj["I"] = list(heegaard.knot_relations)
         obj["dividing"] = heegaard.dividing_intersections

@@ -47,23 +47,21 @@ class TbResult:
             raise ValueError("tb denominator must divide the order")
         object.__setattr__(self, "certificate", tuple(self.certificate))
 
-    @property
-    def tb_numerator(self) -> int:
-        return self.tb.numerator
-
-    @property
-    def tb_denominator(self) -> int:
-        return self.tb.denominator
-
 
 @dataclass(frozen=True)
 class HeegaardData:
-    """Pairing data of a knot on a convex Heegaard surface of genus `genus`."""
+    """Pairing data of a convex Heegaard surface of genus `genus`, and of
+    a knot on it.
+
+    The knot block (knot_generators, knot_relations and
+    dividing_intersections) is all or nothing: with no knot both vectors
+    are None and there are no dividing-set crossings.
+    """
 
     genus: int
     relations: IntegerMatrix
-    knot_generators: tuple[int, ...]
-    knot_relations: tuple[int, ...]
+    knot_generators: tuple[int, ...] | None = None
+    knot_relations: tuple[int, ...] | None = None
     dividing_intersections: int = 0
 
     def __post_init__(self) -> None:
@@ -74,6 +72,12 @@ class HeegaardData:
                 f"relations must be {self.genus}x{self.genus}, "
                 f"got {self.relations.rows}x{self.relations.cols}"
             )
+        if (self.knot_generators is None) != (self.knot_relations is None):
+            raise ValueError("knot_generators and knot_relations come together or not at all")
+        if self.knot_generators is None:
+            if self.dividing_intersections:
+                raise ValueError("dividing-set crossings need a knot")
+            return
         object.__setattr__(self, "knot_generators", tuple(self.knot_generators))
         object.__setattr__(self, "knot_relations", tuple(self.knot_relations))
         if len(self.knot_generators) != self.genus:
@@ -92,9 +96,12 @@ def tb_heegaard(data: HeegaardData) -> TbResult | None:
 
     tb = -(dividing crossings)/2 + <E, I>/d for the least d >= 1 with
     C @ E == d * A.  Returns None when no such d exists (the knot is not
-    rationally nullhomologous and tb is undefined).  C is factored once,
-    for both the order and the kernel.
+    rationally nullhomologous and tb is undefined), and raises ValueError
+    for data without a knot.  C is factored once, for both the order and
+    the kernel.
     """
+    if data.knot_generators is None:
+        raise ValueError("the data has no knot, so it has no tb")
     smith = smith_normal_form(data.relations)
     certificate = minimal_order(smith, data.knot_generators)
     if certificate is None:

@@ -81,23 +81,24 @@ class Homology:
     complement_lemma: bool | None = None
 
 
-def h1_groups(data: HeegaardData, with_knot: bool = True) -> Homology:
+def h1_groups(data: HeegaardData) -> Homology:
     """H1 of the manifold, the cokernel of C, and of the knot exterior.
 
     The exterior is presented on the surface generators plus a meridian
     mu, with relation j reading as column j of C together with
     coefficient -I_j on mu.  One Smith form of C gives both H1(M) and
     the nullhomology verdict (order 1); the extended matrix is factored
-    only for a nullhomologous knot.
+    only for a nullhomologous knot, so data without a knot gets H1(M)
+    alone.
 
-    >>> h1_groups(HeegaardData(1, IntegerMatrix.from_rows([[-2]]), (0,), (0,)), False)
+    >>> h1_groups(HeegaardData(1, IntegerMatrix.from_rows([[-2]])))
     Homology(manifold=AbelianGroup(torsion=(2,), free_rank=0), exterior=None, complement_lemma=None)
     >>> h1_groups(HeegaardData(1, IntegerMatrix.from_rows([[-1]]), (-1,), (-1,))).complement_lemma
     True
     """
     smith = smith_normal_form(data.relations)
     manifold = AbelianGroup.from_invariant_factors(invariant_factors(smith))
-    if not with_knot:
+    if data.knot_generators is None:
         return Homology(manifold)
     certificate = minimal_order(smith, data.knot_generators)
     if certificate is None or certificate.order != 1:

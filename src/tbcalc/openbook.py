@@ -237,20 +237,23 @@ def stabilize(
     return stabilized, PageKnot(knot.arc_pairings + (1,))
 
 
-def to_heegaard(open_book: OpenBookPresentation, knot: PageKnot) -> HeegaardData:
+def to_heegaard(
+    open_book: OpenBookPresentation, knot: PageKnot | None
+) -> HeegaardData:
     """Reinterpret the open book as Heegaard data for the same manifold.
 
     Doubling the page gives a Heegaard surface; the orientation reversal
     on the second copy negates the pairing matrix, the knot stays in one
     page so it misses the dividing set, and both knot vectors coincide
-    with the arc pairings.
+    with the arc pairings.  With knot None the data has no knot either.
     """
-    if len(knot.arc_pairings) != open_book.page.arc_count:
+    size = open_book.page.arc_count
+    if knot is not None and len(knot.arc_pairings) != size:
         raise ValueError("knot does not match the page")
+    pairings = None if knot is None else knot.arc_pairings
     return HeegaardData(
-        genus=open_book.page.arc_count,
+        genus=size,
         relations=-monodromy_matrix(open_book),
-        knot_generators=knot.arc_pairings,
-        knot_relations=knot.arc_pairings,
-        dividing_intersections=0,
+        knot_generators=pairings,
+        knot_relations=pairings,
     )

@@ -235,7 +235,7 @@ def test_c10_rational_case(criterion):
                 if document.knot is None:
                     continue
                 result = tb_open_book(document.open_book, document.knot)
-            elif document.has_knot:
+            elif document.heegaard.knot_generators is not None:
                 result = tb_heegaard(document.heegaard)
             else:
                 continue

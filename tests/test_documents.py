@@ -77,7 +77,7 @@ class TestParsing:
     def test_openbook_fields(self):
         document = document_from_obj(openbook_obj())
         assert document.mode == "openbook"
-        assert document.has_knot
+        assert document.knot is not None
         assert document.open_book.page.arc_count == 1
         assert document.knot.arc_pairings == (-1,)
 
@@ -85,18 +85,18 @@ class TestParsing:
         obj = openbook_obj()
         del obj["knot"]
         document = document_from_obj(obj)
-        assert not document.has_knot and document.knot is None
+        assert document.knot is None
 
     def test_heegaard_fields(self):
         document = document_from_obj(heegaard_obj())
         assert document.mode == "heegaard"
-        assert document.has_knot
+        assert document.heegaard.knot_relations is not None
         assert document.heegaard.knot_generators == (-1,)
 
     def test_heegaard_without_knot_block(self):
         document = document_from_obj({"mode": "heegaard", "genus": 2, "C": [[1, 0], [0, 1]]})
-        assert not document.has_knot
-        assert document.heegaard.knot_generators == (0, 0)
+        assert document.heegaard.knot_relations is None
+        assert document.heegaard.knot_generators is None
 
     def test_dividing_defaults_to_zero(self):
         obj = heegaard_obj()

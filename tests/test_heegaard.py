@@ -39,6 +39,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             HeegaardData(-1, IntegerMatrix.zeros(0, 0), (), (), 0)
 
+    def test_knot_block_is_all_or_nothing(self):
+        relations = IntegerMatrix.from_rows([[1]])
+        with pytest.raises(ValueError):
+            HeegaardData(1, relations, (1,))
+        with pytest.raises(ValueError):
+            HeegaardData(1, relations, None, (1,))
+        with pytest.raises(ValueError):
+            HeegaardData(1, relations, dividing_intersections=2)
+        knotless = HeegaardData(1, relations)
+        assert (knotless.knot_generators, knotless.knot_relations) == (None, None)
+        assert knotless.dividing_intersections == 0
+
 
 class TestTbResult:
     def test_invariants(self):
@@ -50,8 +62,8 @@ class TestTbResult:
 
     def test_numerator_denominator(self):
         result = TbResult(order=2, tb=Fraction(-1, 2), certificate=(1,), kernel_orthogonal=True)
-        assert result.tb_numerator == -1
-        assert result.tb_denominator == 2
+        assert result.tb.numerator == -1
+        assert result.tb.denominator == 2
 
 
 class TestNullhomologousCheck:
@@ -70,6 +82,10 @@ class TestTbHeegaard:
         assert result.order == 1
         assert result.tb == Fraction(4)
         assert result.certificate == (2, 0, 1)
+
+    def test_no_knot_no_tb(self):
+        with pytest.raises(ValueError):
+            tb_heegaard(HeegaardData(2, IntegerMatrix.from_rows([[2, 0], [0, 0]])))
 
     def test_rational_fixture(self):
         result = tb_heegaard(data([[-2]], [-1], [-1]))
@@ -119,5 +135,5 @@ class TestTbHeegaard:
                 pairing, result.order
             )
             # the dividing count is even, so the denominator comes from d alone
-            assert result.order % result.tb_denominator == 0
+            assert result.order % result.tb.denominator == 0
         assert finite >= 60

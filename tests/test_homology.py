@@ -21,10 +21,7 @@ from tbcalc import (
 
 def data(relations, generators=None, knot_relations=None, dividing=0):
     matrix = IntegerMatrix.from_rows(relations)
-    size = matrix.rows
-    generators = tuple(generators) if generators is not None else (0,) * size
-    knot_relations = tuple(knot_relations) if knot_relations is not None else (0,) * size
-    return HeegaardData(size, matrix, generators, knot_relations, dividing)
+    return HeegaardData(matrix.rows, matrix, generators, knot_relations, dividing)
 
 
 class TestAbelianGroup:
@@ -57,7 +54,7 @@ class TestAbelianGroup:
 
 
 def h1_manifold(sample):
-    return h1_groups(sample, with_knot=False).manifold
+    return h1_groups(sample).manifold
 
 
 def cokernel(rows):
@@ -69,10 +66,10 @@ class TestRecord:
     def test_frozen(self):
         rational = data([[-2]], [-1], [-1])
         assert h1_groups(rational) == Homology(AbelianGroup((2,), 0))
-        assert h1_groups(rational, with_knot=False) == Homology(AbelianGroup((2,), 0))
+        assert h1_groups(data([[-2]])) == Homology(AbelianGroup((2,), 0))
         bounding = data([[-1]], [-1], [-1])
         assert h1_groups(bounding) == Homology(AbelianGroup((), 0), AbelianGroup((), 1), True)
-        assert h1_groups(bounding, with_knot=False) == Homology(AbelianGroup((), 0))
+        assert h1_groups(data([[-1]])) == Homology(AbelianGroup((), 0))
 
 
 class TestH1Manifold:
@@ -91,6 +88,12 @@ class TestH1Manifold:
 
 
 class TestH1Complement:
+    def test_no_knot_no_exterior(self):
+        groups = h1_groups(data([[2, 0], [0, 0]]))
+        assert groups.manifold == AbelianGroup((2,), 1)
+        assert groups.exterior is None
+        assert groups.complement_lemma is None
+
     def test_empty_page_exterior(self):
         from tbcalc import OpenBookPresentation, PageSurface
 

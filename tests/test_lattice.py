@@ -103,6 +103,7 @@ class TestIntegerMatrix:
         assert OUTER.determinant() == 0
 
     @given(square_matrices())
+    @settings(deadline=None)
     def test_determinant_matches_cofactor_expansion(self, matrix):
         assert matrix.determinant() == oracles.cofactor_det(matrix.to_rows())
 

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import conftest
 import helpers
 import oracles
 from tbcalc import (
@@ -15,12 +16,16 @@ from tbcalc import (
     OpenBookPresentation,
     PageKnot,
     PageSurface,
+    load_document,
     monodromy_matrix,
     stabilize,
     tb_heegaard,
     tb_open_book,
     to_heegaard,
 )
+
+GOLDEN = conftest.DATA / "golden"
+CONVERTED = sorted(path.name.split(".")[0] for path in GOLDEN.glob("*.convert.json"))
 
 
 def annulus(sign: int, pairing: int = -1) -> OpenBookPresentation:
@@ -280,6 +285,18 @@ class TestToHeegaard:
         assert data.knot_generators == (-1,)
         assert data.knot_relations == (-1,)
         assert data.dividing_intersections == 0
+
+    @pytest.mark.parametrize("name", CONVERTED)
+    def test_matches_written_conversion(self, name):
+        # the golden files hold what `tbcalc convert` wrote, one with no knot
+        document = load_document(conftest.document_path(name))
+        written = load_document(GOLDEN / f"{name}.convert.json")
+        assert to_heegaard(document.open_book, document.knot) == written.heegaard
+
+    def test_no_knot(self):
+        data = to_heegaard(two_parallel_twists(1), None)
+        assert data.relations.to_rows() == [[-1]]
+        assert (data.knot_generators, data.knot_relations) == (None, None)
 
     def test_pipeline_equality_random(self):
         rng = random.Random(4242)

@@ -34,8 +34,7 @@ from tbcalc import (
 from tbcalc.cli import main
 from tbcalc.documents import InputDocument, document_to_obj
 
-DATA = pathlib.Path(__file__).resolve().parent / "data"
-GOLDEN = DATA / "golden"
+GOLDEN = conftest.DATA / "golden"
 OUTPUTS = GOLDEN / "outputs.json"
 WRITTEN = "out.json"
 COMMANDS = {
@@ -100,10 +99,8 @@ def open_books(draw):
     )
     knot = draw(st.one_of(st.none(), vectors(n).map(PageKnot)))
     return InputDocument(
-        mode="openbook",
         open_book=book,
         knot=knot,
-        has_knot=knot is not None,
         name=draw(texts),
         description=draw(texts),
     )
@@ -117,11 +114,9 @@ def heegaard_documents(draw):
     if has_knot:
         knot = (draw(vectors(genus)), draw(vectors(genus)), 2 * draw(st.integers(0, 3)))
     else:
-        knot = ((0,) * genus, (0,) * genus, 0)
+        knot = (None, None, 0)
     return InputDocument(
-        mode="heegaard",
         heegaard=HeegaardData(genus, relations, *knot),
-        has_knot=has_knot,
         name=draw(texts),
         description=draw(texts),
     )
@@ -135,12 +130,8 @@ def test_dumps_document_writes_what_json_writes(document):
 
 def test_int_subclass_prints_as_int():
     data = HeegaardData(1, IntegerMatrix(1, 1, (Loud(7),)), (Loud(-2),), (0,))
-    text = dumps_document(InputDocument(mode="heegaard", heegaard=data, has_knot=True))
+    text = dumps_document(InputDocument(heegaard=data))
     assert '"C": [\n    [\n      7\n    ]\n  ],\n  "A": [\n    -2\n  ]' in text
-
-
-def input_path(name):
-    return DATA / f"{name}.json" if name in KNOTLESS else conftest.fixture_path(name)
 
 
 def run_command(name, command):
@@ -151,7 +142,7 @@ def run_command(name, command):
     (None when it wrote nothing).
     """
     stdout, stderr = io.StringIO(), io.StringIO()
-    argv = [*COMMANDS[command], str(input_path(name))]
+    argv = [*COMMANDS[command], str(conftest.document_path(name))]
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     written = pathlib.Path(WRITTEN)
