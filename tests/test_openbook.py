@@ -293,11 +293,6 @@ class TestToHeegaard:
         written = load_document(GOLDEN / f"{name}.convert.json")
         assert to_heegaard(document.open_book, document.knot) == written.heegaard
 
-    def test_no_knot(self):
-        data = to_heegaard(two_parallel_twists(1), None)
-        assert data.relations.to_rows() == [[-1]]
-        assert (data.knot_generators, data.knot_relations) == (None, None)
-
     def test_pipeline_equality_random(self):
         rng = random.Random(4242)
         agreements = 0
