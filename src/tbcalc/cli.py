@@ -35,6 +35,7 @@ EXIT_INPUT = 1
 EXIT_INFINITE = 2
 
 VERDICT_INFINITE = "infinite order"
+NO_KNOT_BLOCK = 'the document has no knot block; add "knot": {"arcs": [...]}'
 
 
 class UsageError(Exception):
@@ -134,7 +135,7 @@ def _print_context(document: InputDocument, args: argparse.Namespace) -> None:
 def _tb_result(document: InputDocument) -> TbResult | None:
     if document.mode == "openbook":
         if document.knot is None:
-            raise UsageError('the document has no knot block; add "knot": {"arcs": [...]}')
+            raise UsageError(NO_KNOT_BLOCK)
         return tb_open_book(document.open_book, document.knot)
     if document.heegaard.knot_generators is None:
         raise UsageError('the document has no knot data; add "A", "I" and "dividing"')
@@ -228,7 +229,7 @@ def cmd_stabilize(document: InputDocument, args: argparse.Namespace) -> int:
     if document.mode != "openbook":
         raise UsageError("stabilize requires an openbook document")
     if document.knot is None:
-        raise UsageError('the document has no knot block; add "knot": {"arcs": [...]}')
+        raise UsageError(NO_KNOT_BLOCK)
     _print_context(document, args)
     sign = 1 if args.sign == "+1" else -1
     before = tb_open_book(document.open_book, document.knot)

@@ -87,7 +87,8 @@ class InputDocument:
 
     Exactly one of open_book/heegaard is set, and mode follows from
     which.  A missing knot is None: knot for an open book, the knot
-    vectors of the HeegaardData for a heegaard document.
+    vectors of the HeegaardData for a heegaard document.  knot comes
+    only with open_book; anything else raises ValueError.
     """
 
     open_book: OpenBookPresentation | None = None
@@ -95,6 +96,12 @@ class InputDocument:
     heegaard: HeegaardData | None = None
     name: str | None = None
     description: str | None = None
+
+    def __post_init__(self) -> None:
+        if (self.open_book is None) == (self.heegaard is None):
+            raise ValueError("exactly one of open_book and heegaard must be set")
+        if self.knot is not None and self.open_book is None:
+            raise ValueError("knot requires open_book; a heegaard knot lives in its HeegaardData")
 
     @property
     def mode(self) -> str:
@@ -304,8 +311,6 @@ def document_to_obj(document: InputDocument) -> dict:
             obj["knot"] = {"arcs": list(document.knot.arc_pairings)}
         return obj
     heegaard = document.heegaard
-    if heegaard is None:
-        raise DocumentError("heegaard document without heegaard data")
     obj["genus"] = heegaard.genus
     obj["C"] = heegaard.relations.to_rows()
     if heegaard.knot_generators is not None:

@@ -1,9 +1,11 @@
 """First homology of the presented manifold and of the knot exterior.
 
-Both groups are read off as cokernels of explicit relation matrices:
-the manifold from the compressing-curve pairings C alone, the knot
-exterior from C extended by a meridian generator that each relation
-hits -I_j times.  For data coming from an actual embedded knot that is
+Both groups are cokernels of explicit relation matrices: the manifold's
+of the compressing-curve pairings C alone, the knot exterior's of C
+extended by a meridian generator that each relation hits -I_j times.
+The extended matrix is never factored whole: its invariant factors are
+read off the Smith form of C plus a small block over the non-unit
+diagonal entries.  For data coming from an actual embedded knot that is
 nullhomologous, the exterior group is the manifold group plus one free
 summand; h1_groups records that as a consistency test, since arbitrary
 pairing vectors need not come from an embedding.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .heegaard import HeegaardData
-from .lattice import IntegerMatrix, invariant_factors, minimal_order, smith_normal_form
+from .lattice import IntegerMatrix, dot, invariant_factors, minimal_order, smith_normal_form
 
 __all__ = ["AbelianGroup", "Homology", "h1_groups"]
 
@@ -86,27 +88,35 @@ def h1_groups(data: HeegaardData) -> Homology:
 
     The exterior is presented on the surface generators plus a meridian
     mu, with relation j reading as column j of C together with
-    coefficient -I_j on mu.  One Smith form of C gives both H1(M) and
-    the nullhomology verdict (order 1); the extended matrix is factored
-    only for a nullhomologous knot, so data without a knot gets H1(M)
-    alone.
+    coefficient -I_j on mu.  One Smith form U @ C @ V == D gives H1(M),
+    the nullhomology verdict (order 1) and, for a nullhomologous knot,
+    the exterior: diag(U, 1) @ [C; -I^T] @ V == [D; w] with w = -I^T @ V,
+    and each unit d_j of D clears w_j by one row operation and splits
+    off a trivial summand.  What is left is the block [diag(d_j); w_j]
+    over the k columns with d_j != 1, at most (k+1) x k, and only that
+    block is factored.  Data without a knot gets H1(M) alone.
 
     >>> h1_groups(HeegaardData(1, IntegerMatrix.from_rows([[-2]])))
     Homology(manifold=AbelianGroup(torsion=(2,), free_rank=0), exterior=None, complement_lemma=None)
     >>> h1_groups(HeegaardData(1, IntegerMatrix.from_rows([[-1]]), (-1,), (-1,))).complement_lemma
     True
+    >>> singular = IntegerMatrix.from_rows([[2, 0], [0, 0]])
+    >>> h1_groups(HeegaardData(2, singular, (2, 0), (2, 0))).exterior
+    AbelianGroup(torsion=(2,), free_rank=2)
     """
     smith = smith_normal_form(data.relations)
-    manifold = AbelianGroup.from_invariant_factors(invariant_factors(smith))
+    factors = invariant_factors(smith)
+    manifold = AbelianGroup.from_invariant_factors(factors)
     if data.knot_generators is None:
         return Homology(manifold)
     certificate = minimal_order(smith, data.knot_generators)
     if certificate is None or certificate.order != 1:
         return Homology(manifold)
-    rows = data.relations.to_rows()
-    rows.append([-value for value in data.knot_relations])
+    kept = [j for j, d in enumerate(factors) if d != 1]
+    block = [[factors[i] if i == j else 0 for j in kept] for i in kept]
+    block.append([-dot(data.knot_relations, smith.V.column(j)) for j in kept])
     exterior = AbelianGroup.from_invariant_factors(
-        invariant_factors(smith_normal_form(IntegerMatrix.from_rows(rows)))
+        invariant_factors(smith_normal_form(IntegerMatrix.from_rows(block)))
     )
     lemma = (
         exterior.torsion == manifold.torsion

@@ -73,3 +73,50 @@ def random_heegaard(rng: random.Random, max_genus: int = 4, bound: int = 3) -> H
     knot_relations = random_vector(rng, genus, bound)
     dividing = 2 * rng.randint(0, 3)
     return HeegaardData(genus, relations, generators, knot_relations, dividing)
+
+
+def random_unimodular(rng: random.Random, size: int, bound: int = 2) -> IntegerMatrix:
+    """A random matrix of determinant +-1: a product of elementary row operations."""
+    rows = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(2 * size if size > 1 else 0):
+        i, j = rng.sample(range(size), 2)
+        factor = rng.choice([f for f in range(-bound, bound + 1) if f])
+        rows[i] = [a + factor * b for a, b in zip(rows[i], rows[j])]
+    if size and rng.random() < 0.5:
+        rows[0] = [-a for a in rows[0]]
+    return IntegerMatrix.from_rows(rows)
+
+
+# the shapes of C that the exterior computation treats differently
+NULLHOMOLOGOUS_KINDS = ("unimodular", "rank-deficient", "random", "torsion-and-free")
+
+
+def random_nullhomologous_heegaard(
+    rng: random.Random, kind: str, max_genus: int = 5, bound: int = 3
+) -> HeegaardData:
+    """Heegaard data of genus >= 1 whose knot bounds: A = C @ E for a random E.
+
+    kind picks C: unimodular (every invariant factor 1), rank-deficient
+    (a product through a smaller space), random entries, or a unimodular
+    change of a diagonal with both zeros and torsion.  A quarter of the
+    samples have I = 0.
+    """
+    genus = rng.randint(1, max_genus)
+    if kind == "unimodular":
+        relations = random_unimodular(rng, genus)
+    elif kind == "rank-deficient":
+        rank = rng.randint(0, genus - 1)
+        relations = random_matrix(rng, genus, rank, bound) @ random_matrix(rng, rank, genus, bound)
+    elif kind == "random":
+        relations = random_matrix(rng, genus, genus, bound)
+    elif kind == "torsion-and-free":
+        diagonal = [rng.choice((0, 1, 2, 3, 4, 6)) for _ in range(genus)]
+        middle = IntegerMatrix(
+            genus, genus, tuple(diagonal[i] if i == j else 0 for i in range(genus) for j in range(genus))
+        )
+        relations = random_unimodular(rng, genus) @ middle @ random_unimodular(rng, genus)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    certificate = random_vector(rng, genus, bound)
+    knot_relations = (0,) * genus if rng.random() < 0.25 else random_vector(rng, genus, bound)
+    return HeegaardData(genus, relations, relations @ certificate, knot_relations)

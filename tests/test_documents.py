@@ -6,6 +6,7 @@ import pytest
 
 import conftest
 from tbcalc import (
+    InputDocument,
     ParseError,
     ValidationError,
     dumps_document,
@@ -174,6 +175,39 @@ def test_heegaard_validation_errors(mutate, fragment):
     mutate(obj)
     with pytest.raises(ValidationError, match=fragment):
         document_from_obj(obj)
+
+
+class TestInputDocumentInvariant:
+    """A document holds exactly one presentation, and a page knot only
+    beside an open book, so writing it can never drop data."""
+
+    def parts(self):
+        book = document_from_obj(openbook_obj())
+        return book.open_book, book.knot, document_from_obj(heegaard_obj()).heegaard
+
+    def test_open_book_and_heegaard(self):
+        open_book, knot, heegaard = self.parts()
+        with pytest.raises(ValueError, match="exactly one of open_book and heegaard"):
+            InputDocument(open_book=open_book, knot=knot, heegaard=heegaard)
+        with pytest.raises(ValueError, match="exactly one of open_book and heegaard"):
+            InputDocument(open_book=open_book, heegaard=heegaard)
+
+    def test_knot_beside_heegaard(self):
+        _, knot, heegaard = self.parts()
+        with pytest.raises(ValueError, match="knot requires open_book"):
+            InputDocument(heegaard=heegaard, knot=knot)
+
+    def test_neither(self):
+        with pytest.raises(ValueError, match="exactly one of open_book and heegaard"):
+            InputDocument()
+        with pytest.raises(ValueError, match="exactly one of open_book and heegaard"):
+            InputDocument(name="empty", description="no presentation")
+
+    def test_accepted_combinations_write_what_they_hold(self):
+        open_book, knot, heegaard = self.parts()
+        assert document_to_obj(InputDocument(open_book=open_book, knot=knot)) == openbook_obj()
+        assert "knot" not in document_to_obj(InputDocument(open_book=open_book))
+        assert document_to_obj(InputDocument(heegaard=heegaard)) == heegaard_obj()
 
 
 def test_dividing_alone_counts_as_knot_block():

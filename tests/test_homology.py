@@ -2,9 +2,12 @@
 
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import helpers
+import tbcalc.homology
 from tbcalc import (
     AbelianGroup,
     HeegaardData,
@@ -183,3 +186,84 @@ class TestComplementLemma:
             )
             assert groups.complement_lemma == expected
         assert seen[True] > 0 and seen[None] > 0
+
+
+def integer_matrices(rows, cols, bound):
+    return st.lists(
+        st.integers(-bound, bound), min_size=rows * cols, max_size=rows * cols
+    ).map(lambda entries: IntegerMatrix(rows, cols, tuple(entries)))
+
+
+@st.composite
+def nullhomologous_data(draw, max_genus=5, bound=3):
+    """Heegaard data whose knot bounds, with C of any rank: A = C @ E."""
+    genus = draw(st.integers(0, max_genus))
+    if draw(st.booleans()):
+        relations = draw(integer_matrices(genus, genus, bound))
+    else:
+        rank = draw(st.integers(0, genus))
+        relations = draw(integer_matrices(genus, rank, 2)) @ draw(integer_matrices(rank, genus, 2))
+    vectors = st.lists(st.integers(-bound, bound), min_size=genus, max_size=genus)
+    certificate, knot_relations = draw(vectors), draw(vectors)
+    return HeegaardData(genus, relations, relations @ certificate, tuple(knot_relations))
+
+
+class TestExteriorRoute:
+    @given(nullhomologous_data())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_factoring_the_extended_matrix(self, sample):
+        # the route h1_groups replaced: one Smith form of [C; -I^T]
+        rows = sample.relations.to_rows() + [[-value for value in sample.knot_relations]]
+        expected = AbelianGroup.from_invariant_factors(
+            invariant_factors(smith_normal_form(IntegerMatrix.from_rows(rows)))
+        )
+        groups = h1_groups(sample)
+        assert groups.exterior == expected
+        assert groups.complement_lemma == (
+            expected.torsion == groups.manifold.torsion
+            and expected.free_rank == groups.manifold.free_rank + 1
+        )
+
+    def test_factorization_count(self, monkeypatch):
+        """One Smith form of C per query, and for a nullhomologous knot at
+        most one more, of a matrix no larger than (k+1) x k, where k counts
+        the non-unit invariant factors of C."""
+        calls = []
+
+        def recording(matrix):
+            calls.append(matrix)
+            return smith_normal_form(matrix)
+
+        monkeypatch.setattr(tbcalc.homology, "smith_normal_form", recording)
+        rng = random.Random(4242)
+        seen = {"knotless": 0, "not nullhomologous": 0, "nullhomologous": 0}
+        for index in range(240):
+            if index % 2:
+                kind = helpers.NULLHOMOLOGOUS_KINDS[index // 2 % len(helpers.NULLHOMOLOGOUS_KINDS)]
+                sample = helpers.random_nullhomologous_heegaard(rng, kind)
+            else:
+                sample = helpers.random_heegaard(rng, max_genus=5, bound=3)
+            if index % 3 == 0:
+                sample = HeegaardData(sample.genus, sample.relations)
+            smith = smith_normal_form(sample.relations)
+            k = sum(1 for d in smith.diagonal() if d != 1)
+            if sample.knot_generators is None:
+                case = "knotless"
+            else:
+                certificate = minimal_order(smith, sample.knot_generators)
+                bounds = certificate is not None and certificate.order == 1
+                case = "nullhomologous" if bounds else "not nullhomologous"
+            seen[case] += 1
+
+            calls.clear()
+            groups = h1_groups(sample)
+            assert calls[0] == sample.relations
+            if case != "nullhomologous":
+                assert len(calls) == 1
+                assert groups.exterior is None
+                continue
+            assert groups.exterior is not None
+            assert len(calls) <= 2
+            for extra in calls[1:]:
+                assert extra.rows <= k + 1 and extra.cols <= k
+        assert min(seen.values()) >= 40, seen

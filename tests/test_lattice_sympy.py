@@ -17,7 +17,9 @@ from sympy.polys.domains import ZZ  # noqa: E402
 
 import helpers  # noqa: E402
 from tbcalc import (  # noqa: E402
+    AbelianGroup,
     IntegerMatrix,
+    h1_groups,
     invariant_factors,
     minimal_order,
     smith_normal_form,
@@ -107,3 +109,25 @@ def test_minimal_order_matches_sympy(family):
     assert finite >= 100
     if family != "square":
         assert infinite >= 20
+
+
+def test_exterior_matches_sympy():
+    """h1_groups reads the exterior off the Smith form of C; sympy factors
+    the whole meridian-extended matrix [C; -I^T]."""
+    rng = random.Random("exterior")
+    seen = {"empty block": 0, "singular": 0, "torsion": 0, "torsion and free": 0, "I = 0": 0}
+    for index in range(400):
+        kind = helpers.NULLHOMOLOGOUS_KINDS[index % len(helpers.NULLHOMOLOGOUS_KINDS)]
+        sample = helpers.random_nullhomologous_heegaard(rng, kind)
+        extended = sample.relations.to_rows() + [[-value for value in sample.knot_relations]]
+        factors = [int(abs(f)) for f in sympy_invariant_factors(sympy.Matrix(extended), domain=ZZ)]
+        expected = AbelianGroup.from_invariant_factors(factors + [0] * (len(extended) - len(factors)))
+        exterior = h1_groups(sample).exterior
+        assert exterior == expected
+        diagonal = smith_normal_form(sample.relations).diagonal()
+        seen["empty block"] += all(d == 1 for d in diagonal)
+        seen["singular"] += 0 in diagonal
+        seen["torsion"] += bool(exterior.torsion)
+        seen["torsion and free"] += bool(exterior.torsion) and exterior.free_rank > 1
+        seen["I = 0"] += not any(sample.knot_relations)
+    assert min(seen.values()) >= 30, seen
