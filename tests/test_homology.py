@@ -214,15 +214,7 @@ class TestExteriorRoute:
     def test_matches_factoring_the_extended_matrix(self, sample):
         # the route h1_groups replaced: one Smith form of [C; -I^T]
         rows = sample.relations.to_rows() + [[-value for value in sample.knot_relations]]
-        expected = AbelianGroup.from_invariant_factors(
-            invariant_factors(smith_normal_form(IntegerMatrix.from_rows(rows)))
-        )
-        groups = h1_groups(sample)
-        assert groups.exterior == expected
-        assert groups.complement_lemma == (
-            expected.torsion == groups.manifold.torsion
-            and expected.free_rank == groups.manifold.free_rank + 1
-        )
+        assert h1_groups(sample).exterior == cokernel(rows)
 
     def test_factorization_count(self, monkeypatch):
         """One Smith form of C per query, and for a nullhomologous knot at
