@@ -3,9 +3,11 @@
 `dumps_document` must write exactly what `json.dumps(..., indent=2)`
 writes (plus a newline), checked on generated documents, and the
 commands' outputs on the nine fixtures must match the golden files under
-`tests/data/golden/`.  The two knotless documents under `tests/data/`
-pin the paths no fixture reaches: `convert` of an open book without a
-knot, and `tb` and `homology` of both modes without one.  After an
+`tests/data/golden/`.  The documents under `tests/data/` pin the paths
+no fixture reaches.  The two knotless ones pin `convert` of an open book
+without a knot, and `tb` and `homology` of both modes without one.
+`long-word` (60 twists) pins how `stabilize` and `convert` write a long
+word and its l x l pairing block.  After an
 intended format change, rewrite those files with
 `PYTHONPATH=src python tests/test_written_bytes.py`.
 """
@@ -45,15 +47,16 @@ COMMANDS = {
     "homology": ("homology",),
     "homology --json": ("homology", "--json"),
 }
-KNOTLESS = {
+DATA_DOCUMENTS = {
     "knotless-openbook": ("convert", "homology", "homology --json", "tb"),
     "knotless-heegaard": ("homology", "homology --json", "tb"),
+    "long-word": ("convert", "stabilize+1", "stabilize-1"),
 }
 CASES = [
     (fixture, command)
     for fixture in conftest.FIXTURE_NAMES
     for command in ("convert", "stabilize+1", "stabilize-1")
-] + [(name, command) for name, commands in KNOTLESS.items() for command in commands]
+] + [(name, command) for name, commands in DATA_DOCUMENTS.items() for command in commands]
 
 
 class Loud(int):
@@ -135,8 +138,8 @@ def test_int_subclass_prints_as_int():
 
 
 def run_command(name, command):
-    """Run one command on a fixture or knotless document in the current
-    directory.
+    """Run one command on a fixture or a document under tests/data, in
+    the current directory.
 
     Returns its exit code, stdout and stderr, and the bytes it wrote
     (None when it wrote nothing).
