@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Any, Union
@@ -320,13 +321,68 @@ def document_to_obj(document: InputDocument) -> dict:
     return obj
 
 
+def _int_list_template(width: int, indent: str) -> str:
+    """The template of a list of width ints nested at indent, one ``%d``
+    per int."""
+    if not width:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(["%d"] * width) + "\n" + indent + "]"
+
+
+def _block(value: list, indent: str) -> tuple[str, tuple[int, ...]] | None:
+    """One ``%d`` template that writes every item of value nested at
+    indent, and the ints it formats, item by item.
+
+    The items must be equal-length, nonempty rows of plain ints (a
+    matrix such as twist_pairings or C), or nonempty dicts with one key
+    order whose values are, key by key, all plain ints or all lists of
+    plain ints of one length (records such as twists).  Any other list
+    gives None.
+    """
+    kinds = set(map(type, value))
+    if kinds == {list}:
+        entries = tuple(chain.from_iterable(value))
+        if len(set(map(len, value))) != 1 or set(map(type, entries)) != {int}:
+            return None
+        return _int_list_template(len(value[0]), indent), entries
+    if kinds != {dict} or not value[0] or len(set(map(tuple, value))) != 1:
+        return None
+    inner = indent + "  "
+    fields = []
+    for key in value[0]:
+        column = [item[key] for item in value]
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            template = "%d"
+        elif (
+            kinds == {list}
+            and len(set(map(len, column))) == 1
+            and set(map(type, chain.from_iterable(column))) <= {int}
+        ):
+            template = _int_list_template(len(column[0]), inner)
+        else:
+            return None
+        fields.append(f"{encode_basestring_ascii(key).replace('%', '%%')}: {template}")
+    entries = tuple(
+        chain.from_iterable(
+            (field,) if type(field) is int else field
+            for item in value
+            for field in item.values()
+        )
+    )
+    return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + indent + "}", entries
+
+
 def _dumps_indented(value: Any, indent: str) -> str:
     """``json.dumps(value, indent=2)`` for the values document_to_obj builds.
 
     Containers nested at ``indent`` open on the current line and close on
-    a line of their own; a list of plain ints is joined in one C-level
-    call.  Everything else, int subclasses included, is written by
-    ``json.dumps`` itself.  Keys are strings.
+    a line of their own.  A list of plain ints is joined in one C-level
+    call, and a matrix or a list of records (see _block) is formatted in
+    one pass of a ``%d`` template over its ints.  Everything else, int
+    subclasses included, is written by ``json.dumps`` itself.  Keys are
+    strings.
     """
     if isinstance(value, list):
         if not value:
@@ -335,6 +391,9 @@ def _dumps_indented(value: Any, indent: str) -> str:
         separator = ",\n" + inner
         if set(map(type, value)) == {int}:
             body = separator.join(map(int.__repr__, value))
+        elif (block := _block(value, inner)) is not None:
+            template, entries = block
+            body = separator.join([template] * len(value)) % entries
         else:
             body = separator.join([_dumps_indented(item, inner) for item in value])
         return f"[\n{inner}{body}\n{indent}]"

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .lattice import (
     IntegerMatrix,
+    _check_int,
     dot,
     kernel_basis,
     minimal_order,
@@ -55,7 +56,9 @@ class HeegaardData:
 
     The knot block (knot_generators, knot_relations and
     dividing_intersections) is all or nothing: with no knot both vectors
-    are None and there are no dividing-set crossings.
+    are None and there are no dividing-set crossings.  genus and
+    dividing_intersections are plain ints; a bool or any other type
+    raises TypeError.
     """
 
     genus: int
@@ -65,7 +68,7 @@ class HeegaardData:
     dividing_intersections: int = 0
 
     def __post_init__(self) -> None:
-        if self.genus < 0:
+        if _check_int(self.genus) < 0:
             raise ValueError("genus must be nonnegative")
         if (self.relations.rows, self.relations.cols) != (self.genus, self.genus):
             raise ValueError(
@@ -74,6 +77,7 @@ class HeegaardData:
             )
         if (self.knot_generators is None) != (self.knot_relations is None):
             raise ValueError("knot_generators and knot_relations come together or not at all")
+        _check_int(self.dividing_intersections)
         if self.knot_generators is None:
             if self.dividing_intersections:
                 raise ValueError("dividing-set crossings need a knot")

@@ -16,7 +16,7 @@ from itertools import chain, compress
 from operator import add
 
 from .heegaard import HeegaardData, TbResult, tb_heegaard
-from .lattice import IntegerMatrix
+from .lattice import IntegerMatrix, _check_int
 
 __all__ = [
     "PageSurface",
@@ -32,15 +32,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PageSurface:
-    """Compact oriented surface with boundary, the page of an open book."""
+    """Compact oriented surface with boundary, the page of an open book.
+
+    Both counts are plain ints; a bool or any other type raises TypeError.
+    """
 
     genus: int
     boundary_components: int
 
     def __post_init__(self) -> None:
-        if self.genus < 0:
+        if _check_int(self.genus) < 0:
             raise ValueError("genus must be nonnegative")
-        if self.boundary_components < 1:
+        if _check_int(self.boundary_components) < 1:
             raise ValueError("a page needs at least one boundary component")
 
     @property
@@ -55,14 +58,15 @@ class DehnTwist:
 
     sign +1 is a right-handed twist, -1 a left-handed one; arc_pairings
     lists the algebraic intersections of the twist curve with each cut
-    arc.
+    arc.  A sign that is not a plain int, a bool included, raises
+    TypeError.
     """
 
     sign: int
     arc_pairings: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+        if _check_int(self.sign) not in (1, -1):
             raise ValueError("twist sign must be 1 or -1")
         object.__setattr__(self, "arc_pairings", tuple(self.arc_pairings))
 
@@ -214,9 +218,10 @@ def stabilize(
     Adds a boundary component (so one new cut arc), appends a new
     +1 or -1 twist meeting only the new arc, once, and disjoint from
     every old twist curve; the knot runs once over the new arc.  tb of
-    the stabilized knot drops by the sign.
+    the stabilized knot drops by the sign, which must be the int 1 or -1
+    (a bool or any other type raises TypeError).
     """
-    if sign not in (1, -1):
+    if _check_int(sign) not in (1, -1):
         raise ValueError("stabilization sign must be 1 or -1")
     if len(knot.arc_pairings) != open_book.page.arc_count:
         raise ValueError("knot does not match the page")
@@ -224,15 +229,19 @@ def stabilize(
     twists = tuple(
         DehnTwist(twist.sign, twist.arc_pairings + (0,)) for twist in open_book.twists
     ) + (DehnTwist(sign, (0,) * open_book.page.arc_count + (1,)),)
+    # the old pairing block padded with a zero column and a zero row
     old_count = len(open_book.twists)
-    pairing_rows = [
-        list(open_book.twist_pairings.row(k)) + [0] for k in range(old_count)
-    ]
-    pairing_rows.append([0] * (old_count + 1))
+    count = old_count + 1
+    old_entries = open_book.twist_pairings.entries
+    entries = [0] * (count * count)
+    for k in range(old_count):
+        entries[k * count : k * count + old_count] = old_entries[
+            k * old_count : (k + 1) * old_count
+        ]
     stabilized = OpenBookPresentation(
         page=page,
         twists=twists,
-        twist_pairings=IntegerMatrix.from_rows(pairing_rows),
+        twist_pairings=IntegerMatrix(count, count, tuple(entries)),
     )
     return stabilized, PageKnot(knot.arc_pairings + (1,))
 

@@ -35,9 +35,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             data([[1]], [0], [0], dividing=3)
 
+    @pytest.mark.parametrize("dividing", [False, True, 2.0, "2"])
+    def test_dividing_count_must_be_a_plain_int(self, dividing):
+        with pytest.raises(TypeError):
+            data([[1]], [0], [0], dividing=dividing)
+        with pytest.raises(TypeError):
+            HeegaardData(1, IntegerMatrix.from_rows([[1]]), dividing_intersections=dividing)
+
     def test_negative_genus(self):
         with pytest.raises(ValueError):
             HeegaardData(-1, IntegerMatrix.zeros(0, 0), (), (), 0)
+
+    @pytest.mark.parametrize("genus", [True, 1.0])
+    def test_genus_must_be_a_plain_int(self, genus):
+        with pytest.raises(TypeError):
+            HeegaardData(genus, IntegerMatrix.from_rows([[1]]))
 
     def test_knot_block_is_all_or_nothing(self):
         relations = IntegerMatrix.from_rows([[1]])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import conftest
 import helpers
@@ -57,6 +57,11 @@ class TestPageSurface:
         with pytest.raises(ValueError):
             PageSurface(0, 0)
 
+    @pytest.mark.parametrize("genus, boundary", [(True, 1), (0, True), (0.0, 1), (0, 2.0)])
+    def test_counts_must_be_plain_ints(self, genus, boundary):
+        with pytest.raises(TypeError):
+            PageSurface(genus, boundary)
+
 
 class TestValidation:
     def test_twist_sign(self):
@@ -64,6 +69,19 @@ class TestValidation:
             DehnTwist(0, (1,))
         with pytest.raises(ValueError):
             DehnTwist(2, (1,))
+
+    @pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, "1"])
+    def test_twist_sign_must_be_a_plain_int(self, sign):
+        with pytest.raises(TypeError):
+            DehnTwist(sign, (1,))
+
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0])
+    def test_stabilization_sign_must_be_a_plain_int(self, sign):
+        # `True in (1, -1)` holds, so a bool used to pass and was written
+        # as "sign": true, which the parser rejects
+        document = load_document(conftest.fixture_path("standard-unknot"))
+        with pytest.raises(TypeError):
+            stabilize(document.open_book, document.knot, sign)
 
     def test_pairings_must_be_skew(self):
         with pytest.raises(ValueError):
@@ -231,6 +249,34 @@ class TestTbOpenBook:
             assert Fraction(-pairing, result.order) == result.tb
 
 
+@st.composite
+def books_with_knots(draw):
+    """An open book of up to 4 cut arcs (0 included) and up to 8 twists
+    (0 included), with a knot on its page."""
+    arcs = draw(st.integers(0, 4))
+    genus = draw(st.integers(0, arcs // 2))
+    entries = st.integers(-3, 3)
+    vector = st.lists(entries, min_size=arcs, max_size=arcs).map(tuple)
+    count = draw(st.integers(0, 8))
+    twists = [DehnTwist(draw(st.sampled_from((1, -1))), draw(vector)) for _ in range(count)]
+    pairings = [[0] * count for _ in range(count)]
+    for k in range(count):
+        for m in range(k):
+            pairings[k][m] = draw(entries)
+            pairings[m][k] = -pairings[k][m]
+    book = OpenBookPresentation(
+        PageSurface(genus, arcs - 2 * genus + 1), twists, IntegerMatrix.from_rows(pairings)
+    )
+    return book, PageKnot(draw(vector))
+
+
+# 0 cut arcs and 0 twists
+DISK_PAGE_EMPTY_WORD = (
+    OpenBookPresentation(PageSurface(0, 1), (), IntegerMatrix.zeros(0, 0)),
+    PageKnot(()),
+)
+
+
 class TestStabilize:
     def test_shapes(self):
         book, knot = annulus(1), PageKnot((-1,))
@@ -275,6 +321,27 @@ class TestStabilize:
         book = two_parallel_twists(1)
         stabilized, _ = stabilize(book, PageKnot((3,)), -1)
         assert monodromy_matrix(stabilized).to_rows() == [[1, 0], [0, -1]]
+
+    @given(books_with_knots(), st.sampled_from((1, -1)))
+    @example(DISK_PAGE_EMPTY_WORD, 1)
+    @example(DISK_PAGE_EMPTY_WORD, -1)
+    @example((two_parallel_twists(2), PageKnot((3,))), -1)
+    @settings(deadline=None, max_examples=300)
+    def test_stabilization_law(self, book_and_knot, sign):
+        """The old pairing block gains a zero row and column, C becomes
+        diag(C, sign) and the knot runs once over the new arc."""
+        book, knot = book_and_knot
+        stabilized, new_knot = stabilize(book, knot, sign)
+        count = book.twist_count
+        assert stabilized.twist_pairings.to_rows() == [
+            row + [0] for row in book.twist_pairings.to_rows()
+        ] + [[0] * (count + 1)]
+        before = monodromy_matrix(book).to_rows()
+        arcs = len(before)
+        assert monodromy_matrix(stabilized).to_rows() == [row + [0] for row in before] + [
+            [0] * arcs + [sign]
+        ]
+        assert new_knot.arc_pairings == knot.arc_pairings + (1,)
 
 
 class TestToHeegaard:

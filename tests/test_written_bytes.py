@@ -34,7 +34,7 @@ from tbcalc import (
     dumps_document,
 )
 from tbcalc.cli import main
-from tbcalc.documents import InputDocument, document_to_obj
+from tbcalc.documents import InputDocument, _dumps_indented, document_to_obj
 
 GOLDEN = conftest.DATA / "golden"
 OUTPUTS = GOLDEN / "outputs.json"
@@ -68,14 +68,26 @@ class Loud(int):
     __str__ = __repr__
 
 
-def integers():
+def plain_integers():
     small = st.integers(-3, 3)
-    plain = st.one_of(small, small, st.integers(-(2**80), 2**80))
+    return st.one_of(small, small, st.integers(-(2**80), 2**80))
+
+
+def integers():
+    plain = plain_integers()
     return st.one_of(plain, plain, plain, plain.map(Loud))
 
 
-def vectors(size):
-    return st.lists(integers(), min_size=size, max_size=size)
+def vectors(size, entries=None):
+    entries = integers() if entries is None else entries
+    return st.lists(entries, min_size=size, max_size=size)
+
+
+def block_entries(draw):
+    """Plain ints for a whole matrix or twist list, or ints with some Loud
+    among them: a block of plain ints takes the writer's one-template
+    path, any other falls back to item by item."""
+    return draw(st.sampled_from((plain_integers(), integers())))
 
 
 texts = st.one_of(
@@ -87,15 +99,19 @@ texts = st.one_of(
 
 @st.composite
 def open_books(draw):
+    """Open books of 0 to 6 cut arcs (0 gives empty arcs) and 0 to 12
+    twists (1 gives a 1x1 pairing block)."""
     genus = draw(st.integers(0, 2))
     boundary = draw(st.integers(1, 3))
     n = 2 * genus + boundary - 1
-    count = draw(st.integers(0, 6))
-    twists = [DehnTwist(draw(st.sampled_from((1, -1))), draw(vectors(n))) for _ in range(count)]
+    count = draw(st.integers(0, 12))
+    arcs = vectors(n, block_entries(draw))
+    twists = [DehnTwist(draw(st.sampled_from((1, -1))), draw(arcs)) for _ in range(count)]
+    entries = block_entries(draw)
     pairings = [[0] * count for _ in range(count)]
     for k in range(count):
         for m in range(k):
-            pairings[k][m] = draw(integers())
+            pairings[k][m] = draw(entries)
             pairings[m][k] = -pairings[k][m]
     book = OpenBookPresentation(
         PageSurface(genus, boundary), twists, IntegerMatrix.from_rows(pairings)
@@ -112,7 +128,9 @@ def open_books(draw):
 @st.composite
 def heegaard_documents(draw):
     genus = draw(st.integers(0, 4))
-    relations = IntegerMatrix(genus, genus, tuple(draw(vectors(genus * genus))))
+    relations = IntegerMatrix(
+        genus, genus, tuple(draw(vectors(genus * genus, block_entries(draw))))
+    )
     has_knot = draw(st.booleans())
     if has_knot:
         knot = (draw(vectors(genus)), draw(vectors(genus)), 2 * draw(st.integers(0, 3)))
@@ -129,6 +147,38 @@ def heegaard_documents(draw):
 @settings(deadline=None, max_examples=400)
 def test_dumps_document_writes_what_json_writes(document):
     assert dumps_document(document) == json.dumps(document_to_obj(document), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [[1, -2], [3, 4]],
+        [[7]],
+        [[], []],
+        [[1], [2, 3]],
+        [[True, 1], [0, 1]],
+        [[1, Loud(2)], [3, 4]],
+        [[1, 2.5], [3, 4]],
+        [[1, 2], 3],
+        [[1, 2], [3, [4]]],
+        [{"sign": 1, "arcs": [0, -2]}, {"sign": -1, "arcs": [5, 1]}],
+        [{"sign": 1, "arcs": []}, {"sign": -1, "arcs": []}],
+        [{"sign": 1, "arcs": []}, {"sign": -1, "arcs": [1]}],
+        [{"sign": True, "arcs": [1]}, {"sign": -1, "arcs": [2]}],
+        [{"sign": 1, "arcs": [Loud(1)]}, {"sign": -1, "arcs": [2]}],
+        [{"sign": 1, "arcs": [1]}, {"sign": [1], "arcs": [2]}],
+        [{"a": 1, "b": [2]}, {"b": [3], "a": 4}],
+        [{"a": 1, "b": [2]}, {"a": 3}],
+        [{"name": "x", "n": 1}, {"name": "y", "n": 2}],
+        [{"100%": 1, "%d": [2]}, {"100%": 3, "%d": [4]}],
+        [{}, {}],
+    ],
+)
+def test_blocks_and_their_fallbacks_write_what_json_writes(value):
+    """Matrices and lists of records take the one-template path, any
+    other list of lists or dicts the path item by item."""
+    assert _dumps_indented(value, "") == json.dumps(value, indent=2)
+    assert _dumps_indented({"key": value}, "") == json.dumps({"key": value}, indent=2)
 
 
 def test_int_subclass_prints_as_int():
