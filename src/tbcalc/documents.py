@@ -352,11 +352,11 @@ def _block(value: list, indent: str) -> tuple[str, tuple[int, ...]] | None:
     fields = []
     for key in value[0]:
         column = [item[key] for item in value]
-        kinds = set(map(type, column))
-        if kinds == {int}:
+        column_kinds = set(map(type, column))
+        if column_kinds == {int}:
             template = "%d"
         elif (
-            kinds == {list}
+            column_kinds == {list}
             and len(set(map(len, column))) == 1
             and set(map(type, chain.from_iterable(column))) <= {int}
         ):

@@ -218,10 +218,10 @@ def stabilize(
     Adds a boundary component (so one new cut arc), appends a new
     +1 or -1 twist meeting only the new arc, once, and disjoint from
     every old twist curve; the knot runs once over the new arc.  tb of
-    the stabilized knot drops by the sign, which must be the int 1 or -1
-    (a bool or any other type raises TypeError).
+    the stabilized knot drops by the sign, which must be the int 1 or -1;
+    DehnTwist raises TypeError for a bool or any other type.
     """
-    if _check_int(sign) not in (1, -1):
+    if sign not in (1, -1):
         raise ValueError("stabilization sign must be 1 or -1")
     if len(knot.arc_pairings) != open_book.page.arc_count:
         raise ValueError("knot does not match the page")

@@ -166,6 +166,7 @@ def test_dumps_document_writes_what_json_writes(document):
         [{"sign": 1, "arcs": []}, {"sign": -1, "arcs": [1]}],
         [{"sign": True, "arcs": [1]}, {"sign": -1, "arcs": [2]}],
         [{"sign": 1, "arcs": [Loud(1)]}, {"sign": -1, "arcs": [2]}],
+        [{"sign": 1, "arcs": [True]}, {"sign": -1, "arcs": [2]}],
         [{"sign": 1, "arcs": [1]}, {"sign": [1], "arcs": [2]}],
         [{"a": 1, "b": [2]}, {"b": [3], "a": 4}],
         [{"a": 1, "b": [2]}, {"a": 3}],
