@@ -137,7 +137,7 @@ def _as_vector(value: Any, path: str, length: int) -> tuple[int, ...]:
         raise ValidationError(path, f"expected {length} entries, got {len(value)}")
     for e in value:
         if type(e) is not int:
-            return tuple(_as_int(e, f"{path}[{i}]") for i, e in enumerate(value))
+            return tuple([_as_int(e, f"{path}[{i}]") for i, e in enumerate(value)])
     return tuple(value)
 
 
@@ -158,7 +158,7 @@ def _as_matrix(value: Any, path: str, rows: int, cols: int) -> IntegerMatrix:
         except TypeError:
             pass
     parsed = [_as_vector(row, f"{path}[{i}]", cols) for i, row in enumerate(value)]
-    return IntegerMatrix(rows, cols, tuple(e for row in parsed for e in row))
+    return IntegerMatrix(rows, cols, tuple(list(chain.from_iterable(parsed))))
 
 
 def _parse_open_book(obj: dict) -> tuple[OpenBookPresentation, PageKnot | None]:
@@ -342,10 +342,10 @@ def _block(value: list, indent: str) -> tuple[str, tuple[int, ...]] | None:
     """
     kinds = set(map(type, value))
     if kinds == {list}:
-        entries = tuple(chain.from_iterable(value))
+        entries = list(chain.from_iterable(value))
         if len(set(map(len, value))) != 1 or set(map(type, entries)) != {int}:
             return None
-        return _int_list_template(len(value[0]), indent), entries
+        return _int_list_template(len(value[0]), indent), tuple(entries)
     if kinds != {dict} or not value[0] or len(set(map(tuple, value))) != 1:
         return None
     inner = indent + "  "
@@ -364,14 +364,14 @@ def _block(value: list, indent: str) -> tuple[str, tuple[int, ...]] | None:
         else:
             return None
         fields.append(f"{encode_basestring_ascii(key).replace('%', '%%')}: {template}")
-    entries = tuple(
+    entries = list(
         chain.from_iterable(
             (field,) if type(field) is int else field
             for item in value
             for field in item.values()
         )
     )
-    return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + indent + "}", entries
+    return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + indent + "}", tuple(entries)
 
 
 def _dumps_indented(value: Any, indent: str) -> str:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .lattice import (
     IntegerMatrix,
     _check_int,
+    _check_ints,
     dot,
     kernel_basis,
     minimal_order,
@@ -56,9 +57,9 @@ class HeegaardData:
 
     The knot block (knot_generators, knot_relations and
     dividing_intersections) is all or nothing: with no knot both vectors
-    are None and there are no dividing-set crossings.  genus and
-    dividing_intersections are plain ints; a bool or any other type
-    raises TypeError.
+    are None and there are no dividing-set crossings.  genus,
+    dividing_intersections and the entries of both knot vectors are
+    plain ints; a bool or any other type raises TypeError.
     """
 
     genus: int
@@ -82,8 +83,8 @@ class HeegaardData:
             if self.dividing_intersections:
                 raise ValueError("dividing-set crossings need a knot")
             return
-        object.__setattr__(self, "knot_generators", tuple(self.knot_generators))
-        object.__setattr__(self, "knot_relations", tuple(self.knot_relations))
+        object.__setattr__(self, "knot_generators", _check_ints(self.knot_generators))
+        object.__setattr__(self, "knot_relations", _check_ints(self.knot_relations))
         if len(self.knot_generators) != self.genus:
             raise ValueError("knot_generators must have one entry per generator")
         if len(self.knot_relations) != self.genus:

@@ -49,7 +49,7 @@ class AbelianGroup:
         """Normalize a padded Smith diagonal: drop units, count zeros."""
         factors = tuple(factors)
         return cls(
-            torsion=tuple(f for f in factors if f not in (0, 1)),
+            torsion=tuple([f for f in factors if f not in (0, 1)]),
             free_rank=sum(1 for f in factors if f == 0),
         )
 

@@ -6,6 +6,13 @@ the Smith normal form D = U @ M @ V with unimodular transforms U and V.
 A matrix is factored once, and everything else is read off that one
 decomposition: orders of cokernel classes with integer witnesses (order 1
 solves the system itself), kernels, and cokernel invariant factors.
+
+Tuples throughout tbcalc are built from a list, a tuple or a slice, never
+from a generator or a lazy iterator such as map, zip or chain.  CPython
+allocates a tuple of unknown length at a guessed size and resizes it, so
+when such a tuple of fewer than 20 entries dies it goes to the free list
+of a size that no allocation draws from; each of those lists keeps up to
+2000 tuples for the life of the process.
 """
 
 from __future__ import annotations
@@ -34,6 +41,17 @@ def _check_int(value: object) -> int:
     return value
 
 
+def _check_ints(values: Iterable[int]) -> tuple[int, ...]:
+    """values as a tuple; TypeError names the first entry that is not a
+    plain int."""
+    values = tuple(values)
+    if set(map(type, values)) - {int}:
+        # in order, so the first offending entry is the one reported
+        for e in values:
+            _check_int(e)
+    return values
+
+
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     """Inner product of two equal-length integer vectors.
 
@@ -56,11 +74,7 @@ class IntegerMatrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        entries = tuple(self.entries)
-        if set(map(type, entries)) - {int}:
-            # in order, so the first offending entry is the one reported
-            for e in entries:
-                _check_int(e)
+        entries = _check_ints(self.entries)
         if len(entries) != self.rows * self.cols:
             raise ValueError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
@@ -75,17 +89,17 @@ class IntegerMatrix:
         >>> IntegerMatrix.from_rows([[1, 2], [3, 4]])[1, 0]
         3
         """
-        row_list = [tuple(r) for r in rows]
+        row_list = [list(r) for r in rows]
         n_rows = len(row_list)
         n_cols = len(row_list[0]) if row_list else 0
         for r in row_list:
             if len(r) != n_cols:
                 raise ValueError("rows must all have the same length")
-        return cls(n_rows, n_cols, tuple(chain.from_iterable(row_list)))
+        return cls(n_rows, n_cols, tuple(list(chain.from_iterable(row_list))))
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls(n, n, tuple([1 if i == j else 0 for i in range(n) for j in range(n)]))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
@@ -115,11 +129,13 @@ class IntegerMatrix:
         return IntegerMatrix(
             self.cols,
             self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
+            tuple(
+                [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
+            ),
         )
 
     def __neg__(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
+        return IntegerMatrix(self.rows, self.cols, tuple([-e for e in self.entries]))
 
     def __matmul__(
         self, other: Union["IntegerMatrix", Sequence[int]]
@@ -130,9 +146,11 @@ class IntegerMatrix:
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
             product = tuple(
-                sum(self[i, k] * other[k, j] for k in range(self.cols))
-                for i in range(self.rows)
-                for j in range(other.cols)
+                [
+                    sum(self[i, k] * other[k, j] for k in range(self.cols))
+                    for i in range(self.rows)
+                    for j in range(other.cols)
+                ]
             )
             return IntegerMatrix(self.rows, other.cols, product)
         if isinstance(other, (tuple, list)):
@@ -140,7 +158,7 @@ class IntegerMatrix:
                 raise ValueError(
                     f"cannot apply {self.rows}x{self.cols} to a vector of length {len(other)}"
                 )
-            return tuple(dot(self.row(i), other) for i in range(self.rows))
+            return tuple([dot(self.row(i), other) for i in range(self.rows)])
         return NotImplemented
 
     def determinant(self) -> int:
@@ -190,7 +208,7 @@ class SmithDecomposition:
     rank: int
 
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.D[i, i] for i in range(min(self.D.rows, self.D.cols)))
+        return tuple([self.D[i, i] for i in range(min(self.D.rows, self.D.cols))])
 
 
 @dataclass(frozen=True)
@@ -300,9 +318,9 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
 
     rank = sum(1 for i in range(limit) if d[i][i])
     result = SmithDecomposition(
-        U=IntegerMatrix(n_rows, n_rows, tuple(x for r in u for x in r)),
-        D=IntegerMatrix(n_rows, n_cols, tuple(x for r in d for x in r)),
-        V=IntegerMatrix(n_cols, n_cols, tuple(x for r in v for x in r)),
+        U=IntegerMatrix(n_rows, n_rows, tuple(list(chain.from_iterable(u)))),
+        D=IntegerMatrix(n_rows, n_cols, tuple(list(chain.from_iterable(d)))),
+        V=IntegerMatrix(n_cols, n_cols, tuple(list(chain.from_iterable(v)))),
         rank=rank,
     )
     if result.U @ matrix @ result.V != result.D:
@@ -342,7 +360,7 @@ def minimal_order(
     >>> minimal_order(smith_normal_form(m), (2, 1, 1))
     OrderCertificate(order=1, solution=(2, 0, 1))
     """
-    target = tuple(_check_int(b) for b in target)
+    target = tuple([_check_int(b) for b in target])
     rows, cols = smith.D.rows, smith.D.cols
     if len(target) != rows:
         raise ValueError(f"target length {len(target)} != row count {rows}")

@@ -16,7 +16,7 @@ from itertools import chain, compress
 from operator import add
 
 from .heegaard import HeegaardData, TbResult, tb_heegaard
-from .lattice import IntegerMatrix, _check_int
+from .lattice import IntegerMatrix, _check_int, _check_ints
 
 __all__ = [
     "PageSurface",
@@ -58,8 +58,8 @@ class DehnTwist:
 
     sign +1 is a right-handed twist, -1 a left-handed one; arc_pairings
     lists the algebraic intersections of the twist curve with each cut
-    arc.  A sign that is not a plain int, a bool included, raises
-    TypeError.
+    arc.  A sign or pairing that is not a plain int, a bool included,
+    raises TypeError.
     """
 
     sign: int
@@ -68,17 +68,20 @@ class DehnTwist:
     def __post_init__(self) -> None:
         if _check_int(self.sign) not in (1, -1):
             raise ValueError("twist sign must be 1 or -1")
-        object.__setattr__(self, "arc_pairings", tuple(self.arc_pairings))
+        object.__setattr__(self, "arc_pairings", _check_ints(self.arc_pairings))
 
 
 @dataclass(frozen=True)
 class PageKnot:
-    """Knot on the page, recorded by its pairings with the cut arcs."""
+    """Knot on the page, recorded by its pairings with the cut arcs.
+
+    A pairing that is not a plain int, a bool included, raises TypeError.
+    """
 
     arc_pairings: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arc_pairings", tuple(self.arc_pairings))
+        object.__setattr__(self, "arc_pairings", _check_ints(self.arc_pairings))
 
 
 class SkewSymmetryError(ValueError):
@@ -180,7 +183,7 @@ def monodromy_matrix(open_book: OpenBookPresentation) -> IntegerMatrix:
         for i, weight in enumerate(twist.arc_pairings):
             if weight:
                 rows[i] = [c + weight * a for c, a in zip(rows[i], image)]
-    return IntegerMatrix(arc_count, arc_count, tuple(chain.from_iterable(rows)))
+    return IntegerMatrix(arc_count, arc_count, tuple(list(chain.from_iterable(rows))))
 
 
 def tb_open_book(open_book: OpenBookPresentation, knot: PageKnot) -> TbResult | None:
@@ -204,7 +207,7 @@ def tb_open_book(open_book: OpenBookPresentation, knot: PageKnot) -> TbResult | 
             f"knot pairs with {len(pairings)} arcs, page has "
             f"{open_book.page.arc_count}"
         )
-    negated = tuple(-a for a in pairings)
+    negated = tuple([-a for a in pairings])
     return tb_heegaard(
         HeegaardData(len(pairings), monodromy_matrix(open_book), pairings, negated)
     )
@@ -227,7 +230,7 @@ def stabilize(
         raise ValueError("knot does not match the page")
     page = PageSurface(open_book.page.genus, open_book.page.boundary_components + 1)
     twists = tuple(
-        DehnTwist(twist.sign, twist.arc_pairings + (0,)) for twist in open_book.twists
+        [DehnTwist(twist.sign, twist.arc_pairings + (0,)) for twist in open_book.twists]
     ) + (DehnTwist(sign, (0,) * open_book.page.arc_count + (1,)),)
     # the old pairing block padded with a zero column and a zero row
     old_count = len(open_book.twists)

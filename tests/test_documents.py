@@ -244,6 +244,8 @@ HEEGAARD_GENUS_TWO = {"mode": "heegaard", "genus": 2, "C": [[1, 0], [0, 2]], "A"
         (OPENBOOK_TWO_TWISTS, ("twist_pairings", 0, 0), "twist_pairings[0][0]"),
         (HEEGAARD_GENUS_TWO, ("C", 1, 0), "C[1][0]"),
         (HEEGAARD_GENUS_TWO, ("C", 0, 1), "C[0][1]"),
+        (HEEGAARD_GENUS_TWO, ("A", 1), "A[1]"),
+        (HEEGAARD_GENUS_TWO, ("I", 0), "I[0]"),
     ],
 )
 def test_non_integer_entry_named_by_path(base, keys, path, bad):

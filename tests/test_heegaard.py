@@ -1,6 +1,7 @@
 """Surface-side tb: dividing-set term, orders, and result invariants."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,16 @@ class TestValidation:
             data([[1]], [0], [0], dividing=dividing)
         with pytest.raises(TypeError):
             HeegaardData(1, IntegerMatrix.from_rows([[1]]), dividing_intersections=dividing)
+
+    @pytest.mark.parametrize("entry", [True, 1.5, "1"])
+    def test_knot_vectors_must_hold_plain_ints(self, entry):
+        # the first bad entry is the one reported, not the later 2.5
+        relations = IntegerMatrix.zeros(3, 3)
+        bad = (0, entry, 2.5)
+        with pytest.raises(TypeError, match=re.escape(repr(entry))):
+            HeegaardData(3, relations, bad, (0, 0, 0))
+        with pytest.raises(TypeError, match=re.escape(repr(entry))):
+            HeegaardData(3, relations, (0, 0, 0), bad)
 
     def test_negative_genus(self):
         with pytest.raises(ValueError):

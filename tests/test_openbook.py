@@ -1,11 +1,12 @@
 """Monodromy pairing, tb on pages, stabilization, and the Heegaard view."""
 
 import random
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 import conftest
 import helpers
@@ -16,6 +17,7 @@ from tbcalc import (
     OpenBookPresentation,
     PageKnot,
     PageSurface,
+    h1_groups,
     load_document,
     monodromy_matrix,
     stabilize,
@@ -26,6 +28,11 @@ from tbcalc import (
 
 GOLDEN = conftest.DATA / "golden"
 CONVERTED = sorted(path.name.split(".")[0] for path in GOLDEN.glob("*.convert.json"))
+OPEN_BOOK_FIXTURES = [
+    name
+    for name in conftest.FIXTURE_NAMES
+    if load_document(conftest.fixture_path(name)).open_book is not None
+]
 
 
 def annulus(sign: int, pairing: int = -1) -> OpenBookPresentation:
@@ -74,6 +81,15 @@ class TestValidation:
     def test_twist_sign_must_be_a_plain_int(self, sign):
         with pytest.raises(TypeError):
             DehnTwist(sign, (1,))
+
+    @pytest.mark.parametrize("entry", [True, 1.5, "1"])
+    def test_arc_pairings_must_be_plain_ints(self, entry):
+        # the first bad entry is the one reported, not the later 2.5
+        bad = (0, entry, 2.5)
+        with pytest.raises(TypeError, match=re.escape(repr(entry))):
+            DehnTwist(1, bad)
+        with pytest.raises(TypeError, match=re.escape(repr(entry))):
+            PageKnot(bad)
 
     @pytest.mark.parametrize("sign", [True, 1.0, -1.0])
     def test_stabilization_sign_must_be_a_plain_int(self, sign):
@@ -342,6 +358,37 @@ class TestStabilize:
             [0] * arcs + [sign]
         ]
         assert new_knot.arc_pairings == knot.arc_pairings + (1,)
+
+    @staticmethod
+    def check_chain(book, knot, signs):
+        """Stabilizing once per sign keeps the order and H1, exterior
+        included, and lowers tb by the sum of the signs whenever the knot
+        is orthogonal to ker C.  Otherwise tb depends on the certificate,
+        and the new +-1 entries change the Smith pivots that pick it."""
+        before = tb_open_book(book, knot)
+        homology = h1_groups(to_heegaard(book, knot))
+        for sign in signs:
+            book, knot = stabilize(book, knot, sign)
+        after = tb_open_book(book, knot)
+        assert after.order == before.order
+        assert after.kernel_orthogonal == before.kernel_orthogonal
+        assert h1_groups(to_heegaard(book, knot)) == homology
+        if before.kernel_orthogonal:
+            assert after.tb == before.tb - sum(signs)
+
+    @pytest.mark.parametrize("name", OPEN_BOOK_FIXTURES)
+    @pytest.mark.parametrize("signs", [(1, 1, 1, 1), (-1, 1, -1, -1)])
+    def test_chain_law_on_fixtures(self, name, signs):
+        document = load_document(conftest.fixture_path(name))
+        self.check_chain(document.open_book, document.knot, signs)
+
+    @given(books_with_knots(), st.lists(st.sampled_from((1, -1)), min_size=1, max_size=4))
+    @example(DISK_PAGE_EMPTY_WORD, [1, -1, 1, 1])
+    @settings(deadline=None, max_examples=150)
+    def test_chain_law(self, book_and_knot, signs):
+        book, knot = book_and_knot
+        assume(tb_open_book(book, knot) is not None)
+        self.check_chain(book, knot, signs)
 
 
 class TestToHeegaard:
