@@ -26,6 +26,10 @@ heegaard mode:
 
 Parsing is strict: unknown keys, non-integer numbers, and shape or
 symmetry violations are rejected with the offending field's path.
+
+dumps_document writes the keys above in that order, laid out as
+``json.dumps(..., indent=2)`` lays them out, straight from the typed
+records; tests/oracles.py keeps the json.dumps route as its reference.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ __all__ = [
     "InputDocument",
     "parse_document",
     "load_document",
-    "document_to_obj",
     "dumps_document",
     "write_document",
 ]
@@ -89,7 +92,9 @@ class InputDocument:
     Exactly one of open_book/heegaard is set, and mode follows from
     which.  A missing knot is None: knot for an open book, the knot
     vectors of the HeegaardData for a heegaard document.  knot comes
-    only with open_book; anything else raises ValueError.
+    only with open_book and pairs with each of the page's cut arcs;
+    anything else raises ValueError.  name and description are strings
+    or None; anything else raises TypeError.
     """
 
     open_book: OpenBookPresentation | None = None
@@ -103,6 +108,11 @@ class InputDocument:
             raise ValueError("exactly one of open_book and heegaard must be set")
         if self.knot is not None and self.open_book is None:
             raise ValueError("knot requires open_book; a heegaard knot lives in its HeegaardData")
+        if self.knot is not None and len(self.knot.arc_pairings) != self.open_book.page.arc_count:
+            raise ValueError("knot must pair with each of the page's cut arcs")
+        for field, text in (("name", self.name), ("description", self.description)):
+            if text is not None and not isinstance(text, str):
+                raise TypeError(f"{field} must be a string or None, got {text!r}")
 
     @property
     def mode(self) -> str:
@@ -290,131 +300,63 @@ def load_document(source: Union[str, Path, IO[str]]) -> InputDocument:
     return parse_document(text)
 
 
-def document_to_obj(document: InputDocument) -> dict:
-    """Serialize back to the JSON-ready structure parse_document accepts."""
-    obj: dict[str, Any] = {"mode": document.mode}
-    if document.name is not None:
-        obj["name"] = document.name
-    if document.description is not None:
-        obj["description"] = document.description
-    open_book = document.open_book
-    if open_book is not None:
-        obj["page"] = {
-            "genus": open_book.page.genus,
-            "boundary": open_book.page.boundary_components,
-        }
-        obj["twists"] = [
-            {"sign": twist.sign, "arcs": list(twist.arc_pairings)}
-            for twist in open_book.twists
-        ]
-        obj["twist_pairings"] = open_book.twist_pairings.to_rows()
-        if document.knot is not None:
-            obj["knot"] = {"arcs": list(document.knot.arc_pairings)}
-        return obj
-    heegaard = document.heegaard
-    obj["genus"] = heegaard.genus
-    obj["C"] = heegaard.relations.to_rows()
-    if heegaard.knot_generators is not None:
-        obj["A"] = list(heegaard.knot_generators)
-        obj["I"] = list(heegaard.knot_relations)
-        obj["dividing"] = heegaard.dividing_intersections
-    return obj
-
-
-def _int_list_template(width: int, indent: str) -> str:
-    """The template of a list of width ints nested at indent, one ``%d``
-    per int."""
-    if not width:
+def _list(items: list[str], indent: str) -> str:
+    """items as a JSON array nested at indent, one item per line."""
+    if not items:
         return "[]"
     inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join(["%d"] * width) + "\n" + indent + "]"
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
-def _block(value: list, indent: str) -> tuple[str, tuple[int, ...]] | None:
-    """One ``%d`` template that writes every item of value nested at
-    indent, and the ints it formats, item by item.
-
-    The items must be equal-length, nonempty rows of plain ints (a
-    matrix such as twist_pairings or C), or nonempty dicts with one key
-    order whose values are, key by key, all plain ints or all lists of
-    plain ints of one length (records such as twists).  Any other list
-    gives None.
-    """
-    kinds = set(map(type, value))
-    if kinds == {list}:
-        entries = list(chain.from_iterable(value))
-        if len(set(map(len, value))) != 1 or set(map(type, entries)) != {int}:
-            return None
-        return _int_list_template(len(value[0]), indent), tuple(entries)
-    if kinds != {dict} or not value[0] or len(set(map(tuple, value))) != 1:
-        return None
+def _object(members: dict[str, str], indent: str) -> str:
+    """Written values keyed by ASCII names as a JSON object nested at indent."""
     inner = indent + "  "
-    fields = []
-    for key in value[0]:
-        column = [item[key] for item in value]
-        column_kinds = set(map(type, column))
-        if column_kinds == {int}:
-            template = "%d"
-        elif (
-            column_kinds == {list}
-            and len(set(map(len, column))) == 1
-            and set(map(type, chain.from_iterable(column))) <= {int}
-        ):
-            template = _int_list_template(len(column[0]), inner)
-        else:
-            return None
-        fields.append(f"{encode_basestring_ascii(key).replace('%', '%%')}: {template}")
-    entries = list(
-        chain.from_iterable(
-            (field,) if type(field) is int else field
-            for item in value
-            for field in item.values()
-        )
-    )
-    return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + indent + "}", tuple(entries)
+    body = (",\n" + inner).join([f'"{key}": {value}' for key, value in members.items()])
+    return "{\n" + inner + body + "\n" + indent + "}"
 
 
-def _dumps_indented(value: Any, indent: str) -> str:
-    """``json.dumps(value, indent=2)`` for the values document_to_obj builds.
+def _ints(width: int, indent: str) -> str:
+    """The template of an array of width ints nested at indent."""
+    return _list(["%d"] * width, indent)
 
-    Containers nested at ``indent`` open on the current line and close on
-    a line of their own.  A list of plain ints is joined in one C-level
-    call, and a matrix or a list of records (see _block) is formatted in
-    one pass of a ``%d`` template over its ints.  Everything else, int
-    subclasses included, is written by ``json.dumps`` itself.  Keys are
-    strings.
-    """
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        separator = ",\n" + inner
-        if set(map(type, value)) == {int}:
-            body = separator.join(map(int.__repr__, value))
-        elif (block := _block(value, inner)) is not None:
-            template, entries = block
-            body = separator.join([template] * len(value)) % entries
-        else:
-            body = separator.join([_dumps_indented(item, inner) for item in value])
-        return f"[\n{inner}{body}\n{indent}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        body = (",\n" + inner).join(
-            [
-                f"{encode_basestring_ascii(key)}: {_dumps_indented(item, inner)}"
-                for key, item in value.items()
-            ]
-        )
-        return f"{{\n{inner}{body}\n{indent}}}"
-    return json.dumps(value)
+
+def _matrix(matrix: IntegerMatrix, indent: str) -> str:
+    return _list([_ints(matrix.cols, indent + "  ")] * matrix.rows, indent) % matrix.entries
 
 
 def dumps_document(document: InputDocument) -> str:
-    """The document as ``json.dumps(document_to_obj(document), indent=2)``
-    writes it, plus a trailing newline."""
-    return _dumps_indented(document_to_obj(document), "") + "\n"
+    """The document as ``json.dumps(..., indent=2)`` lays it out, plus a
+    trailing newline.  Each array of ints is a ``%d`` template sized from
+    the page or the genus and filled from the ints as stored; strings
+    never pass through a template."""
+    members = {"mode": f'"{document.mode}"'}
+    if document.name is not None:
+        members["name"] = encode_basestring_ascii(document.name)
+    if document.description is not None:
+        members["description"] = encode_basestring_ascii(document.description)
+    open_book = document.open_book
+    if open_book is not None:
+        page = open_book.page
+        arcs = _ints(page.arc_count, "      ")
+        twist = _object({"sign": "%d", "arcs": arcs}, "    ")
+        signs_and_arcs = [x for t in open_book.twists for x in (t.sign, *t.arc_pairings)]
+        members["page"] = _object(
+            {"genus": "%d" % page.genus, "boundary": "%d" % page.boundary_components}, "  "
+        )
+        members["twists"] = _list([twist] * len(open_book.twists), "  ") % tuple(signs_and_arcs)
+        members["twist_pairings"] = _matrix(open_book.twist_pairings, "  ")
+        if document.knot is not None:
+            knot_arcs = _ints(page.arc_count, "    ") % document.knot.arc_pairings
+            members["knot"] = _object({"arcs": knot_arcs}, "  ")
+    else:
+        heegaard = document.heegaard
+        members["genus"] = "%d" % heegaard.genus
+        members["C"] = _matrix(heegaard.relations, "  ")
+        if heegaard.knot_generators is not None:
+            members["A"] = _ints(heegaard.genus, "  ") % heegaard.knot_generators
+            members["I"] = _ints(heegaard.genus, "  ") % heegaard.knot_relations
+            members["dividing"] = "%d" % heegaard.dividing_intersections
+    return _object(members, "") + "\n"
 
 
 def write_document(document: InputDocument, path: Union[str, Path]) -> None:

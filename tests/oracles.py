@@ -7,12 +7,14 @@ search instead of Smith reduction, the monodromy pairing matrix twist by
 twist and arc by arc, or by subsequence expansion, instead of one forward
 substitution.  Agreement between the two routes is the point, so nothing
 in this module may import from tbcalc; the monodromy oracles only read the
-attributes of the open book they are given.
+attributes of the open book they are given, and document_to_obj only those
+of the document.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 Rows = list[list[int]]
@@ -273,3 +275,51 @@ def monodromy_matrix_reference(open_book) -> Rows:
                     for j in range(arc_count):
                         rows[i][j] += weight * first[j]
     return rows
+
+
+def document_to_obj(document) -> dict:
+    """The document as the JSON value parse_document accepts: dicts,
+    lists and ints, keys in schema order.
+
+    Built by generic code, row by row, so that ``json.dumps(obj,
+    indent=2)`` is an independent reference for the library's schema
+    writer.
+    """
+    obj = {"mode": "openbook" if document.open_book is not None else "heegaard"}
+    if document.name is not None:
+        obj["name"] = document.name
+    if document.description is not None:
+        obj["description"] = document.description
+    open_book = document.open_book
+    if open_book is not None:
+        obj["page"] = {
+            "genus": open_book.page.genus,
+            "boundary": open_book.page.boundary_components,
+        }
+        obj["twists"] = [
+            {"sign": twist.sign, "arcs": list(twist.arc_pairings)}
+            for twist in open_book.twists
+        ]
+        obj["twist_pairings"] = _rows(open_book.twist_pairings)
+        if document.knot is not None:
+            obj["knot"] = {"arcs": list(document.knot.arc_pairings)}
+        return obj
+    heegaard = document.heegaard
+    obj["genus"] = heegaard.genus
+    obj["C"] = _rows(heegaard.relations)
+    if heegaard.knot_generators is not None:
+        obj["A"] = list(heegaard.knot_generators)
+        obj["I"] = list(heegaard.knot_relations)
+        obj["dividing"] = heegaard.dividing_intersections
+    return obj
+
+
+def _rows(matrix) -> Rows:
+    cols = matrix.cols
+    return [list(matrix.entries[i * cols : (i + 1) * cols]) for i in range(matrix.rows)]
+
+
+def dumps_document_reference(document) -> str:
+    """What the document writer must write: ``json.dumps`` of
+    document_to_obj with indent 2, plus a trailing newline."""
+    return json.dumps(document_to_obj(document), indent=2) + "\n"

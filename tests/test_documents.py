@@ -5,8 +5,10 @@ import json
 import pytest
 
 import conftest
+from oracles import document_to_obj
 from tbcalc import (
     InputDocument,
+    PageKnot,
     ParseError,
     ValidationError,
     dumps_document,
@@ -14,7 +16,7 @@ from tbcalc import (
     parse_document,
     write_document,
 )
-from tbcalc.documents import document_from_obj, document_to_obj
+from tbcalc.documents import document_from_obj
 
 
 def openbook_obj(**overrides):
@@ -196,6 +198,22 @@ class TestInputDocumentInvariant:
         _, knot, heegaard = self.parts()
         with pytest.raises(ValueError, match="knot requires open_book"):
             InputDocument(heegaard=heegaard, knot=knot)
+
+    @pytest.mark.parametrize("length", [0, 2, 3])
+    def test_knot_pairs_with_every_arc(self, length):
+        # the page of openbook_obj has one cut arc; the parser refuses
+        # any other knot length, so the constructor does too
+        open_book, _, _ = self.parts()
+        with pytest.raises(ValueError, match="each of the page's cut arcs"):
+            InputDocument(open_book=open_book, knot=PageKnot((1,) * length))
+
+    @pytest.mark.parametrize("field", ["name", "description"])
+    @pytest.mark.parametrize("value", [7, True, b"bytes", ["text"]])
+    def test_name_and_description_are_strings(self, field, value):
+        open_book, _, heegaard = self.parts()
+        for presentation in ({"open_book": open_book}, {"heegaard": heegaard}):
+            with pytest.raises(TypeError, match=f"{field} must be a string or None"):
+                InputDocument(**presentation, **{field: value})
 
     def test_neither(self):
         with pytest.raises(ValueError, match="exactly one of open_book and heegaard"):

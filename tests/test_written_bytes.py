@@ -1,7 +1,8 @@
 """The bytes `stabilize` and `convert` write are pinned.
 
 `dumps_document` must write exactly what `json.dumps(..., indent=2)`
-writes (plus a newline), checked on generated documents, and the
+writes of the generic `oracles.document_to_obj` (plus a newline),
+checked on generated documents, and the
 commands' outputs on the nine fixtures must match the golden files under
 `tests/data/golden/`.  The documents under `tests/data/` pin the paths
 no fixture reaches.  The two knotless ones pin `convert` of an open book
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 
 import conftest
+from oracles import dumps_document_reference
 from tbcalc import (
     DehnTwist,
     HeegaardData,
@@ -32,9 +34,10 @@ from tbcalc import (
     PageKnot,
     PageSurface,
     dumps_document,
+    parse_document,
 )
 from tbcalc.cli import main
-from tbcalc.documents import InputDocument, _dumps_indented, document_to_obj
+from tbcalc.documents import InputDocument
 
 GOLDEN = conftest.DATA / "golden"
 OUTPUTS = GOLDEN / "outputs.json"
@@ -94,6 +97,7 @@ texts = st.one_of(
     st.none(),
     st.text(),
     st.sampled_from(['say "hi"', "back\\slash", "\x00\x07\x1f\x7f\t\n", "é ☃ 😀  ", "</script>"]),
+    st.sampled_from(["100%", "%d", "%%", "%s%d", "50%% %(mode)s"]),
 )
 
 
@@ -146,40 +150,77 @@ def heegaard_documents(draw):
 @given(st.one_of(open_books(), heegaard_documents()))
 @settings(deadline=None, max_examples=400)
 def test_dumps_document_writes_what_json_writes(document):
-    assert dumps_document(document) == json.dumps(document_to_obj(document), indent=2) + "\n"
+    text = dumps_document(document)
+    assert text == dumps_document_reference(document)
+    assert parse_document(text) == document
+
+
+def disk_page_book(count=2):
+    """count twists on a disk page: every arcs list is empty."""
+    twists = [DehnTwist((-1) ** k, ()) for k in range(count)]
+    return OpenBookPresentation(PageSurface(0, 1), twists, IntegerMatrix.zeros(count, count))
+
+
+def annulus_book(arcs, pairings):
+    """One twist per entry of arcs on an annulus page (one cut arc)."""
+    twists = [DehnTwist(1 if k % 2 else -1, (a,)) for k, a in enumerate(arcs)]
+    return OpenBookPresentation(PageSurface(0, 2), twists, IntegerMatrix.from_rows(pairings))
+
+
+def two_twist_book(arcs=((0, -2), (5, 1)), pairing=3):
+    """Twists of sign 1 and -1 on a pair of pants (two cut arcs)."""
+    twists = [DehnTwist(1, arcs[0]), DehnTwist(-1, arcs[1])]
+    rows = [[0, pairing], [-pairing, 0]]
+    return OpenBookPresentation(PageSurface(0, 3), twists, IntegerMatrix.from_rows(rows))
+
+
+def heegaard(rows, a=None, i=None, dividing=0):
+    return HeegaardData(len(rows), IntegerMatrix.from_rows(rows), a, i, dividing)
 
 
 @pytest.mark.parametrize(
     "value",
     [
-        [[1, -2], [3, 4]],
-        [[7]],
-        [[], []],
-        [[1], [2, 3]],
-        [[True, 1], [0, 1]],
-        [[1, Loud(2)], [3, 4]],
-        [[1, 2.5], [3, 4]],
-        [[1, 2], 3],
-        [[1, 2], [3, [4]]],
-        [{"sign": 1, "arcs": [0, -2]}, {"sign": -1, "arcs": [5, 1]}],
-        [{"sign": 1, "arcs": []}, {"sign": -1, "arcs": []}],
-        [{"sign": 1, "arcs": []}, {"sign": -1, "arcs": [1]}],
-        [{"sign": True, "arcs": [1]}, {"sign": -1, "arcs": [2]}],
-        [{"sign": 1, "arcs": [Loud(1)]}, {"sign": -1, "arcs": [2]}],
-        [{"sign": 1, "arcs": [True]}, {"sign": -1, "arcs": [2]}],
-        [{"sign": 1, "arcs": [1]}, {"sign": [1], "arcs": [2]}],
-        [{"a": 1, "b": [2]}, {"b": [3], "a": 4}],
-        [{"a": 1, "b": [2]}, {"a": 3}],
-        [{"name": "x", "n": 1}, {"name": "y", "n": 2}],
-        [{"100%": 1, "%d": [2]}, {"100%": 3, "%d": [4]}],
-        [{}, {}],
+        InputDocument(heegaard=heegaard([[1, -2], [3, 4]])),
+        InputDocument(heegaard=heegaard([[7]])),
+        InputDocument(heegaard=heegaard([], (), ())),
+        InputDocument(heegaard=heegaard([[1, Loud(2)], [3, 4]])),
+        InputDocument(heegaard=heegaard([[2, 0], [0, 0]], (Loud(1), 0), (0, Loud(-3)), 4)),
+        InputDocument(
+            heegaard=HeegaardData(Loud(1), IntegerMatrix.identity(1), (1,), (2,), Loud(2))
+        ),
+        InputDocument(open_book=two_twist_book()),
+        InputDocument(open_book=disk_page_book()),
+        InputDocument(open_book=disk_page_book(), knot=PageKnot(())),
+        InputDocument(open_book=two_twist_book(((0, Loud(-2)), (5, 1)))),
+        InputDocument(open_book=two_twist_book(pairing=Loud(-4))),
+        InputDocument(open_book=two_twist_book(), knot=PageKnot((Loud(1), -1))),
+        InputDocument(open_book=disk_page_book(0)),
+        InputDocument(open_book=annulus_book([], [])),
+        InputDocument(open_book=annulus_book([2], [[0]]), knot=PageKnot((1,))),
+        InputDocument(
+            open_book=OpenBookPresentation(
+                PageSurface(Loud(1), Loud(1)),
+                [DehnTwist(Loud(-1), (1, 0))],
+                IntegerMatrix.zeros(1, 1),
+            )
+        ),
+        InputDocument(open_book=two_twist_book(), name="100%", description="50% of %s"),
+        InputDocument(open_book=disk_page_book(1), name="%d", description="%d%d%%"),
+        InputDocument(heegaard=heegaard([[1]], (1,), (1,)), name="%%", description="%"),
+        InputDocument(heegaard=heegaard([[0]]), name="%(mode)s %i %", description="%%d 100%%"),
+        InputDocument(open_book=annulus_book([1, -1], [[0, 1], [-1, 0]]), name="", description=""),
     ],
 )
 def test_blocks_and_their_fallbacks_write_what_json_writes(value):
-    """Matrices and lists of records take the one-template path, any
-    other list of lists or dicts the path item by item."""
-    assert _dumps_indented(value, "") == json.dumps(value, indent=2)
-    assert _dumps_indented({"key": value}, "") == json.dumps({"key": value}, indent=2)
+    """Every block the writer templates (C, the pairing block, the twists,
+    the knot, A and I) at its edge cases: 0x0 and 1x1 blocks, empty arcs
+    on a disk page, int subclasses (json writes int.__repr__, the writer
+    %d) in every array and count, and names and descriptions holding the
+    %-sequences the templates are made of."""
+    text = dumps_document(value)
+    assert text == dumps_document_reference(value)
+    assert parse_document(text) == value
 
 
 def test_int_subclass_prints_as_int():
