@@ -35,14 +35,13 @@ records; tests/oracles.py keeps the json.dumps route as its reference.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Any, Union
 
 from .heegaard import HeegaardData
-from .lattice import IntegerMatrix
+from .lattice import IntegerMatrix, _Record, _set
 from .openbook import (
     DehnTwist,
     OpenBookPresentation,
@@ -85,8 +84,7 @@ class ValidationError(DocumentError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(_Record):
     """One parsed input file.
 
     Exactly one of open_book/heegaard is set, and mode follows from
@@ -97,22 +95,28 @@ class InputDocument:
     or None; anything else raises TypeError.
     """
 
-    open_book: OpenBookPresentation | None = None
-    knot: PageKnot | None = None
-    heegaard: HeegaardData | None = None
-    name: str | None = None
-    description: str | None = None
-
-    def __post_init__(self) -> None:
-        if (self.open_book is None) == (self.heegaard is None):
+    def __init__(
+        self,
+        open_book: OpenBookPresentation | None = None,
+        knot: PageKnot | None = None,
+        heegaard: HeegaardData | None = None,
+        name: str | None = None,
+        description: str | None = None,
+    ) -> None:
+        if (open_book is None) == (heegaard is None):
             raise ValueError("exactly one of open_book and heegaard must be set")
-        if self.knot is not None and self.open_book is None:
+        if knot is not None and open_book is None:
             raise ValueError("knot requires open_book; a heegaard knot lives in its HeegaardData")
-        if self.knot is not None and len(self.knot.arc_pairings) != self.open_book.page.arc_count:
+        if knot is not None and len(knot.arc_pairings) != open_book.page.arc_count:
             raise ValueError("knot must pair with each of the page's cut arcs")
-        for field, text in (("name", self.name), ("description", self.description)):
+        for field, text in (("name", name), ("description", description)):
             if text is not None and not isinstance(text, str):
                 raise TypeError(f"{field} must be a string or None, got {text!r}")
+        _set(self, "open_book", open_book)
+        _set(self, "knot", knot)
+        _set(self, "heegaard", heegaard)
+        _set(self, "name", name)
+        _set(self, "description", description)
 
     @property
     def mode(self) -> str:
@@ -140,15 +144,21 @@ def _as_str(value: Any, path: str) -> str:
     return value
 
 
-def _as_vector(value: Any, path: str, length: int) -> tuple[int, ...]:
+def _as_array(value: Any, path: str, length: int) -> list:
+    """value, once it is an array of length entries.  The record built
+    from it checks the entries; only a refusal needs their paths."""
     if not isinstance(value, list):
         raise ValidationError(path, "expected an array of integers")
     if len(value) != length:
         raise ValidationError(path, f"expected {length} entries, got {len(value)}")
-    for e in value:
-        if type(e) is not int:
-            return tuple([_as_int(e, f"{path}[{i}]") for i, e in enumerate(value)])
-    return tuple(value)
+    return value
+
+
+def _as_vector(value: Any, path: str, length: int) -> tuple[int, ...]:
+    """_as_array with each entry checked in order, naming the first that
+    is not an int: the path-bearing check after a record refused one."""
+    values = _as_array(value, path, length)
+    return tuple([_as_int(e, f"{path}[{i}]") for i, e in enumerate(values)])
 
 
 def _as_matrix(value: Any, path: str, rows: int, cols: int) -> IntegerMatrix:
@@ -164,7 +174,7 @@ def _as_matrix(value: Any, path: str, rows: int, cols: int) -> IntegerMatrix:
         entries += row
     else:
         try:
-            return IntegerMatrix(rows, cols, tuple(entries))
+            return IntegerMatrix(rows, cols, entries)
         except TypeError:
             pass
     parsed = [_as_vector(row, f"{path}[{i}]", cols) for i, row in enumerate(value)]
@@ -196,8 +206,12 @@ def _parse_open_book(obj: dict) -> tuple[OpenBookPresentation, PageKnot | None]:
         sign = _as_int(twist_obj["sign"], f"{twist_path}.sign")
         if sign not in (1, -1):
             raise ValidationError(f"{twist_path}.sign", "must be 1 or -1")
-        arcs = _as_vector(twist_obj["arcs"], f"{twist_path}.arcs", page.arc_count)
-        twists.append(DehnTwist(sign, arcs))
+        arcs = _as_array(twist_obj["arcs"], f"{twist_path}.arcs", page.arc_count)
+        try:
+            twists.append(DehnTwist(sign, arcs))
+        except TypeError:
+            _as_vector(arcs, f"{twist_path}.arcs", page.arc_count)
+            raise
 
     count = len(twists)
     pairings = _as_matrix(obj["twist_pairings"], "twist_pairings", count, count)
@@ -220,7 +234,12 @@ def _parse_open_book(obj: dict) -> tuple[OpenBookPresentation, PageKnot | None]:
         if not isinstance(knot_obj, dict):
             raise ValidationError("knot", "expected an object")
         _require_keys(knot_obj, "knot.", {"arcs"}, set())
-        knot = PageKnot(_as_vector(knot_obj["arcs"], "knot.arcs", page.arc_count))
+        arcs = _as_array(knot_obj["arcs"], "knot.arcs", page.arc_count)
+        try:
+            knot = PageKnot(arcs)
+        except TypeError:
+            _as_vector(arcs, "knot.arcs", page.arc_count)
+            raise
 
     return open_book, knot
 
@@ -237,6 +256,13 @@ def _parse_heegaard(obj: dict) -> HeegaardData:
     for key in ("A", "I"):
         if key not in obj:
             raise ValidationError(key, f"required alongside {', '.join(block_keys)}")
+    # HeegaardData checks the block but names no path, and takes any iterable:
+    # a refusal or a non-array is checked again here, in document order
+    if type(obj["A"]) is list and type(obj["I"]) is list:
+        try:
+            return HeegaardData(genus, relations, obj["A"], obj["I"], obj.get("dividing", 0))
+        except (TypeError, ValueError):
+            pass
     knot_generators = _as_vector(obj["A"], "A", genus)
     knot_relations = _as_vector(obj["I"], "I", genus)
     dividing = _as_int(obj.get("dividing", 0), "dividing")

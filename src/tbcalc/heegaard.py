@@ -11,13 +11,14 @@ C @ E == d * A for the least order d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import (
     IntegerMatrix,
+    _Record,
     _check_int,
     _check_ints,
+    _set,
     dot,
     kernel_basis,
     minimal_order,
@@ -27,8 +28,7 @@ from .lattice import (
 __all__ = ["TbResult", "HeegaardData", "tb_heegaard"]
 
 
-@dataclass(frozen=True)
-class TbResult:
+class TbResult(_Record):
     """Exact Thurston-Bennequin value together with its certifying data.
 
     order is the least d >= 1 with C @ certificate == d * A; tb is exact
@@ -37,21 +37,20 @@ class TbResult:
     and the reported value depends on the certificate choice.
     """
 
-    order: int
-    tb: Fraction
-    certificate: tuple[int, ...]
-    kernel_orthogonal: bool
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
+    def __init__(
+        self, order: int, tb: Fraction, certificate: tuple[int, ...], kernel_orthogonal: bool
+    ) -> None:
+        if order < 1:
             raise ValueError("order must be positive")
-        if self.order % self.tb.denominator:
+        if order % tb.denominator:
             raise ValueError("tb denominator must divide the order")
-        object.__setattr__(self, "certificate", tuple(self.certificate))
+        _set(self, "order", order)
+        _set(self, "tb", tb)
+        _set(self, "certificate", tuple(certificate))
+        _set(self, "kernel_orthogonal", kernel_orthogonal)
 
 
-@dataclass(frozen=True)
-class HeegaardData:
+class HeegaardData(_Record):
     """Pairing data of a convex Heegaard surface of genus `genus`, and of
     a knot on it.
 
@@ -62,38 +61,43 @@ class HeegaardData:
     plain ints; a bool or any other type raises TypeError.
     """
 
-    genus: int
-    relations: IntegerMatrix
-    knot_generators: tuple[int, ...] | None = None
-    knot_relations: tuple[int, ...] | None = None
-    dividing_intersections: int = 0
-
-    def __post_init__(self) -> None:
-        if _check_int(self.genus) < 0:
+    def __init__(
+        self,
+        genus: int,
+        relations: IntegerMatrix,
+        knot_generators: tuple[int, ...] | None = None,
+        knot_relations: tuple[int, ...] | None = None,
+        dividing_intersections: int = 0,
+    ) -> None:
+        if _check_int(genus) < 0:
             raise ValueError("genus must be nonnegative")
-        if (self.relations.rows, self.relations.cols) != (self.genus, self.genus):
+        if (relations.rows, relations.cols) != (genus, genus):
             raise ValueError(
-                f"relations must be {self.genus}x{self.genus}, "
-                f"got {self.relations.rows}x{self.relations.cols}"
+                f"relations must be {genus}x{genus}, got {relations.rows}x{relations.cols}"
             )
-        if (self.knot_generators is None) != (self.knot_relations is None):
+        if (knot_generators is None) != (knot_relations is None):
             raise ValueError("knot_generators and knot_relations come together or not at all")
-        _check_int(self.dividing_intersections)
-        if self.knot_generators is None:
-            if self.dividing_intersections:
+        _check_int(dividing_intersections)
+        if knot_generators is None:
+            if dividing_intersections:
                 raise ValueError("dividing-set crossings need a knot")
-            return
-        object.__setattr__(self, "knot_generators", _check_ints(self.knot_generators))
-        object.__setattr__(self, "knot_relations", _check_ints(self.knot_relations))
-        if len(self.knot_generators) != self.genus:
-            raise ValueError("knot_generators must have one entry per generator")
-        if len(self.knot_relations) != self.genus:
-            raise ValueError("knot_relations must have one entry per relation")
-        if self.dividing_intersections < 0:
-            raise ValueError("dividing-set crossing count must be nonnegative")
-        if self.dividing_intersections % 2:
-            # a closed curve crosses the dividing set an even number of times
-            raise ValueError("dividing-set crossing count must be even")
+        else:
+            knot_generators = _check_ints(knot_generators)
+            knot_relations = _check_ints(knot_relations)
+            if len(knot_generators) != genus:
+                raise ValueError("knot_generators must have one entry per generator")
+            if len(knot_relations) != genus:
+                raise ValueError("knot_relations must have one entry per relation")
+            if dividing_intersections < 0:
+                raise ValueError("dividing-set crossing count must be nonnegative")
+            if dividing_intersections % 2:
+                # a closed curve crosses the dividing set an even number of times
+                raise ValueError("dividing-set crossing count must be even")
+        _set(self, "genus", genus)
+        _set(self, "relations", relations)
+        _set(self, "knot_generators", knot_generators)
+        _set(self, "knot_relations", knot_relations)
+        _set(self, "dividing_intersections", dividing_intersections)
 
 
 def tb_heegaard(data: HeegaardData) -> TbResult | None:

@@ -13,36 +13,44 @@ pairing vectors need not come from an embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .heegaard import HeegaardData
-from .lattice import IntegerMatrix, dot, invariant_factors, minimal_order, smith_normal_form
+from .lattice import (
+    IntegerMatrix,
+    _Record,
+    _check_int,
+    _check_ints,
+    _set,
+    dot,
+    invariant_factors,
+    minimal_order,
+    smith_normal_form,
+)
 
 __all__ = ["AbelianGroup", "Homology", "h1_groups"]
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(_Record):
     """Finitely generated abelian group in invariant-factor form.
 
     torsion lists the cyclic orders (each at least 2, each dividing the
-    next); free_rank counts the infinite cyclic summands.
+    next); free_rank counts the infinite cyclic summands.  Both hold plain
+    ints; a bool or any other type raises TypeError.
     """
 
-    torsion: tuple[int, ...]
-    free_rank: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "torsion", tuple(self.torsion))
-        if self.free_rank < 0:
+    def __init__(self, torsion: tuple[int, ...], free_rank: int) -> None:
+        torsion = _check_ints(torsion)
+        if _check_int(free_rank) < 0:
             raise ValueError("free rank must be nonnegative")
-        for value in self.torsion:
+        for value in torsion:
             if value < 2:
                 raise ValueError("torsion orders must be at least 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion orders must form a divisibility chain")
+        _set(self, "torsion", torsion)
+        _set(self, "free_rank", free_rank)
 
     @classmethod
     def from_invariant_factors(cls, factors: Iterable[int]) -> "AbelianGroup":
@@ -67,8 +75,7 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class Homology:
+class Homology(_Record):
     """First homology of the manifold and, for a nullhomologous knot, of
     its exterior.
 
@@ -78,9 +85,15 @@ class Homology:
     cannot come from an embedded knot.
     """
 
-    manifold: AbelianGroup
-    exterior: AbelianGroup | None = None
-    complement_lemma: bool | None = None
+    def __init__(
+        self,
+        manifold: AbelianGroup,
+        exterior: AbelianGroup | None = None,
+        complement_lemma: bool | None = None,
+    ) -> None:
+        _set(self, "manifold", manifold)
+        _set(self, "exterior", exterior)
+        _set(self, "complement_lemma", complement_lemma)
 
 
 def h1_groups(data: HeegaardData) -> Homology:

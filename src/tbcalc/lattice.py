@@ -17,7 +17,6 @@ of a size that no allocation draws from; each of those lists keeps up to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -52,6 +51,34 @@ def _check_ints(values: Iterable[int]) -> tuple[int, ...]:
     return values
 
 
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of tbcalc's immutable records.  A record's __init__ stores each
+    field once, in signature order, with _set; equality (NotImplemented
+    against other classes), hash and repr follow those fields, and setting
+    or deleting an attribute raises AttributeError."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={value!r}" for name, value in self.__dict__.items()])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     """Inner product of two equal-length integer vectors.
 
@@ -63,24 +90,24 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """Immutable integer matrix stored row-major."""
+class IntegerMatrix(_Record):
+    """Immutable integer matrix stored row-major.
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    rows, cols and every entry are plain ints; a bool or any other type
+    raises TypeError.
+    """
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        if _check_int(rows) < 0 or _check_int(cols) < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        entries = _check_ints(self.entries)
-        if len(entries) != self.rows * self.cols:
+        entries = _check_ints(entries)
+        if len(entries) != rows * cols:
             raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        object.__setattr__(self, "entries", entries)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntegerMatrix":
@@ -193,8 +220,7 @@ class IntegerMatrix:
         return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(_Record):
     """Smith normal form D = U @ M @ V of an integer matrix M.
 
     U and V are unimodular, D is diagonal with nonnegative entries, each
@@ -202,26 +228,24 @@ class SmithDecomposition:
     (always the leading ones).
     """
 
-    U: IntegerMatrix
-    D: IntegerMatrix
-    V: IntegerMatrix
-    rank: int
+    def __init__(self, U: IntegerMatrix, D: IntegerMatrix, V: IntegerMatrix, rank: int) -> None:
+        _set(self, "U", U)
+        _set(self, "D", D)
+        _set(self, "V", V)
+        _set(self, "rank", rank)
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple([self.D[i, i] for i in range(min(self.D.rows, self.D.cols))])
 
 
-@dataclass(frozen=True)
-class OrderCertificate:
+class OrderCertificate(_Record):
     """Witness that order is the least d >= 1 with matrix @ solution == d * target."""
 
-    order: int
-    solution: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
+    def __init__(self, order: int, solution: tuple[int, ...]) -> None:
+        if order < 1:
             raise ValueError("order must be positive")
-        object.__setattr__(self, "solution", tuple(self.solution))
+        _set(self, "order", order)
+        _set(self, "solution", tuple(solution))
 
 
 def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:

@@ -11,12 +11,11 @@ the pairing matrix C that drives every downstream computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress
 from operator import add
 
 from .heegaard import HeegaardData, TbResult, tb_heegaard
-from .lattice import IntegerMatrix, _check_int, _check_ints
+from .lattice import IntegerMatrix, _Record, _check_int, _check_ints, _set
 
 __all__ = [
     "PageSurface",
@@ -30,21 +29,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PageSurface:
+class PageSurface(_Record):
     """Compact oriented surface with boundary, the page of an open book.
 
     Both counts are plain ints; a bool or any other type raises TypeError.
     """
 
-    genus: int
-    boundary_components: int
-
-    def __post_init__(self) -> None:
-        if _check_int(self.genus) < 0:
+    def __init__(self, genus: int, boundary_components: int) -> None:
+        if _check_int(genus) < 0:
             raise ValueError("genus must be nonnegative")
-        if _check_int(self.boundary_components) < 1:
+        if _check_int(boundary_components) < 1:
             raise ValueError("a page needs at least one boundary component")
+        _set(self, "genus", genus)
+        _set(self, "boundary_components", boundary_components)
 
     @property
     def arc_count(self) -> int:
@@ -52,8 +49,7 @@ class PageSurface:
         return 2 * self.genus + self.boundary_components - 1
 
 
-@dataclass(frozen=True)
-class DehnTwist:
+class DehnTwist(_Record):
     """One twist of the monodromy word, reduced to pairing data.
 
     sign +1 is a right-handed twist, -1 a left-handed one; arc_pairings
@@ -62,26 +58,21 @@ class DehnTwist:
     raises TypeError.
     """
 
-    sign: int
-    arc_pairings: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if _check_int(self.sign) not in (1, -1):
+    def __init__(self, sign: int, arc_pairings: tuple[int, ...]) -> None:
+        if _check_int(sign) not in (1, -1):
             raise ValueError("twist sign must be 1 or -1")
-        object.__setattr__(self, "arc_pairings", _check_ints(self.arc_pairings))
+        _set(self, "sign", sign)
+        _set(self, "arc_pairings", _check_ints(arc_pairings))
 
 
-@dataclass(frozen=True)
-class PageKnot:
+class PageKnot(_Record):
     """Knot on the page, recorded by its pairings with the cut arcs.
 
     A pairing that is not a plain int, a bool included, raises TypeError.
     """
 
-    arc_pairings: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arc_pairings", _check_ints(self.arc_pairings))
+    def __init__(self, arc_pairings: tuple[int, ...]) -> None:
+        _set(self, "arc_pairings", _check_ints(arc_pairings))
 
 
 class SkewSymmetryError(ValueError):
@@ -101,28 +92,25 @@ class SkewSymmetryError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class OpenBookPresentation:
+class OpenBookPresentation(_Record):
     """A page together with an ordered word of Dehn twists.
 
     twist_pairings holds the pairwise algebraic intersections of the
     twist curves and must be skew-symmetric.
     """
 
-    page: PageSurface
-    twists: tuple[DehnTwist, ...]
-    twist_pairings: IntegerMatrix
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "twists", tuple(self.twists))
-        count = len(self.twists)
-        if (self.twist_pairings.rows, self.twist_pairings.cols) != (count, count):
+    def __init__(
+        self, page: PageSurface, twists: tuple[DehnTwist, ...], twist_pairings: IntegerMatrix
+    ) -> None:
+        twists = tuple(twists)
+        count = len(twists)
+        if (twist_pairings.rows, twist_pairings.cols) != (count, count):
             raise ValueError(
                 f"twist_pairings must be {count}x{count} for {count} twists"
             )
         # row k from the diagonal rightwards plus column k from the
         # diagonal down vanishes exactly when the pairs (k, m >= k) are skew
-        pairings = self.twist_pairings.entries
+        pairings = twist_pairings.entries
         for k in range(count):
             start = k * count + k
             upper = pairings[start : (k + 1) * count]
@@ -130,12 +118,15 @@ class OpenBookPresentation:
             if any(map(add, upper, lower)):
                 offset = next(j for j, s in enumerate(map(add, upper, lower)) if s)
                 raise SkewSymmetryError(k + offset, k)
-        for index, twist in enumerate(self.twists):
-            if len(twist.arc_pairings) != self.page.arc_count:
+        for index, twist in enumerate(twists):
+            if len(twist.arc_pairings) != page.arc_count:
                 raise ValueError(
                     f"twist {index} pairs with {len(twist.arc_pairings)} arcs, "
-                    f"page has {self.page.arc_count}"
+                    f"page has {page.arc_count}"
                 )
+        _set(self, "page", page)
+        _set(self, "twists", twists)
+        _set(self, "twist_pairings", twist_pairings)
 
     @property
     def twist_count(self) -> int:

@@ -16,6 +16,7 @@ from tbcalc import (
     parse_document,
     write_document,
 )
+from tbcalc import documents
 from tbcalc.documents import document_from_obj
 
 
@@ -276,6 +277,54 @@ def test_non_integer_entry_named_by_path(base, keys, path, bad):
         document_from_obj(obj)
     assert info.value.path == path
     assert str(info.value) == f"{path}: expected an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "base,changes,message",
+    [
+        # a bad entry wins over any error in a later field, and back
+        (HEEGAARD_GENUS_TWO, {"A": [0.5, 0], "I": "x"}, "A[0]: expected an integer, got 0.5"),
+        (HEEGAARD_GENUS_TWO, {"A": [0, None], "I": [True, 0]}, "A[1]: expected an integer, got None"),
+        (HEEGAARD_GENUS_TWO, {"A": [0.5, 0], "dividing": 3}, "A[0]: expected an integer, got 0.5"),
+        (HEEGAARD_GENUS_TWO, {"I": [0, "1"], "dividing": -2}, "I[1]: expected an integer, got '1'"),
+        (HEEGAARD_GENUS_TWO, {"A": {}, "I": [0.5, 0]}, "A: expected an array of integers"),
+        (HEEGAARD_GENUS_TWO, {"I": [0], "dividing": 1}, "I: expected 2 entries, got 1"),
+        (HEEGAARD_GENUS_TWO, {"dividing": True}, "dividing: expected an integer, got True"),
+        (HEEGAARD_GENUS_TWO, {"dividing": 1}, "dividing: must be even"),
+        ({**HEEGAARD_GENUS_TWO, "genus": 0, "C": []}, {"A": "", "I": ""}, "A: expected an array"),
+        (
+            OPENBOOK_TWO_TWISTS,
+            {"twists": [{"sign": 1, "arcs": [0.5, 0]}, {"sign": 3, "arcs": [0, 0]}]},
+            "twists[0].arcs[0]: expected an integer, got 0.5",
+        ),
+        (
+            OPENBOOK_TWO_TWISTS,
+            {"twists": [{"sign": 1, "arcs": [0, False]}], "twist_pairings": "x"},
+            "twists[0].arcs[1]: expected an integer, got False",
+        ),
+        (
+            OPENBOOK_TWO_TWISTS,
+            {"twists": [{"sign": 1, "arcs": {"0": 1, "1": 2}}]},
+            "twists[0].arcs: expected an array of integers",
+        ),
+        (OPENBOOK_TWO_TWISTS, {"knot": {"arcs": "ab"}}, "knot.arcs: expected an array of integers"),
+    ],
+)
+def test_entry_errors_keep_document_order(base, changes, message):
+    obj = {**json.loads(json.dumps(base)), **changes}
+    with pytest.raises(ValidationError) as info:
+        document_from_obj(obj)
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("name", conftest.FIXTURE_NAMES + ["long-word", "big-certificate"])
+def test_valid_documents_leave_entry_checks_to_the_records(name, monkeypatch):
+    # the path-bearing entry checks run only after a record refused one
+    def refuse(*args):
+        raise AssertionError("entries checked outside the records")
+
+    monkeypatch.setattr(documents, "_as_vector", refuse)
+    load_document(conftest.document_path(name))
 
 
 def test_matrix_errors_keep_row_order():

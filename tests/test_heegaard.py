@@ -4,7 +4,9 @@ import random
 import re
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import helpers
 from tbcalc import HeegaardData, IntegerMatrix, TbResult, h1_groups, tb_heegaard
@@ -160,3 +162,37 @@ class TestTbHeegaard:
             # the dividing count is even, so the denominator comes from d alone
             assert result.order % result.tb.denominator == 0
         assert finite >= 60
+
+
+class TestChangeOfBasis:
+    """A unimodular change of basis on both sides presents the same
+    manifold and knot: C -> Q @ C @ P, A -> Q @ A and I -> P^T @ I."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(("any",) + helpers.NULLHOMOLOGOUS_KINDS))
+    @settings(deadline=None, max_examples=200)
+    def test_invariants_are_unchanged(self, seed, kind):
+        rng = random.Random(seed)
+        if kind == "any":
+            sample = helpers.random_heegaard(rng, max_genus=6, bound=3)
+        else:
+            sample = helpers.random_nullhomologous_heegaard(rng, kind, max_genus=6)
+        q = helpers.random_unimodular(rng, sample.genus)
+        p = helpers.random_unimodular(rng, sample.genus)
+        changed = HeegaardData(
+            sample.genus,
+            q @ sample.relations @ p,
+            q @ sample.knot_generators,
+            p.transpose() @ sample.knot_relations,
+            sample.dividing_intersections,
+        )
+        # H1 of the manifold and, for a nullhomologous knot, of the exterior
+        assert h1_groups(changed) == h1_groups(sample)
+        before, after = tb_heegaard(sample), tb_heegaard(changed)
+        assert (before is None) == (after is None)
+        if before is None:
+            return
+        assert after.order == before.order
+        # ker C maps to P^-1 ker C, and <P^-1 k, P^T I> == <k, I>
+        assert after.kernel_orthogonal == before.kernel_orthogonal
+        if before.kernel_orthogonal:
+            assert after.tb == before.tb

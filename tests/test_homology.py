@@ -42,6 +42,14 @@ class TestAbelianGroup:
         with pytest.raises(ValueError):
             AbelianGroup((), -1)
 
+    @pytest.mark.parametrize(
+        "torsion,free_rank",
+        [((2.5, 5), 0), ((2.0,), True), ((2,), 1.0), ((True, 2), 0), ((2, "4"), 0), ((), False)],
+    )
+    def test_rejects_non_integer_counts(self, torsion, free_rank):
+        with pytest.raises(TypeError, match="expected a plain integer"):
+            AbelianGroup(torsion, free_rank)
+
     def test_str(self):
         assert str(AbelianGroup((), 0)) == "0"
         assert str(AbelianGroup((), 1)) == "Z"

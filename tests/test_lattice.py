@@ -67,6 +67,14 @@ class TestIntegerMatrix:
         with pytest.raises(TypeError):
             IntegerMatrix(1, 1, (1.5,))
 
+    @pytest.mark.parametrize(
+        "rows,cols,entries",
+        [(2.0, 1, (1, 2)), (1, 2.0, (1, 2)), (True, True, (5,)), (1, False, ()), ("1", 1, (1,))],
+    )
+    def test_rejects_non_integer_dimensions(self, rows, cols, entries):
+        with pytest.raises(TypeError, match="expected a plain integer"):
+            IntegerMatrix(rows, cols, entries)
+
     @pytest.mark.parametrize("entry", [True, False, 1.0, "1", None])
     def test_rejects_non_integer_entries(self, entry):
         with pytest.raises(TypeError, match="expected a plain integer"):

@@ -423,3 +423,37 @@ class TestToHeegaard:
                 assert via_surface.tb == via_page.tb
                 agreements += 1
         assert agreements >= 30
+
+
+class TestChangeOfBasis:
+    """Mapping every twist's arc vector and the knot's vector by Q^T, for
+    a unimodular Q, is a change of basis of the arcs' pairing lattice:
+    C becomes Q^T @ C @ Q, and what C and the knot present is unchanged."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=200)
+    def test_monodromy_is_conjugated_and_invariants_are_unchanged(self, seed):
+        rng = random.Random(seed)
+        book = helpers.random_open_book(rng, max_twists=8, max_arcs=6, bound=2)
+        if rng.random() < 0.5:
+            knot = helpers.random_bounding_knot(rng, book)
+        else:
+            knot = helpers.random_knot(rng, book)
+        q = helpers.random_unimodular(rng, book.page.arc_count)
+        q_t = q.transpose()
+        changed = OpenBookPresentation(
+            book.page,
+            [DehnTwist(twist.sign, q_t @ twist.arc_pairings) for twist in book.twists],
+            book.twist_pairings,
+        )
+        changed_knot = PageKnot(q_t @ knot.arc_pairings)
+        assert monodromy_matrix(changed) == q_t @ monodromy_matrix(book) @ q
+        assert h1_groups(to_heegaard(changed, changed_knot)) == h1_groups(to_heegaard(book, knot))
+        before, after = tb_open_book(book, knot), tb_open_book(changed, changed_knot)
+        assert (before is None) == (after is None)
+        if before is None:
+            return
+        assert after.order == before.order
+        assert after.kernel_orthogonal == before.kernel_orthogonal
+        if before.kernel_orthogonal:
+            assert after.tb == before.tb

@@ -1,0 +1,168 @@
+"""The records' contract, and what importing the CLI loads.
+
+tbcalc's records are plain classes on one small base: each writes its own
+``__init__``, and the base gives equality, hashing, repr and immutability
+from the fields.  A one-document-per-process CLI pays for every module
+its import pulls in, so the import guard keeps the heavy ones out.
+"""
+
+import inspect
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import tbcalc
+from tbcalc import (
+    AbelianGroup,
+    DehnTwist,
+    HeegaardData,
+    Homology,
+    InputDocument,
+    IntegerMatrix,
+    OpenBookPresentation,
+    OrderCertificate,
+    PageKnot,
+    PageSurface,
+    SmithDecomposition,
+    TbResult,
+    smith_normal_form,
+)
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# modules that class-building machinery would pull into the CLI's import
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "linecache")
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import tbcalc.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    # -S keeps site start-up from loading modules before the import
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(result.stdout.split())
+    assert "tbcalc.cli" in loaded
+    assert loaded.isdisjoint(HEAVY_MODULES), sorted(loaded.intersection(HEAVY_MODULES))
+
+
+def _samples():
+    """(record class, its documented fields, a factory of equal records)."""
+    matrix = IntegerMatrix.from_rows([[2, 1], [0, 3]])
+    page = PageSurface(0, 2)
+    twist = DehnTwist(1, (-1,))
+    book = OpenBookPresentation(page, (twist,), IntegerMatrix.from_rows([[0]]))
+    heegaard = HeegaardData(2, matrix, (1, 0), (0, 1), 2)
+    group = AbelianGroup((2, 4), 1)
+    return [
+        (IntegerMatrix, ("rows", "cols", "entries"), lambda: IntegerMatrix(2, 2, (2, 1, 0, 3))),
+        (SmithDecomposition, ("U", "D", "V", "rank"), lambda: smith_normal_form(matrix)),
+        (OrderCertificate, ("order", "solution"), lambda: OrderCertificate(2, (1, -1))),
+        (
+            TbResult,
+            ("order", "tb", "certificate", "kernel_orthogonal"),
+            lambda: TbResult(2, Fraction(-1, 2), (1,), True),
+        ),
+        (
+            HeegaardData,
+            ("genus", "relations", "knot_generators", "knot_relations", "dividing_intersections"),
+            lambda: HeegaardData(2, matrix, (1, 0), (0, 1), 2),
+        ),
+        (AbelianGroup, ("torsion", "free_rank"), lambda: AbelianGroup((2, 4), 1)),
+        (
+            Homology,
+            ("manifold", "exterior", "complement_lemma"),
+            lambda: Homology(group, AbelianGroup((2, 4), 2), True),
+        ),
+        (PageSurface, ("genus", "boundary_components"), lambda: PageSurface(1, 3)),
+        (DehnTwist, ("sign", "arc_pairings"), lambda: DehnTwist(-1, (1, 0, 2))),
+        (PageKnot, ("arc_pairings",), lambda: PageKnot((1, -1))),
+        (
+            OpenBookPresentation,
+            ("page", "twists", "twist_pairings"),
+            lambda: OpenBookPresentation(page, (twist,), IntegerMatrix.from_rows([[0]])),
+        ),
+        (
+            InputDocument,
+            ("open_book", "knot", "heegaard", "name", "description"),
+            lambda: InputDocument(book, PageKnot((-1,)), None, "annulus", None),
+        ),
+        (
+            InputDocument,
+            ("open_book", "knot", "heegaard", "name", "description"),
+            lambda: InputDocument(heegaard=heegaard, description="genus two"),
+        ),
+    ]
+
+
+SAMPLES = _samples()
+IDS = [f"{cls.__name__}-{index}" for index, (cls, _, _) in enumerate(SAMPLES)]
+
+
+def test_every_record_is_sampled():
+    records = {cls for cls, _, _ in SAMPLES}
+    assert len(records) == 12
+    assert records <= {getattr(tbcalc, name) for name in tbcalc.__all__}
+
+
+@pytest.mark.parametrize("cls,fields,make", SAMPLES, ids=IDS)
+class TestRecordContract:
+    def test_signature_lists_the_fields(self, cls, fields, make):
+        assert tuple(inspect.signature(cls).parameters) == fields
+
+    def test_positional_and_keyword_construction_agree(self, cls, fields, make):
+        record = make()
+        values = [getattr(record, name) for name in fields]
+        assert cls(*values) == record
+        assert cls(**dict(zip(fields, values))) == record
+
+    def test_fields_cannot_be_set_or_deleted(self, cls, fields, make):
+        record = make()
+        before = [getattr(record, name) for name in fields]
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert [getattr(record, name) for name in fields] == before
+
+    def test_equal_records_hash_equal(self, cls, fields, make):
+        first, second = make(), make()
+        assert first is not second
+        assert first == second and not first != second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    def test_never_equals_the_tuple_of_its_fields(self, cls, fields, make):
+        record = make()
+        values = tuple([getattr(record, name) for name in fields])
+        assert record != values and values != record
+        assert record.__eq__(values) is NotImplemented
+        assert record != object()
+
+    def test_repr_names_each_field(self, cls, fields, make):
+        record = make()
+        shown = ", ".join([f"{name}={getattr(record, name)!r}" for name in fields])
+        assert repr(record) == f"{cls.__name__}({shown})"
+        namespace = {name: getattr(tbcalc, name) for name in tbcalc.__all__}
+        assert eval(repr(record), {"Fraction": Fraction, **namespace}) == record
+
+
+def test_a_different_field_breaks_equality():
+    assert IntegerMatrix(1, 2, (1, 2)) != IntegerMatrix(2, 1, (1, 2))
+    assert PageKnot((1, 2)) != PageKnot((1, 3))
+    assert Homology(AbelianGroup((), 0)) != Homology(AbelianGroup((), 0), None, False)
