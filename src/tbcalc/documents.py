@@ -199,6 +199,16 @@ def _parse_open_book(obj: dict) -> tuple[OpenBookPresentation, PageKnot | None]:
         raise ValidationError("twists", "expected an array")
     twists = []
     for k, twist_obj in enumerate(twists_obj):
+        # DehnTwist checks the sign and the entries; only a refusal needs
+        # the paths, and the code below names the first fault in order
+        if type(twist_obj) is dict and twist_obj.keys() == {"sign", "arcs"}:
+            arcs = twist_obj["arcs"]
+            if type(arcs) is list and len(arcs) == page.arc_count:
+                try:
+                    twists.append(DehnTwist(twist_obj["sign"], arcs))
+                    continue
+                except (TypeError, ValueError):
+                    pass
         twist_path = f"twists[{k}]"
         if not isinstance(twist_obj, dict):
             raise ValidationError(twist_path, "expected an object")

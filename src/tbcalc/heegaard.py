@@ -34,19 +34,25 @@ class TbResult(_Record):
     order is the least d >= 1 with C @ certificate == d * A; tb is exact
     and already in lowest terms, with denominator dividing order.  When
     kernel_orthogonal is False the pairing vector meets the kernel of C
-    and the reported value depends on the certificate choice.
+    and the reported value depends on the certificate choice.  order and
+    the certificate's entries are plain ints, tb a Fraction and
+    kernel_orthogonal a bool; any other type raises TypeError.
     """
 
     def __init__(
         self, order: int, tb: Fraction, certificate: tuple[int, ...], kernel_orthogonal: bool
     ) -> None:
-        if order < 1:
+        if _check_int(order) < 1:
             raise ValueError("order must be positive")
+        if not isinstance(tb, Fraction):
+            raise TypeError(f"tb must be a Fraction, got {tb!r}")
         if order % tb.denominator:
             raise ValueError("tb denominator must divide the order")
+        if not isinstance(kernel_orthogonal, bool):
+            raise TypeError(f"kernel_orthogonal must be a bool, got {kernel_orthogonal!r}")
         _set(self, "order", order)
         _set(self, "tb", tb)
-        _set(self, "certificate", tuple(certificate))
+        _set(self, "certificate", _check_ints(certificate))
         _set(self, "kernel_orthogonal", kernel_orthogonal)
 
 

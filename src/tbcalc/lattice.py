@@ -78,6 +78,16 @@ class _Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    @classmethod
+    def _derive(cls, **fields: object):
+        """A record of fields derived from checked records so that they keep
+        cls's invariants (say, checked int tuples padded with zeros), stored
+        in the signature order they are given without __init__'s checks."""
+        record = object.__new__(cls)
+        for name, value in fields.items():
+            _set(record, name, value)
+        return record
+
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     """Inner product of two equal-length integer vectors.
@@ -225,27 +235,29 @@ class SmithDecomposition(_Record):
 
     U and V are unimodular, D is diagonal with nonnegative entries, each
     diagonal entry divides the next, and rank counts the nonzero ones
-    (always the leading ones).
+    (always the leading ones); a rank that is not a plain int raises
+    TypeError.
     """
 
     def __init__(self, U: IntegerMatrix, D: IntegerMatrix, V: IntegerMatrix, rank: int) -> None:
         _set(self, "U", U)
         _set(self, "D", D)
         _set(self, "V", V)
-        _set(self, "rank", rank)
+        _set(self, "rank", _check_int(rank))
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple([self.D[i, i] for i in range(min(self.D.rows, self.D.cols))])
 
 
 class OrderCertificate(_Record):
-    """Witness that order is the least d >= 1 with matrix @ solution == d * target."""
+    """Witness that order is the least d >= 1 with matrix @ solution == d * target;
+    an order or entry that is not a plain int, a bool included, raises TypeError."""
 
     def __init__(self, order: int, solution: tuple[int, ...]) -> None:
-        if order < 1:
+        if _check_int(order) < 1:
             raise ValueError("order must be positive")
         _set(self, "order", order)
-        _set(self, "solution", tuple(solution))
+        _set(self, "solution", _check_ints(solution))
 
 
 def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:

@@ -214,15 +214,21 @@ def stabilize(
     every old twist curve; the knot runs once over the new arc.  tb of
     the stabilized knot drops by the sign, which must be the int 1 or -1;
     DehnTwist raises TypeError for a bool or any other type.
+
+    The old twists, the padded pairing block and the new book are derived
+    from checked records: a trailing 0 and a zero row and column keep
+    every invariant, so none is checked again.
     """
     if sign not in (1, -1):
         raise ValueError("stabilization sign must be 1 or -1")
     if len(knot.arc_pairings) != open_book.page.arc_count:
         raise ValueError("knot does not match the page")
     page = PageSurface(open_book.page.genus, open_book.page.boundary_components + 1)
-    twists = tuple(
-        [DehnTwist(twist.sign, twist.arc_pairings + (0,)) for twist in open_book.twists]
-    ) + (DehnTwist(sign, (0,) * open_book.page.arc_count + (1,)),)
+    twists = [
+        DehnTwist._derive(sign=twist.sign, arc_pairings=twist.arc_pairings + (0,))
+        for twist in open_book.twists
+    ]
+    twists.append(DehnTwist(sign, (0,) * open_book.page.arc_count + (1,)))
     # the old pairing block padded with a zero column and a zero row
     old_count = len(open_book.twists)
     count = old_count + 1
@@ -232,10 +238,10 @@ def stabilize(
         entries[k * count : k * count + old_count] = old_entries[
             k * old_count : (k + 1) * old_count
         ]
-    stabilized = OpenBookPresentation(
+    stabilized = OpenBookPresentation._derive(
         page=page,
-        twists=twists,
-        twist_pairings=IntegerMatrix(count, count, tuple(entries)),
+        twists=tuple(twists),
+        twist_pairings=IntegerMatrix._derive(rows=count, cols=count, entries=tuple(entries)),
     )
     return stabilized, PageKnot(knot.arc_pairings + (1,))
 

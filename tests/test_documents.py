@@ -317,6 +317,50 @@ def test_entry_errors_keep_document_order(base, changes, message):
     assert str(info.value).startswith(message)
 
 
+@pytest.mark.parametrize(
+    "twist,path,message",
+    [
+        # not an object
+        ([0, 2], "twists[1]", "expected an object"),
+        (None, "twists[1]", "expected an object"),
+        ("sign", "twists[1]", "expected an object"),
+        # a missing or an extra key
+        ({"sign": -1}, "twists[1].arcs", "missing required key"),
+        ({"arcs": [0, 2]}, "twists[1].sign", "missing required key"),
+        ({"sign": -1, "arcs": [0, 2], "knot": 0}, "twists[1].knot", "unknown key"),
+        ({"sign": -1, "arc": [0, 2]}, "twists[1].arc", "unknown key"),
+        ({"sign": 2, "arcs": [0, True], "x": 0}, "twists[1].x", "unknown key"),
+        # a sign that is not the int 1 or -1
+        ({"sign": True, "arcs": [0, 2]}, "twists[1].sign", "expected an integer, got True"),
+        ({"sign": 1.0, "arcs": [0, 2]}, "twists[1].sign", "expected an integer, got 1.0"),
+        ({"sign": "1", "arcs": [0, 2]}, "twists[1].sign", "expected an integer, got '1'"),
+        ({"sign": 2, "arcs": [0, 2]}, "twists[1].sign", "must be 1 or -1"),
+        ({"sign": 0, "arcs": [0, True]}, "twists[1].sign", "must be 1 or -1"),
+        # arcs that are not an array of the page's length
+        ({"sign": -1, "arcs": {"0": 0, "1": 2}}, "twists[1].arcs", "expected an array of integers"),
+        ({"sign": -1, "arcs": "02"}, "twists[1].arcs", "expected an array of integers"),
+        ({"sign": -1, "arcs": None}, "twists[1].arcs", "expected an array of integers"),
+        ({"sign": -1, "arcs": [0]}, "twists[1].arcs", "expected 2 entries, got 1"),
+        ({"sign": -1, "arcs": [0, 2, 0]}, "twists[1].arcs", "expected 2 entries, got 3"),
+        # an entry that is not an int; the first one is named
+        ({"sign": -1, "arcs": [True, 2.5]}, "twists[1].arcs[0]", "expected an integer, got True"),
+        ({"sign": -1, "arcs": [0, True]}, "twists[1].arcs[1]", "expected an integer, got True"),
+        ({"sign": -1, "arcs": [1.0, 2]}, "twists[1].arcs[0]", "expected an integer, got 1.0"),
+        ({"sign": -1, "arcs": ["0", 2]}, "twists[1].arcs[0]", "expected an integer, got '0'"),
+        ({"sign": -1, "arcs": [0, [2]]}, "twists[1].arcs[1]", "expected an integer, got [2]"),
+    ],
+)
+def test_twist_errors_name_the_first_fault(twist, path, message):
+    # the first twist is well formed, so the second is reached after a twist
+    # built at once; a refused twist is named as the full checks name it
+    obj = json.loads(json.dumps(OPENBOOK_TWO_TWISTS))
+    obj["twists"][1] = twist
+    with pytest.raises(ValidationError) as info:
+        document_from_obj(obj)
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("name", conftest.FIXTURE_NAMES + ["long-word", "big-certificate"])
 def test_valid_documents_leave_entry_checks_to_the_records(name, monkeypatch):
     # the path-bearing entry checks run only after a record refused one

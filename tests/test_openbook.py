@@ -359,6 +359,37 @@ class TestStabilize:
         ]
         assert new_knot.arc_pairings == knot.arc_pairings + (1,)
 
+    @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from((1, -1)), min_size=1, max_size=4))
+    @example(7, [1, 1, 1, 1])
+    @example(7, [-1, -1, -1, -1])
+    @settings(deadline=None, max_examples=200)
+    def test_derived_records_match_checked_ones(self, seed, signs):
+        """stabilize derives the old twists, the padded block and the book
+        without their checks; each is the record that the checked
+        constructors build from the same fields."""
+        rng = random.Random(seed)
+        book = helpers.random_open_book(rng)
+        knot = helpers.random_knot(rng, book)
+        for sign in signs:
+            book, knot = stabilize(book, knot, sign)
+            block = book.twist_pairings
+            rebuilt = OpenBookPresentation(
+                PageSurface(book.page.genus, book.page.boundary_components),
+                tuple([DehnTwist(twist.sign, twist.arc_pairings) for twist in book.twists]),
+                IntegerMatrix(block.rows, block.cols, block.entries),
+            )
+            pairs = [
+                (book, rebuilt),
+                (block, rebuilt.twist_pairings),
+                (knot, PageKnot(knot.arc_pairings)),
+                *zip(book.twists, rebuilt.twists),
+            ]
+            for derived, checked in pairs:
+                assert type(derived) is type(checked)
+                assert derived == checked
+                assert hash(derived) == hash(checked)
+                assert repr(derived) == repr(checked)
+
     @staticmethod
     def check_chain(book, knot, signs):
         """Stabilizing once per sign keeps the order and H1, exterior

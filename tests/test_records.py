@@ -166,3 +166,29 @@ def test_a_different_field_breaks_equality():
     assert IntegerMatrix(1, 2, (1, 2)) != IntegerMatrix(2, 1, (1, 2))
     assert PageKnot((1, 2)) != PageKnot((1, 3))
     assert Homology(AbelianGroup((), 0)) != Homology(AbelianGroup((), 0), None, False)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: OrderCertificate(2.0, (1,)),
+        lambda: OrderCertificate(True, (1,)),
+        lambda: OrderCertificate(2, (1.5,)),
+        lambda: OrderCertificate(2, (1, True)),
+        lambda: TbResult(2, -1, (1,), True),
+        lambda: TbResult(2, -0.5, (1,), True),
+        lambda: TbResult(True, Fraction(-1), (1,), True),
+        lambda: TbResult(2.0, Fraction(-1), (1,), True),
+        lambda: TbResult(2, Fraction(-1), ("x",), True),
+        lambda: TbResult(2, Fraction(-1), (1,), "yes"),
+        lambda: TbResult(2, Fraction(-1), (1,), 1),
+        lambda: SmithDecomposition(*[IntegerMatrix.identity(1)] * 3, True),
+        lambda: SmithDecomposition(*[IntegerMatrix.identity(1)] * 3, "x"),
+        lambda: SmithDecomposition(*[IntegerMatrix.identity(1)] * 3, 1.0),
+    ],
+)
+def test_certificates_and_decompositions_refuse_wrong_types(build):
+    # every exported record with an int, a Fraction or a bool field
+    # refuses any other type, as the parser's records do
+    with pytest.raises(TypeError):
+        build()
