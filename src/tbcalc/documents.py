@@ -25,7 +25,13 @@ heegaard mode:
     dividing    even int >= 0, defaults to 0 when the block is present
 
 Parsing is strict: unknown keys, non-integer numbers, and shape or
-symmetry violations are rejected with the offending field's path.
+symmetry violations are rejected with the offending field's path.  The
+parser checks each field where it stands in document order, so the first
+fault is the one named, and builds each record once from the checked
+values without its constructor's checks (_Record._derive); only
+OpenBookPresentation's constructor runs, for the skew check.  Library
+callers who build records themselves get the constructors' checks, so
+either way each datum is checked once.
 
 dumps_document writes the keys above in that order, laid out as
 ``json.dumps(..., indent=2)`` lays them out, straight from the typed
@@ -35,7 +41,6 @@ records; tests/oracles.py keeps the json.dumps route as its reference.
 from __future__ import annotations
 
 import json
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Any, Union
@@ -123,110 +128,92 @@ class InputDocument(_Record):
         return "openbook" if self.open_book is not None else "heegaard"
 
 
-def _require_keys(obj: dict, path: str, required: set[str], optional: set[str]) -> None:
+def _path(parts: tuple) -> str:
+    """The path of a field from its keys and indices, built only to name a
+    fault: ("twists", 3, "arcs") is twists[3].arcs."""
+    return parts[0] + "".join([f"[{p}]" if type(p) is int else f".{p}" for p in parts[1:]])
+
+
+def _require_keys(obj: dict, path: tuple, required: tuple, optional: tuple = ()) -> None:
+    """Names the first unknown key in the object's order, then the first
+    missing key in schema order."""
     for key in obj:
         if key not in required and key not in optional:
-            raise ValidationError(f"{path}{key}" if path else key, "unknown key")
+            raise ValidationError(_path(path + (str(key),)), "unknown key")
     for key in required:
         if key not in obj:
-            raise ValidationError(f"{path}{key}" if path else key, "missing required key")
+            raise ValidationError(_path(path + (key,)), "missing required key")
 
 
-def _as_int(value: Any, path: str) -> int:
+def _as_int(value: Any, path: tuple) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(path, f"expected an integer, got {value!r}")
+        raise ValidationError(_path(path), f"expected an integer, got {value!r}")
     return value
 
 
-def _as_str(value: Any, path: str) -> str:
+def _as_str(value: Any, path: tuple) -> str:
     if not isinstance(value, str):
-        raise ValidationError(path, "expected a string")
+        raise ValidationError(_path(path), "expected a string")
     return value
 
 
-def _as_array(value: Any, path: str, length: int) -> list:
-    """value, once it is an array of length entries.  The record built
-    from it checks the entries; only a refusal needs their paths."""
+def _as_ints(value: Any, path: tuple, length: int) -> list:
+    """value, once it is an array of length ints.  The entries are walked
+    to name the first fault only when their types are not all int."""
     if not isinstance(value, list):
-        raise ValidationError(path, "expected an array of integers")
+        raise ValidationError(_path(path), "expected an array of integers")
     if len(value) != length:
-        raise ValidationError(path, f"expected {length} entries, got {len(value)}")
+        raise ValidationError(_path(path), f"expected {length} entries, got {len(value)}")
+    if set(map(type, value)) - {int}:
+        for i, entry in enumerate(value):
+            _as_int(entry, path + (i,))
     return value
 
 
-def _as_vector(value: Any, path: str, length: int) -> tuple[int, ...]:
-    """_as_array with each entry checked in order, naming the first that
-    is not an int: the path-bearing check after a record refused one."""
-    values = _as_array(value, path, length)
-    return tuple([_as_int(e, f"{path}[{i}]") for i, e in enumerate(values)])
-
-
-def _as_matrix(value: Any, path: str, rows: int, cols: int) -> IntegerMatrix:
+def _as_matrix(value: Any, path: tuple, rows: int, cols: int) -> IntegerMatrix:
     if not isinstance(value, list):
-        raise ValidationError(path, "expected an array of rows")
+        raise ValidationError(_path(path), "expected an array of rows")
     if len(value) != rows:
-        raise ValidationError(path, f"expected {rows} rows, got {len(value)}")
-    # IntegerMatrix checks the entries; only a failure needs their paths
+        raise ValidationError(_path(path), f"expected {rows} rows, got {len(value)}")
     entries: list = []
-    for row in value:
-        if type(row) is not list or len(row) != cols:
-            break
-        entries += row
-    else:
-        try:
-            return IntegerMatrix(rows, cols, entries)
-        except TypeError:
-            pass
-    parsed = [_as_vector(row, f"{path}[{i}]", cols) for i, row in enumerate(value)]
-    return IntegerMatrix(rows, cols, tuple(list(chain.from_iterable(parsed))))
+    for i, row in enumerate(value):
+        entries += _as_ints(row, path + (i,), cols)
+    return IntegerMatrix._derive(rows=rows, cols=cols, entries=tuple(entries))
 
 
 def _parse_open_book(obj: dict) -> tuple[OpenBookPresentation, PageKnot | None]:
     page_obj = obj["page"]
     if not isinstance(page_obj, dict):
         raise ValidationError("page", "expected an object")
-    _require_keys(page_obj, "page.", {"genus", "boundary"}, set())
-    genus = _as_int(page_obj["genus"], "page.genus")
-    boundary = _as_int(page_obj["boundary"], "page.boundary")
+    _require_keys(page_obj, ("page",), ("genus", "boundary"))
+    genus = _as_int(page_obj["genus"], ("page", "genus"))
+    boundary = _as_int(page_obj["boundary"], ("page", "boundary"))
     if genus < 0:
         raise ValidationError("page.genus", "must be nonnegative")
     if boundary < 1:
         raise ValidationError("page.boundary", "must be at least 1")
-    page = PageSurface(genus, boundary)
+    page = PageSurface._derive(genus=genus, boundary_components=boundary)
+    arc_count = page.arc_count
 
     twists_obj = obj["twists"]
     if not isinstance(twists_obj, list):
         raise ValidationError("twists", "expected an array")
     twists = []
     for k, twist_obj in enumerate(twists_obj):
-        # DehnTwist checks the sign and the entries; only a refusal needs
-        # the paths, and the code below names the first fault in order
-        if type(twist_obj) is dict and twist_obj.keys() == {"sign", "arcs"}:
-            arcs = twist_obj["arcs"]
-            if type(arcs) is list and len(arcs) == page.arc_count:
-                try:
-                    twists.append(DehnTwist(twist_obj["sign"], arcs))
-                    continue
-                except (TypeError, ValueError):
-                    pass
-        twist_path = f"twists[{k}]"
         if not isinstance(twist_obj, dict):
-            raise ValidationError(twist_path, "expected an object")
-        _require_keys(twist_obj, f"{twist_path}.", {"sign", "arcs"}, set())
-        sign = _as_int(twist_obj["sign"], f"{twist_path}.sign")
+            raise ValidationError(f"twists[{k}]", "expected an object")
+        if twist_obj.keys() != {"sign", "arcs"}:
+            _require_keys(twist_obj, ("twists", k), ("sign", "arcs"))
+        sign = _as_int(twist_obj["sign"], ("twists", k, "sign"))
         if sign not in (1, -1):
-            raise ValidationError(f"{twist_path}.sign", "must be 1 or -1")
-        arcs = _as_array(twist_obj["arcs"], f"{twist_path}.arcs", page.arc_count)
-        try:
-            twists.append(DehnTwist(sign, arcs))
-        except TypeError:
-            _as_vector(arcs, f"{twist_path}.arcs", page.arc_count)
-            raise
+            raise ValidationError(f"twists[{k}].sign", "must be 1 or -1")
+        arcs = _as_ints(twist_obj["arcs"], ("twists", k, "arcs"), arc_count)
+        twists.append(DehnTwist._derive(sign=sign, arc_pairings=tuple(arcs)))
 
     count = len(twists)
-    pairings = _as_matrix(obj["twist_pairings"], "twist_pairings", count, count)
+    pairings = _as_matrix(obj["twist_pairings"], ("twist_pairings",), count, count)
     try:
-        open_book = OpenBookPresentation(page, tuple(twists), pairings)
+        open_book = OpenBookPresentation(page, twists, pairings)
     except SkewSymmetryError as error:
         m, k = error.row, error.col
         if m == k:
@@ -243,44 +230,40 @@ def _parse_open_book(obj: dict) -> tuple[OpenBookPresentation, PageKnot | None]:
         knot_obj = obj["knot"]
         if not isinstance(knot_obj, dict):
             raise ValidationError("knot", "expected an object")
-        _require_keys(knot_obj, "knot.", {"arcs"}, set())
-        arcs = _as_array(knot_obj["arcs"], "knot.arcs", page.arc_count)
-        try:
-            knot = PageKnot(arcs)
-        except TypeError:
-            _as_vector(arcs, "knot.arcs", page.arc_count)
-            raise
+        _require_keys(knot_obj, ("knot",), ("arcs",))
+        arcs = _as_ints(knot_obj["arcs"], ("knot", "arcs"), arc_count)
+        knot = PageKnot._derive(arc_pairings=tuple(arcs))
 
     return open_book, knot
 
 
 def _parse_heegaard(obj: dict) -> HeegaardData:
-    genus = _as_int(obj["genus"], "genus")
+    genus = _as_int(obj["genus"], ("genus",))
     if genus < 0:
         raise ValidationError("genus", "must be nonnegative")
-    relations = _as_matrix(obj["C"], "C", genus, genus)
+    relations = _as_matrix(obj["C"], ("C",), genus, genus)
 
+    knot_generators = knot_relations = None
+    dividing = 0
     block_keys = [key for key in ("A", "I", "dividing") if key in obj]
-    if not block_keys:
-        return HeegaardData(genus, relations)
-    for key in ("A", "I"):
-        if key not in obj:
-            raise ValidationError(key, f"required alongside {', '.join(block_keys)}")
-    # HeegaardData checks the block but names no path, and takes any iterable:
-    # a refusal or a non-array is checked again here, in document order
-    if type(obj["A"]) is list and type(obj["I"]) is list:
-        try:
-            return HeegaardData(genus, relations, obj["A"], obj["I"], obj.get("dividing", 0))
-        except (TypeError, ValueError):
-            pass
-    knot_generators = _as_vector(obj["A"], "A", genus)
-    knot_relations = _as_vector(obj["I"], "I", genus)
-    dividing = _as_int(obj.get("dividing", 0), "dividing")
-    if dividing < 0:
-        raise ValidationError("dividing", "must be nonnegative")
-    if dividing % 2:
-        raise ValidationError("dividing", "must be even (a closed curve crosses the dividing set evenly)")
-    return HeegaardData(genus, relations, knot_generators, knot_relations, dividing)
+    if block_keys:
+        for key in ("A", "I"):
+            if key not in obj:
+                raise ValidationError(key, f"required alongside {', '.join(block_keys)}")
+        knot_generators = tuple(_as_ints(obj["A"], ("A",), genus))
+        knot_relations = tuple(_as_ints(obj["I"], ("I",), genus))
+        dividing = _as_int(obj.get("dividing", 0), ("dividing",))
+        if dividing < 0:
+            raise ValidationError("dividing", "must be nonnegative")
+        if dividing % 2:
+            raise ValidationError("dividing", "must be even (a closed curve crosses the dividing set evenly)")
+    return HeegaardData._derive(
+        genus=genus,
+        relations=relations,
+        knot_generators=knot_generators,
+        knot_relations=knot_relations,
+        dividing_intersections=dividing,
+    )
 
 
 def document_from_obj(obj: Any) -> InputDocument:
@@ -290,23 +273,20 @@ def document_from_obj(obj: Any) -> InputDocument:
     mode = obj.get("mode")
     if mode not in ("openbook", "heegaard"):
         raise ValidationError("mode", "must be 'openbook' or 'heegaard'")
-    common = {"mode", "name", "description"}
     if mode == "openbook":
-        _require_keys(obj, "", {"mode", "page", "twists", "twist_pairings"}, common | {"knot"})
+        _require_keys(
+            obj, (), ("mode", "page", "twists", "twist_pairings"), ("name", "description", "knot")
+        )
     else:
-        _require_keys(obj, "", {"mode", "genus", "C"}, common | {"A", "I", "dividing"})
+        _require_keys(obj, (), ("mode", "genus", "C"), ("name", "description", "A", "I", "dividing"))
 
-    name = _as_str(obj["name"], "name") if "name" in obj else None
-    description = _as_str(obj["description"], "description") if "description" in obj else None
+    name = _as_str(obj["name"], ("name",)) if "name" in obj else None
+    description = _as_str(obj["description"], ("description",)) if "description" in obj else None
 
     if mode == "openbook":
         open_book, knot = _parse_open_book(obj)
-        return InputDocument(
-            open_book=open_book, knot=knot, name=name, description=description
-        )
-    return InputDocument(
-        heegaard=_parse_heegaard(obj), name=name, description=description
-    )
+        return InputDocument(open_book=open_book, knot=knot, name=name, description=description)
+    return InputDocument(heegaard=_parse_heegaard(obj), name=name, description=description)
 
 
 def parse_document(text: str) -> InputDocument:

@@ -80,9 +80,10 @@ class _Record:
 
     @classmethod
     def _derive(cls, **fields: object):
-        """A record of fields derived from checked records so that they keep
-        cls's invariants (say, checked int tuples padded with zeros), stored
-        in the signature order they are given without __init__'s checks."""
+        """A record of fields known to keep cls's invariants (derived from
+        checked records, say int tuples padded with zeros, or checked by
+        the document parser), stored in the signature order they are given
+        without __init__'s checks."""
         record = object.__new__(cls)
         for name, value in fields.items():
             _set(record, name, value)

@@ -4,6 +4,7 @@ import pytest
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 DATA = pathlib.Path(__file__).resolve().parent / "data"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.json"))
 

@@ -1,14 +1,24 @@
 """Strict parsing, round trips, and every validation path."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
 import conftest
+import helpers
 from oracles import document_to_obj
 from tbcalc import (
+    DehnTwist,
+    HeegaardData,
     InputDocument,
+    IntegerMatrix,
+    OpenBookPresentation,
     PageKnot,
+    PageSurface,
     ParseError,
     ValidationError,
     dumps_document,
@@ -16,7 +26,6 @@ from tbcalc import (
     parse_document,
     write_document,
 )
-from tbcalc import documents
 from tbcalc.documents import document_from_obj
 
 
@@ -351,8 +360,8 @@ def test_entry_errors_keep_document_order(base, changes, message):
     ],
 )
 def test_twist_errors_name_the_first_fault(twist, path, message):
-    # the first twist is well formed, so the second is reached after a twist
-    # built at once; a refused twist is named as the full checks name it
+    # the first twist is well formed, so the second is checked after a
+    # twist has been built
     obj = json.loads(json.dumps(OPENBOOK_TWO_TWISTS))
     obj["twists"][1] = twist
     with pytest.raises(ValidationError) as info:
@@ -361,14 +370,119 @@ def test_twist_errors_name_the_first_fault(twist, path, message):
     assert str(info.value) == f"{path}: {message}"
 
 
-@pytest.mark.parametrize("name", conftest.FIXTURE_NAMES + ["long-word", "big-certificate"])
-def test_valid_documents_leave_entry_checks_to_the_records(name, monkeypatch):
-    # the path-bearing entry checks run only after a record refused one
-    def refuse(*args):
-        raise AssertionError("entries checked outside the records")
+def checked_rebuild(obj):
+    """The document obj describes, built through the checked constructors
+    from the decoded JSON alone."""
+    strings = {"name": obj.get("name"), "description": obj.get("description")}
+    if obj["mode"] == "openbook":
+        page = PageSurface(obj["page"]["genus"], obj["page"]["boundary"])
+        twists = [DehnTwist(twist["sign"], twist["arcs"]) for twist in obj["twists"]]
+        pairings = IntegerMatrix.from_rows(obj["twist_pairings"])
+        knot = PageKnot(obj["knot"]["arcs"]) if "knot" in obj else None
+        return InputDocument(
+            open_book=OpenBookPresentation(page, twists, pairings), knot=knot, **strings
+        )
+    heegaard = HeegaardData(
+        obj["genus"],
+        IntegerMatrix.from_rows(obj["C"]),
+        obj.get("A"),
+        obj.get("I"),
+        obj.get("dividing", 0),
+    )
+    return InputDocument(heegaard=heegaard, **strings)
 
-    monkeypatch.setattr(documents, "_as_vector", refuse)
-    load_document(conftest.document_path(name))
+
+def seeded_documents(count=200):
+    """Written documents of seeded helpers books, knots and Heegaard data,
+    with and without a knot, a name and a description."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        strings = {"name": f"seed {seed}"} if seed % 3 else {"description": "seeded"}
+        if seed % 2:
+            book = helpers.random_open_book(rng)
+            knot = helpers.random_knot(rng, book) if seed % 4 == 1 else None
+            document = InputDocument(open_book=book, knot=knot, **strings)
+        else:
+            data = helpers.random_heegaard(rng)
+            if seed % 4 == 2:
+                data = HeegaardData(data.genus, data.relations)
+            document = InputDocument(heegaard=data, **strings)
+        yield document, dumps_document(document)
+
+
+DOCUMENT_NAMES = conftest.FIXTURE_NAMES + [
+    "long-word",
+    "big-certificate",
+    "knotless-openbook",
+    "knotless-heegaard",
+]
+
+
+@pytest.mark.parametrize("name", DOCUMENT_NAMES + ["seeded-helpers"])
+def test_parsed_documents_match_their_checked_rebuild(name):
+    # the parser builds each record without its constructor's checks; what
+    # it builds must equal, hash and print as what the checked
+    # constructors build from the same JSON
+    if name == "seeded-helpers":
+        cases = list(seeded_documents())
+    else:
+        cases = [(None, conftest.document_path(name).read_text())]
+    for written_from, text in cases:
+        parsed = parse_document(text)
+        rebuilt = checked_rebuild(json.loads(text))
+        assert parsed == rebuilt
+        assert hash(parsed) == hash(rebuilt)
+        assert repr(parsed) == repr(rebuilt)
+        if written_from is not None:
+            assert parsed == written_from and repr(parsed) == repr(written_from)
+
+
+# objects missing several keys: the first missing one in schema order is
+# named, whatever the hash seed
+SEVERAL_MISSING = [
+    ({"mode": "heegaard"}, "genus: missing required key"),
+    ({**OPENBOOK_TWO_TWISTS, "page": {}}, "page.genus: missing required key"),
+]
+
+NAME_ERRORS = """
+import json, sys
+from tbcalc.documents import ValidationError, document_from_obj
+for obj in json.load(sys.stdin):
+    try:
+        document_from_obj(obj)
+    except ValidationError as error:
+        print(error)
+"""
+
+
+def test_several_missing_keys_name_the_first_in_schema_order():
+    objs = json.dumps([obj for obj, _ in SEVERAL_MISSING])
+    for seed in "0123":
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(conftest.SRC)}
+        result = subprocess.run(
+            [sys.executable, "-c", NAME_ERRORS],
+            input=objs,
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert result.stdout.splitlines() == [message for _, message in SEVERAL_MISSING]
+
+
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        ({"mode": "heegaard", "genus": 0, "C": [], 5: 1}, "5: unknown key"),
+        ({**OPENBOOK_TWO_TWISTS, "page": {"genus": 0, "boundary": 3, 7: 0}}, "page.7: unknown key"),
+        ({**OPENBOOK_TWO_TWISTS, "knot": {"arcs": [1, 1], None: 0}}, "knot.None: unknown key"),
+    ],
+)
+def test_a_key_that_is_not_a_string_is_named(obj, message):
+    # decoded JSON has string keys only; a dict built in Python may not
+    with pytest.raises(ValidationError) as info:
+        document_from_obj(obj)
+    assert str(info.value) == message
 
 
 def test_matrix_errors_keep_row_order():
