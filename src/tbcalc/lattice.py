@@ -2,10 +2,11 @@
 
 Everything in this module runs on Python's arbitrary-precision ints, so
 results are exact and nothing can overflow silently.  The central tool is
-the Smith normal form D = U @ M @ V with unimodular transforms U and V.
-A matrix is factored once, and everything else is read off that one
-decomposition: orders of cokernel classes with integer witnesses (order 1
-solves the system itself), kernels, and cokernel invariant factors.
+the Smith normal form D = U @ M @ V with unimodular transforms U and V,
+which one working matrix builds along with D.  A matrix is factored once,
+and everything else is read off that one decomposition: orders of
+cokernel classes with integer witnesses (order 1 solves the system
+itself), kernels, and cokernel invariant factors.
 
 Tuples throughout tbcalc are built from a list, a tuple or a slice, never
 from a generator or a lazy iterator such as map, zip or chain.  CPython
@@ -264,100 +265,81 @@ class OrderCertificate(_Record):
 def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     """Diagonalize over the integers, returning D = U @ M @ V.
 
-    Pivots are chosen as a smallest nonzero entry of the active block by
-    absolute value, remainders are produced by floor division, and signs
-    are normalized only once a pivot's row and column are clear.  The
-    returned decomposition is re-multiplied before being handed back.
+    The work runs on one matrix [M | I] over [I | 0]: a row operation on
+    M's rows also builds U on the right, and a column operation on M's
+    columns, run down every row, also builds V below, so D, U and V are
+    sliced out of it at the end.  Pivots are chosen as a smallest nonzero
+    entry of the active block by absolute value, remainders are produced
+    by floor division, and signs are normalized only once a pivot's row
+    and column are clear.  The returned decomposition is re-multiplied
+    before being handed back.
 
     >>> smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 3]])).diagonal()
     (1, 6)
     """
     n_rows, n_cols = matrix.rows, matrix.cols
-    d = matrix.to_rows()
-    u = [[1 if i == j else 0 for j in range(n_rows)] for i in range(n_rows)]
-    v = [[1 if i == j else 0 for j in range(n_cols)] for i in range(n_cols)]
-
-    def swap_rows(a: int, b: int) -> None:
-        d[a], d[b] = d[b], d[a]
-        u[a], u[b] = u[b], u[a]
+    w = [row + [int(i == k) for k in range(n_rows)] for i, row in enumerate(matrix.to_rows())]
+    w += [[int(j == k) for k in range(n_cols)] + [0] * n_rows for j in range(n_cols)]
 
     def swap_cols(a: int, b: int) -> None:
-        for r in d:
-            r[a], r[b] = r[b], r[a]
-        for r in v:
+        for r in w:
             r[a], r[b] = r[b], r[a]
 
     def add_row(src: int, dst: int, factor: int) -> None:
-        d[dst] = [x + factor * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src: int, dst: int, factor: int) -> None:
-        for r in d:
-            r[dst] += factor * r[src]
-        for r in v:
-            r[dst] += factor * r[src]
+        w[dst] = [x + factor * y for x, y in zip(w[dst], w[src])]
 
     limit = min(n_rows, n_cols)
-    t = 0
-    while t < limit:
+    for t in range(limit):
         best = None
         for i in range(t, n_rows):
             for j in range(t, n_cols):
-                e = d[i][j]
+                e = w[i][j]
                 if e != 0 and (best is None or abs(e) < best[0]):
                     best = (abs(e), i, j)
         if best is None:
             break
         _, pi, pj = best
         if pi != t:
-            swap_rows(t, pi)
+            w[t], w[pi] = w[pi], w[t]
         if pj != t:
             swap_cols(t, pj)
 
         while True:
-            restart = False
             for i in range(t + 1, n_rows):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
+                if w[i][t]:
+                    q = w[i][t] // w[t][t]
                     if q:
                         add_row(t, i, -q)
-                    if d[i][t]:
+                    if w[i][t]:
                         # nonzero remainder is strictly smaller: new pivot
-                        swap_rows(t, i)
-                        restart = True
+                        w[t], w[i] = w[i], w[t]
                         break
-            if restart:
-                continue
-            for j in range(t + 1, n_cols):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    if q:
-                        add_col(t, j, -q)
-                    if d[t][j]:
-                        swap_cols(t, j)
-                        restart = True
+            else:
+                for j in range(t + 1, n_cols):
+                    if w[t][j]:
+                        q = w[t][j] // w[t][t]
+                        if q:
+                            for r in w:
+                                r[j] -= q * r[t]
+                        if w[t][j]:
+                            swap_cols(t, j)
+                            break
+                else:
+                    # divisor chain: the pivot must divide the remaining block
+                    for i in range(t + 1, n_rows):
+                        if any(e % w[t][t] for e in w[i][t + 1 : n_cols]):
+                            add_row(i, t, 1)
+                            break
+                    else:
                         break
-            if restart:
-                continue
-            # divisor chain: the pivot must divide the remaining block
-            offender = None
-            for i in range(t + 1, n_rows):
-                if any(e % d[t][t] for e in d[i][t + 1 :]):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
 
-    rank = sum(1 for i in range(limit) if d[i][i])
+    rank = sum(1 for i in range(limit) if w[i][i])
     result = SmithDecomposition(
-        U=IntegerMatrix(n_rows, n_rows, tuple(list(chain.from_iterable(u)))),
-        D=IntegerMatrix(n_rows, n_cols, tuple(list(chain.from_iterable(d)))),
-        V=IntegerMatrix(n_cols, n_cols, tuple(list(chain.from_iterable(v)))),
+        U=IntegerMatrix(n_rows, n_rows, tuple([e for r in w[:n_rows] for e in r[n_cols:]])),
+        D=IntegerMatrix(n_rows, n_cols, tuple([e for r in w[:n_rows] for e in r[:n_cols]])),
+        V=IntegerMatrix(n_cols, n_cols, tuple([e for r in w[n_rows:] for e in r[:n_cols]])),
         rank=rank,
     )
     if result.U @ matrix @ result.V != result.D:
