@@ -189,8 +189,8 @@ def tb_open_book(open_book: OpenBookPresentation, knot: PageKnot) -> TbResult | 
 
     This is the Heegaard formula -dividing/2 + <E, I> / d with I = -A and
     no dividing-set crossings, so tb_heegaard assembles it.  It keeps C
-    rather than going through to_heegaard, whose -C can reduce to another
-    certificate in E + ker C when C is singular.
+    rather than going through to_heegaard so that its certificate solves
+    C @ E == d * A; to_heegaard's -C gives -E, with the same d and tb.
     """
     pairings = knot.arc_pairings
     if len(pairings) != open_book.page.arc_count:

@@ -144,6 +144,16 @@ class TestSmithNormalForm:
         assert result.rank == sum(1 for d in diagonal if d)
         assert result.rank == oracles.rational_rank(matrix.to_rows())
 
+    @given(matrices())
+    def test_negation_negates_the_leading_rows_of_u(self, matrix):
+        # the pivots see absolute values and floor quotients, which -M shares
+        # with M; only the sign normalization of each pivot row differs
+        plus, minus = smith_normal_form(matrix), smith_normal_form(-matrix)
+        assert (minus.D, minus.V, minus.rank) == (plus.D, plus.V, plus.rank)
+        rows = plus.U.to_rows()
+        negated = [[-e for e in row] if i < plus.rank else row for i, row in enumerate(rows)]
+        assert minus.U.to_rows() == negated
+
 
 def integer_solution(matrix, target):
     """The witness of minimal_order when the order is 1, else None: the

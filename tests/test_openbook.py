@@ -439,11 +439,17 @@ class TestToHeegaard:
         assert to_heegaard(document.open_book, document.knot) == written.heegaard
 
     def test_pipeline_equality_random(self):
+        # to_heegaard's -C factors with the same D and V as C and U's first
+        # rank rows negated, so the surface route finds exactly -E, singular
+        # C included
         rng = random.Random(4242)
-        agreements = 0
-        for _ in range(120):
+        agreements = singular = 0
+        for index in range(240):
             book = helpers.random_open_book(rng, max_twists=5, max_arcs=3, bound=2)
-            knot = helpers.random_knot(rng, book, bound=2)
+            if index % 2:
+                knot = helpers.random_bounding_knot(rng, book, bound=2)
+            else:
+                knot = helpers.random_knot(rng, book, bound=2)
             via_page = tb_open_book(book, knot)
             via_surface = tb_heegaard(to_heegaard(book, knot))
             if via_page is None:
@@ -452,8 +458,12 @@ class TestToHeegaard:
                 assert via_surface is not None
                 assert via_surface.order == via_page.order
                 assert via_surface.tb == via_page.tb
+                assert via_surface.certificate == tuple([-e for e in via_page.certificate])
+                assert via_surface.kernel_orthogonal == via_page.kernel_orthogonal
                 agreements += 1
+                singular += monodromy_matrix(book).determinant() == 0
         assert agreements >= 30
+        assert singular >= 30
 
 
 class TestChangeOfBasis:
@@ -488,3 +498,45 @@ class TestChangeOfBasis:
         assert after.kernel_orthogonal == before.kernel_orthogonal
         if before.kernel_orthogonal:
             assert after.tb == before.tb
+
+
+class TestPlanarBooks:
+    """Books that a planar page realizes: on them C is symmetric, so a
+    vector in ker C pairs to zero with every C @ E.  Hence every
+    finite-order knot is kernel-orthogonal, and for a nullhomologous
+    knot the exterior is H1(M) plus one free summand."""
+
+    @staticmethod
+    def book_and_knot(seed, bounding):
+        rng = random.Random(seed)
+        book = helpers.random_planar_book(rng)
+        if bounding:
+            return book, helpers.random_bounding_knot(rng, book)
+        return book, helpers.random_knot(rng, book)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200)
+    def test_monodromy_is_symmetric(self, seed):
+        book, _ = self.book_and_knot(seed, False)
+        matrix = monodromy_matrix(book)
+        assert matrix == matrix.transpose()
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(deadline=None, max_examples=200)
+    def test_finite_order_knots_are_kernel_orthogonal(self, seed, bounding):
+        result = tb_open_book(*self.book_and_knot(seed, bounding))
+        if bounding:
+            assert result is not None and result.order == 1
+        if result is not None:
+            assert result.kernel_orthogonal
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(deadline=None, max_examples=200)
+    def test_nullhomologous_knots_satisfy_the_complement_lemma(self, seed, bounding):
+        book, knot = self.book_and_knot(seed, bounding)
+        result = tb_open_book(book, knot)
+        lemma = h1_groups(to_heegaard(book, knot)).complement_lemma
+        if result is not None and result.order == 1:
+            assert lemma is True
+        else:
+            assert lemma is None
