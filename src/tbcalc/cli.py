@@ -322,9 +322,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         document = _load(args)
         with _exact_int_output():
             return _HANDLERS[args.command](document, args)
-    except (UsageError, DocumentError) as error:
-        print(f"tbcalc: error: {error}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as error:
+    except (UsageError, DocumentError, OSError) as error:
         print(f"tbcalc: error: {error}", file=sys.stderr)
         return EXIT_INPUT

@@ -283,10 +283,11 @@ def document_from_obj(obj: Any) -> InputDocument:
     name = _as_str(obj["name"], ("name",)) if "name" in obj else None
     description = _as_str(obj["description"], ("description",)) if "description" in obj else None
 
-    if mode == "openbook":
-        open_book, knot = _parse_open_book(obj)
-        return InputDocument(open_book=open_book, knot=knot, name=name, description=description)
-    return InputDocument(heegaard=_parse_heegaard(obj), name=name, description=description)
+    open_book, knot = _parse_open_book(obj) if mode == "openbook" else (None, None)
+    heegaard = _parse_heegaard(obj) if mode == "heegaard" else None
+    return InputDocument._derive(
+        open_book=open_book, knot=knot, heegaard=heegaard, name=name, description=description
+    )
 
 
 def parse_document(text: str) -> InputDocument:
