@@ -53,6 +53,22 @@ def random_open_book(
     return OpenBookPresentation(page, twists, matrix)
 
 
+def random_planar_book(
+    rng: random.Random, max_twists: int = 8, max_arcs: int = 4, bound: int = 2
+) -> OpenBookPresentation:
+    """A realizable open book on a planar page.
+
+    A planar page's intersection form is zero, so an all-zero
+    twist_pairings block is the only one such a page can realize.
+    """
+    arcs = rng.randint(0, max_arcs)
+    count = rng.randint(0, max_twists)
+    twists = tuple(
+        DehnTwist(rng.choice((1, -1)), random_vector(rng, arcs, bound)) for _ in range(count)
+    )
+    return OpenBookPresentation(PageSurface(0, arcs + 1), twists, IntegerMatrix.zeros(count, count))
+
+
 def random_knot(rng: random.Random, open_book: OpenBookPresentation, bound: int = 2) -> PageKnot:
     return PageKnot(random_vector(rng, open_book.page.arc_count, bound))
 
