@@ -262,15 +262,16 @@ def test_matches_golden_files(fixture, command, tmp_path, monkeypatch):
 def write_golden_files():
     GOLDEN.mkdir(parents=True, exist_ok=True)
     outputs = {}
+    # every file a case writes is written again, so one that no case
+    # writes any more is deleted
+    for written in GOLDEN.glob("*.*.json"):
+        written.unlink()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         for fixture, command in CASES:
             outputs[f"{fixture} {command}"], data = run_command(fixture, command)
-            target = golden_path(fixture, command)
-            if data is None:
-                target.unlink(missing_ok=True)
-            else:
-                target.write_bytes(data)
+            if data is not None:
+                golden_path(fixture, command).write_bytes(data)
                 os.remove(WRITTEN)
     OUTPUTS.write_text(json.dumps(outputs, indent=2, ensure_ascii=False) + "\n")
 
