@@ -1,7 +1,7 @@
 """The Smith forms smith_normal_form returns are pinned.
 
 For 408 seeded matrices, of every shape from 0x0 to 7x7 and every rank
-each shape allows, half of them with entries of 30 bits or more,
+each shape allows, 140 of them with entries of 30 bits or more,
 `tests/data/golden/smith.json` holds U, D, V and rank, one matrix a
 line.  The property tests check that any decomposition is a Smith form;
 this file pins which one the pivots reach, since for a singular matrix
