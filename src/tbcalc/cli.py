@@ -132,6 +132,10 @@ def _print_context(document: InputDocument, args: argparse.Namespace) -> None:
         print(f"pairing matrix C = {document.heegaard.relations.to_rows()}")
 
 
+# a handler's exit code, the payload --json prints and the lines printed without it
+_Result = tuple[int, dict, list[str]]
+
+
 def _tb_result(document: InputDocument) -> TbResult | None:
     if document.mode == "openbook":
         if document.knot is None:
@@ -168,40 +172,37 @@ def _group_obj(group: AbelianGroup) -> dict:
     }
 
 
-def cmd_tb(document: InputDocument, args: argparse.Namespace) -> int:
+def cmd_tb(document: InputDocument, args: argparse.Namespace) -> _Result:
     _print_context(document, args)
     result = _tb_result(document)
     if result is None:
-        if args.machine:
-            print(json.dumps({"verdict": VERDICT_INFINITE}, indent=2))
-        else:
-            print(f"verdict: {VERDICT_INFINITE}")
-            print("no positive multiple of the knot class bounds; tb is undefined")
-        return EXIT_INFINITE
+        return EXIT_INFINITE, {"verdict": VERDICT_INFINITE}, [
+            f"verdict: {VERDICT_INFINITE}",
+            "no positive multiple of the knot class bounds; tb is undefined",
+        ]
     if not result.kernel_orthogonal:
         print(
             "warning: the knot pairing vector is not orthogonal to the kernel of C; "
             "the reported tb depends on the certificate choice",
             file=sys.stderr,
         )
-    if args.machine:
-        payload = {
-            "verdict": _verdict(result),
-            "order": result.order,
-            "tb_numerator": result.tb.numerator,
-            "tb_denominator": result.tb.denominator,
-            "certificate": list(result.certificate),
-            "kernel_orthogonal": result.kernel_orthogonal,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"verdict: {_verdict(result)}")
-        print(f"order {result.order}, tb = {result.tb}")
-        print(f"certificate E = {list(result.certificate)}")
-    return EXIT_OK
+    verdict = _verdict(result)
+    payload = {
+        "verdict": verdict,
+        "order": result.order,
+        "tb_numerator": result.tb.numerator,
+        "tb_denominator": result.tb.denominator,
+        "certificate": list(result.certificate),
+        "kernel_orthogonal": result.kernel_orthogonal,
+    }
+    return EXIT_OK, payload, [
+        f"verdict: {verdict}",
+        f"order {result.order}, tb = {result.tb}",
+        f"certificate E = {payload['certificate']}",
+    ]
 
 
-def cmd_homology(document: InputDocument, args: argparse.Namespace) -> int:
+def cmd_homology(document: InputDocument, args: argparse.Namespace) -> _Result:
     _print_context(document, args)
     data = _heegaard_view(document)
     groups = h1_groups(data)
@@ -218,14 +219,10 @@ def cmd_homology(document: InputDocument, args: argparse.Namespace) -> int:
         lines.append(f"complement lemma: {'holds' if groups.complement_lemma else 'FAILS'}")
     elif data.knot_generators is not None:
         lines.append("knot is not nullhomologous; exterior homology not reported")
-    if args.machine:
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def cmd_stabilize(document: InputDocument, args: argparse.Namespace) -> int:
+def cmd_stabilize(document: InputDocument, args: argparse.Namespace) -> _Result:
     if document.mode != "openbook":
         raise UsageError("stabilize requires an openbook document")
     if document.knot is None:
@@ -244,28 +241,23 @@ def cmd_stabilize(document: InputDocument, args: argparse.Namespace) -> int:
         ),
         args.output,
     )
-    if args.machine:
-        payload = {
-            "output": str(args.output),
-            "sign": sign,
-            "tb_before": _fraction_obj(before.tb if before else None),
-            "tb_after": _fraction_obj(after.tb if after else None),
-            "delta": _fraction_obj(after.tb - before.tb if before and after else None),
-        }
-        print(json.dumps(payload, indent=2))
+    delta = after.tb - before.tb if before and after else None
+    payload = {
+        "output": str(args.output),
+        "sign": sign,
+        "tb_before": _fraction_obj(before.tb if before else None),
+        "tb_after": _fraction_obj(after.tb if after else None),
+        "delta": _fraction_obj(delta),
+    }
+    if before is None:
+        summary = "tb undefined before and after (knot class of infinite order)"
     else:
-        print(f"wrote {args.output}")
-        if before is None:
-            print("tb undefined before and after (knot class of infinite order)")
-        else:
-            print(
-                f"tb before = {before.tb}, tb after = {after.tb}, "
-                f"delta = {after.tb - before.tb}"
-            )
-    return EXIT_OK if before is not None else EXIT_INFINITE
+        summary = f"tb before = {before.tb}, tb after = {after.tb}, delta = {delta}"
+    code = EXIT_OK if before is not None else EXIT_INFINITE
+    return code, payload, [f"wrote {args.output}", summary]
 
 
-def cmd_convert(document: InputDocument, args: argparse.Namespace) -> int:
+def cmd_convert(document: InputDocument, args: argparse.Namespace) -> _Result:
     if document.mode != "openbook":
         raise UsageError("convert requires an openbook document")
     _print_context(document, args)
@@ -277,11 +269,7 @@ def cmd_convert(document: InputDocument, args: argparse.Namespace) -> int:
         ),
         args.output,
     )
-    if args.machine:
-        print(json.dumps({"output": str(args.output)}, indent=2))
-    else:
-        print(f"wrote {args.output}")
-    return EXIT_OK
+    return EXIT_OK, {"output": str(args.output)}, [f"wrote {args.output}"]
 
 
 @contextmanager
@@ -321,7 +309,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         document = _load(args)
         with _exact_int_output():
-            return _HANDLERS[args.command](document, args)
+            code, payload, lines = _HANDLERS[args.command](document, args)
+            print(json.dumps(payload, indent=2) if args.machine else "\n".join(lines))
+        return code
     except (UsageError, DocumentError, OSError) as error:
         print(f"tbcalc: error: {error}", file=sys.stderr)
         return EXIT_INPUT
