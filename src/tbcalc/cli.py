@@ -118,17 +118,13 @@ def _load(args: argparse.Namespace) -> InputDocument:
     return load_document(args.input)
 
 
-def _print_context(document: InputDocument, args: argparse.Namespace) -> None:
-    if not args.verbose or args.machine:
-        return
+def _print_context(document: InputDocument, verbose: int) -> None:
     if document.name or document.description:
         line = document.name or "(unnamed)"
-        if document.description:
-            line += f": {document.description}"
-        print(line)
-    if args.verbose > 1 and document.mode == "openbook":
+        print(f"{line}: {document.description}" if document.description else line)
+    if verbose > 1 and document.mode == "openbook":
         print(f"pairing matrix C = {monodromy_matrix(document.open_book).to_rows()}")
-    elif args.verbose > 1:
+    elif verbose > 1:
         print(f"pairing matrix C = {document.heegaard.relations.to_rows()}")
 
 
@@ -173,7 +169,6 @@ def _group_obj(group: AbelianGroup) -> dict:
 
 
 def cmd_tb(document: InputDocument, args: argparse.Namespace) -> _Result:
-    _print_context(document, args)
     result = _tb_result(document)
     if result is None:
         return EXIT_INFINITE, {"verdict": VERDICT_INFINITE}, [
@@ -203,7 +198,6 @@ def cmd_tb(document: InputDocument, args: argparse.Namespace) -> _Result:
 
 
 def cmd_homology(document: InputDocument, args: argparse.Namespace) -> _Result:
-    _print_context(document, args)
     data = _heegaard_view(document)
     groups = h1_groups(data)
     payload: dict = {
@@ -227,7 +221,6 @@ def cmd_stabilize(document: InputDocument, args: argparse.Namespace) -> _Result:
         raise UsageError("stabilize requires an openbook document")
     if document.knot is None:
         raise UsageError(NO_KNOT_BLOCK)
-    _print_context(document, args)
     sign = 1 if args.sign == "+1" else -1
     before = tb_open_book(document.open_book, document.knot)
     stabilized, knot = stabilize(document.open_book, document.knot, sign)
@@ -260,7 +253,6 @@ def cmd_stabilize(document: InputDocument, args: argparse.Namespace) -> _Result:
 def cmd_convert(document: InputDocument, args: argparse.Namespace) -> _Result:
     if document.mode != "openbook":
         raise UsageError("convert requires an openbook document")
-    _print_context(document, args)
     write_document(
         InputDocument(
             heegaard=_heegaard_view(document),
@@ -309,6 +301,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         document = _load(args)
         with _exact_int_output():
+            if args.verbose and not args.machine:
+                _print_context(document, args.verbose)
             code, payload, lines = _HANDLERS[args.command](document, args)
             print(json.dumps(payload, indent=2) if args.machine else "\n".join(lines))
         return code

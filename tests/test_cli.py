@@ -432,6 +432,15 @@ class TestConvert:
         assert code == 1
         assert "requires an openbook document" in err
 
+    def test_context_comes_before_the_refusal(self, capsys, tmp_path):
+        # -v prints the document context first, whatever the command does next
+        path = str(conftest.fixture_path("heegaard-solvable"))
+        code, out, err = run(capsys, "convert", "-vv", "-o", str(tmp_path / "x.json"), path)
+        assert code == 1
+        assert out.splitlines()[0].startswith("heegaard-solvable: ")
+        assert out.splitlines()[1].startswith("pairing matrix C = ")
+        assert err == "tbcalc: error: convert requires an openbook document\n"
+
     def test_json_payload(self, capsys, tmp_path):
         out_path = tmp_path / "converted.json"
         code, out, _ = run(
