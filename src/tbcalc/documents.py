@@ -55,17 +55,6 @@ from .openbook import (
     SkewSymmetryError,
 )
 
-__all__ = [
-    "DocumentError",
-    "ParseError",
-    "ValidationError",
-    "InputDocument",
-    "parse_document",
-    "load_document",
-    "dumps_document",
-    "write_document",
-]
-
 
 class DocumentError(ValueError):
     """Any problem with an input document."""

@@ -25,8 +25,6 @@ from .lattice import (
     smith_normal_form,
 )
 
-__all__ = ["TbResult", "HeegaardData", "tb_heegaard"]
-
 
 class TbResult(_Record):
     """Exact Thurston-Bennequin value together with its certifying data.

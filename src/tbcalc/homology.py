@@ -28,8 +28,6 @@ from .lattice import (
     smith_normal_form,
 )
 
-__all__ = ["AbelianGroup", "Homology", "h1_groups"]
-
 
 class AbelianGroup(_Record):
     """Finitely generated abelian group in invariant-factor form.

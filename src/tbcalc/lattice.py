@@ -22,17 +22,6 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-__all__ = [
-    "IntegerMatrix",
-    "SmithDecomposition",
-    "OrderCertificate",
-    "dot",
-    "smith_normal_form",
-    "kernel_basis",
-    "minimal_order",
-    "invariant_factors",
-]
-
 
 def _check_int(value: object) -> int:
     # bool is an int subclass; reject it along with floats and friends

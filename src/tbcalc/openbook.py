@@ -17,17 +17,6 @@ from operator import add
 from .heegaard import HeegaardData, TbResult, tb_heegaard
 from .lattice import IntegerMatrix, _Record, _check_int, _check_ints, _set
 
-__all__ = [
-    "PageSurface",
-    "DehnTwist",
-    "OpenBookPresentation",
-    "PageKnot",
-    "monodromy_matrix",
-    "tb_open_book",
-    "stabilize",
-    "to_heegaard",
-]
-
 
 class PageSurface(_Record):
     """Compact oriented surface with boundary, the page of an open book.
