@@ -53,20 +53,42 @@ def random_open_book(
     return OpenBookPresentation(page, twists, matrix)
 
 
-def random_planar_book(
+def page_intersection_form(page: PageSurface) -> IntegerMatrix:
+    """The page's intersection form on the standard cut arcs, J_g + 0.
+
+    Arcs 2k and 2k + 1 (k < genus) pair to 1 and -1; the other arcs, one
+    per extra boundary component, pair to zero with everything.
+    """
+    size = page.arc_count
+    rows = [[0] * size for _ in range(size)]
+    for k in range(page.genus):
+        rows[2 * k][2 * k + 1], rows[2 * k + 1][2 * k] = 1, -1
+    return IntegerMatrix(size, size, tuple([v for row in rows for v in row]))
+
+
+def realizable_open_book(
+    page: PageSurface, signs: list[int], pairings: IntegerMatrix
+) -> OpenBookPresentation:
+    """The open book whose twists have these signs and arc pairings P.
+
+    The twist curves' pairings with each other are fixed by P and the
+    page's intersection form J: the block is P @ J @ P^T, zero on a
+    planar page.
+    """
+    twists = tuple(DehnTwist(sign, pairings.row(k)) for k, sign in enumerate(signs))
+    block = pairings @ page_intersection_form(page) @ pairings.transpose()
+    return OpenBookPresentation(page, twists, block)
+
+
+def random_realizable_open_book(
     rng: random.Random, max_twists: int = 8, max_arcs: int = 4, bound: int = 2
 ) -> OpenBookPresentation:
-    """A realizable open book on a planar page.
-
-    A planar page's intersection form is zero, so an all-zero
-    twist_pairings block is the only one such a page can realize.
-    """
-    arcs = rng.randint(0, max_arcs)
-    count = rng.randint(0, max_twists)
-    twists = tuple(
-        DehnTwist(rng.choice((1, -1)), random_vector(rng, arcs, bound)) for _ in range(count)
-    )
-    return OpenBookPresentation(PageSurface(0, arcs + 1), twists, IntegerMatrix.zeros(count, count))
+    """A realizable open book of genus 0 to 2 (at most max_arcs // 2)."""
+    genus = rng.randint(0, min(2, max_arcs // 2))
+    arcs = rng.randint(2 * genus, max_arcs)
+    pairings = random_matrix(rng, rng.randint(0, max_twists), arcs, bound)
+    signs = [rng.choice((1, -1)) for _ in range(pairings.rows)]
+    return realizable_open_book(PageSurface(genus, arcs - 2 * genus + 1), signs, pairings)
 
 
 def random_knot(rng: random.Random, open_book: OpenBookPresentation, bound: int = 2) -> PageKnot:

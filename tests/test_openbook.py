@@ -286,6 +286,24 @@ def books_with_knots(draw):
     return book, PageKnot(draw(vector))
 
 
+def realizable_book_and_knot(rng, bounding):
+    """A realizable open book with a random knot, or with a bounding one."""
+    book = helpers.random_realizable_open_book(rng)
+    if bounding:
+        return book, helpers.random_bounding_knot(rng, book)
+    return book, helpers.random_knot(rng, book)
+
+
+@st.composite
+def realizable_books_with_knots(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return realizable_book_and_knot(rng, draw(st.booleans()))
+
+
+def any_books_with_knots():
+    return st.one_of(books_with_knots(), realizable_books_with_knots())
+
+
 # 0 cut arcs and 0 twists
 DISK_PAGE_EMPTY_WORD = (
     OpenBookPresentation(PageSurface(0, 1), (), IntegerMatrix.zeros(0, 0)),
@@ -338,7 +356,7 @@ class TestStabilize:
         stabilized, _ = stabilize(book, PageKnot((3,)), -1)
         assert monodromy_matrix(stabilized).to_rows() == [[1, 0], [0, -1]]
 
-    @given(books_with_knots(), st.sampled_from((1, -1)))
+    @given(any_books_with_knots(), st.sampled_from((1, -1)))
     @example(DISK_PAGE_EMPTY_WORD, 1)
     @example(DISK_PAGE_EMPTY_WORD, -1)
     @example((two_parallel_twists(2), PageKnot((3,))), -1)
@@ -413,7 +431,7 @@ class TestStabilize:
         document = load_document(conftest.fixture_path(name))
         self.check_chain(document.open_book, document.knot, signs)
 
-    @given(books_with_knots(), st.lists(st.sampled_from((1, -1)), min_size=1, max_size=4))
+    @given(any_books_with_knots(), st.lists(st.sampled_from((1, -1)), min_size=1, max_size=4))
     @example(DISK_PAGE_EMPTY_WORD, [1, -1, 1, 1])
     @settings(deadline=None, max_examples=150)
     def test_chain_law(self, book_and_knot, signs):
@@ -471,11 +489,12 @@ class TestChangeOfBasis:
     a unimodular Q, is a change of basis of the arcs' pairing lattice:
     C becomes Q^T @ C @ Q, and what C and the knot present is unchanged."""
 
-    @given(st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(deadline=None, max_examples=200)
-    def test_monodromy_is_conjugated_and_invariants_are_unchanged(self, seed):
+    def test_monodromy_is_conjugated_and_invariants_are_unchanged(self, seed, realizable):
         rng = random.Random(seed)
-        book = helpers.random_open_book(rng, max_twists=8, max_arcs=6, bound=2)
+        draw = helpers.random_realizable_open_book if realizable else helpers.random_open_book
+        book = draw(rng, max_twists=8, max_arcs=6, bound=2)
         if rng.random() < 0.5:
             knot = helpers.random_bounding_knot(rng, book)
         else:
@@ -500,31 +519,45 @@ class TestChangeOfBasis:
             assert after.tb == before.tb
 
 
-class TestPlanarBooks:
-    """Books that a planar page realizes: on them C is symmetric, so a
+def stabilize_along(book, knot, path, sign):
+    """Stabilize a realizable book along a path in its page.
+
+    The page gains a boundary component and so one cut arc, which only
+    the new twist crosses, once; elsewhere the new twist follows path,
+    so its arc pairings are path + (1,).  The knot misses the new arc.
+    """
+    page = PageSurface(book.page.genus, book.page.boundary_components + 1)
+    rows = [[*twist.arc_pairings, 0] for twist in book.twists] + [[*path, 1]]
+    signs = [twist.sign for twist in book.twists] + [sign]
+    new_book = helpers.realizable_open_book(page, signs, IntegerMatrix.from_rows(rows))
+    return new_book, PageKnot(knot.arc_pairings + (0,))
+
+
+class TestRealizableBooks:
+    """Books of genus 0 to 2 whose twist pairings the page realizes.
+
+    With J the page's intersection form, C satisfies the variation
+    identity C - C^T = C^T @ J @ C, so C x = 0 gives C^T x = 0 and a
     vector in ker C pairs to zero with every C @ E.  Hence every
     finite-order knot is kernel-orthogonal, and for a nullhomologous
-    knot the exterior is H1(M) plus one free summand."""
+    knot the exterior is H1(M) plus one free summand.  On a planar page
+    J is zero and C is symmetric.
+    """
 
-    @staticmethod
-    def book_and_knot(seed, bounding):
-        rng = random.Random(seed)
-        book = helpers.random_planar_book(rng)
-        if bounding:
-            return book, helpers.random_bounding_knot(rng, book)
-        return book, helpers.random_knot(rng, book)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=200)
-    def test_monodromy_is_symmetric(self, seed):
-        book, _ = self.book_and_knot(seed, False)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(deadline=None, max_examples=200)
+    def test_variation_identity(self, seed, bounding):
+        book, _ = realizable_book_and_knot(random.Random(seed), bounding)
         matrix = monodromy_matrix(book)
-        assert matrix == matrix.transpose()
+        size = matrix.rows
+        variation = [a - b for a, b in zip(matrix.entries, matrix.transpose().entries)]
+        form = helpers.page_intersection_form(book.page)
+        assert IntegerMatrix(size, size, tuple(variation)) == matrix.transpose() @ form @ matrix
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(deadline=None, max_examples=200)
     def test_finite_order_knots_are_kernel_orthogonal(self, seed, bounding):
-        result = tb_open_book(*self.book_and_knot(seed, bounding))
+        result = tb_open_book(*realizable_book_and_knot(random.Random(seed), bounding))
         if bounding:
             assert result is not None and result.order == 1
         if result is not None:
@@ -533,10 +566,44 @@ class TestPlanarBooks:
     @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(deadline=None, max_examples=200)
     def test_nullhomologous_knots_satisfy_the_complement_lemma(self, seed, bounding):
-        book, knot = self.book_and_knot(seed, bounding)
+        book, knot = realizable_book_and_knot(random.Random(seed), bounding)
         result = tb_open_book(book, knot)
         lemma = h1_groups(to_heegaard(book, knot)).complement_lemma
         if result is not None and result.order == 1:
             assert lemma is True
         else:
             assert lemma is None
+
+    def test_draws_reach_finite_order_at_positive_genus(self):
+        finite = 0
+        for seed in range(300):
+            book, knot = realizable_book_and_knot(random.Random(seed), False)
+            finite += book.page.genus > 0 and tb_open_book(book, knot) is not None
+        assert finite >= 100
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.lists(st.sampled_from((1, -1)), min_size=1, max_size=3),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_stabilization_along_a_path_changes_nothing(self, seed, bounding, signs):
+        """H1, exterior included, and the order, tb and kernel verdict
+        stay as they are; a knot of infinite order stays so."""
+        rng = random.Random(seed)
+        book, knot = realizable_book_and_knot(rng, bounding)
+        before = tb_open_book(book, knot)
+        homology = h1_groups(to_heegaard(book, knot))
+        for sign in signs:
+            path = helpers.random_vector(rng, book.page.arc_count, 2)
+            book, knot = stabilize_along(book, knot, path, sign)
+        after = tb_open_book(book, knot)
+        assert h1_groups(to_heegaard(book, knot)) == homology
+        if before is None:
+            assert after is None
+        else:
+            assert (after.order, after.tb, after.kernel_orthogonal) == (
+                before.order,
+                before.tb,
+                before.kernel_orthogonal,
+            )
