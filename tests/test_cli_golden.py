@@ -71,12 +71,6 @@ def test_matches_golden(document, command, mode, tmp_path, monkeypatch):
     assert run(document, command, mode) == golden()[f"{document} {command} {mode}"]
 
 
-def test_kernel_warning_is_pinned():
-    entry = golden()["not-kernel-orthogonal tb plain"]
-    assert entry["exit_code"] == 0
-    assert entry["stderr"].startswith("warning: the knot pairing vector is not orthogonal")
-
-
 def write_golden_file():
     table = {}
     with tempfile.TemporaryDirectory() as workdir:
