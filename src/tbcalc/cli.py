@@ -28,7 +28,13 @@ from .documents import (
 )
 from .heegaard import HeegaardData, TbResult, tb_heegaard
 from .homology import AbelianGroup, h1_groups
-from .openbook import monodromy_matrix, stabilize, tb_open_book, to_heegaard
+from .openbook import (
+    _tb_across_stabilization,
+    monodromy_matrix,
+    stabilize,
+    tb_open_book,
+    to_heegaard,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -222,9 +228,8 @@ def cmd_stabilize(document: InputDocument, args: argparse.Namespace) -> _Result:
     if document.knot is None:
         raise UsageError(NO_KNOT_BLOCK)
     sign = 1 if args.sign == "+1" else -1
-    before = tb_open_book(document.open_book, document.knot)
     stabilized, knot = stabilize(document.open_book, document.knot, sign)
-    after = tb_open_book(stabilized, knot)
+    before, after = _tb_across_stabilization(document.open_book, document.knot, sign)
     write_document(
         InputDocument(
             open_book=stabilized,

@@ -41,6 +41,7 @@ records; tests/oracles.py keeps the json.dumps route as its reference.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Any, Union
@@ -164,9 +165,14 @@ def _as_matrix(value: Any, path: tuple, rows: int, cols: int) -> IntegerMatrix:
         raise ValidationError(_path(path), "expected an array of rows")
     if len(value) != rows:
         raise ValidationError(_path(path), f"expected {rows} rows, got {len(value)}")
-    entries: list = []
-    for i, row in enumerate(value):
-        entries += _as_ints(row, path + (i,), cols)
+    entries = None
+    if not set(map(type, value)) - {list} and not set(map(len, value)) - {cols}:
+        entries = list(chain.from_iterable(value))
+    if entries is None or set(map(type, entries)) - {int}:
+        # walked in order only to name the first fault
+        entries = []
+        for i, row in enumerate(value):
+            entries += _as_ints(row, path + (i,), cols)
     return IntegerMatrix._derive(rows=rows, cols=cols, entries=tuple(entries))
 
 

@@ -11,8 +11,7 @@ the pairing matrix C that drives every downstream computation.
 
 from __future__ import annotations
 
-from itertools import chain, compress
-from operator import add
+from itertools import chain, compress, product
 
 from .heegaard import HeegaardData, TbResult, tb_heegaard
 from .lattice import IntegerMatrix, _Record, _check_int, _check_ints, _set
@@ -97,16 +96,18 @@ class OpenBookPresentation(_Record):
             raise ValueError(
                 f"twist_pairings must be {count}x{count} for {count} twists"
             )
-        # row k from the diagonal rightwards plus column k from the
-        # diagonal down vanishes exactly when the pairs (k, m >= k) are skew
+        # each nonzero entry against its mirror; a diagonal position is its
+        # own mirror, so a nonzero diagonal entry is a fault as well
         pairings = twist_pairings.entries
-        for k in range(count):
-            start = k * count + k
-            upper = pairings[start : (k + 1) * count]
-            lower = pairings[start::count]
-            if any(map(add, upper, lower)):
-                offset = next(j for j, s in enumerate(map(add, upper, lower)) if s)
-                raise SkewSymmetryError(k + offset, k)
+        faults = [
+            (min(k, m), max(k, m))
+            for k, m in compress(product(range(count), repeat=2), pairings)
+            if pairings[k * count + m] != -pairings[m * count + k]
+        ]
+        if faults:
+            # the first fault scanning the columns: least column, then least row
+            col, row = min(faults)
+            raise SkewSymmetryError(row, col)
         for index, twist in enumerate(twists):
             if len(twist.arc_pairings) != page.arc_count:
                 raise ValueError(
@@ -187,10 +188,31 @@ def tb_open_book(open_book: OpenBookPresentation, knot: PageKnot) -> TbResult | 
             f"knot pairs with {len(pairings)} arcs, page has "
             f"{open_book.page.arc_count}"
         )
+    return _tb(monodromy_matrix(open_book), pairings)
+
+
+def _tb(matrix: IntegerMatrix, pairings: tuple[int, ...]) -> TbResult | None:
+    """tb_open_book of the knot with these arc pairings, on a page whose
+    monodromy pairing matrix is matrix."""
     negated = tuple([-a for a in pairings])
-    return tb_heegaard(
-        HeegaardData(len(pairings), monodromy_matrix(open_book), pairings, negated)
-    )
+    return tb_heegaard(HeegaardData(len(pairings), matrix, pairings, negated))
+
+
+def _tb_across_stabilization(
+    open_book: OpenBookPresentation, knot: PageKnot, sign: int
+) -> tuple[TbResult | None, TbResult | None]:
+    """tb_open_book of the knot before and after stabilize(open_book, knot,
+    sign), from one sweep of the word.
+
+    The new twist comes last and meets only the new arc, once, so the
+    stabilized book's pairing matrix is diag(C, sign) and its knot pairs
+    as (A, 1); the l + 1 twists are not swept again.  sign and knot are
+    taken as stabilize accepted them.
+    """
+    matrix = monodromy_matrix(open_book)
+    pairings = knot.arc_pairings
+    padded = [row + [0] for row in matrix.to_rows()] + [[0] * matrix.rows + [sign]]
+    return _tb(matrix, pairings), _tb(IntegerMatrix.from_rows(padded), pairings + (1,))
 
 
 def stabilize(

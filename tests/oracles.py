@@ -277,6 +277,25 @@ def monodromy_matrix_reference(open_book) -> Rows:
     return rows
 
 
+def skew_fault(entries, count: int) -> tuple[int, int] | None:
+    """The first (row, col), row >= col, at which the row-major count x
+    count block breaks entries[row][col] == -entries[col][row], scanning
+    the columns in order, each from the diagonal down; None when the
+    block is skew-symmetric.
+
+    Row k from the diagonal rightwards plus column k from the diagonal
+    down vanishes exactly when the pairs (k, m >= k) are skew.
+    """
+    for k in range(count):
+        start = k * count + k
+        upper = entries[start : (k + 1) * count]
+        lower = entries[start::count]
+        for offset, (a, b) in enumerate(zip(upper, lower)):
+            if a + b:
+                return k + offset, k
+    return None
+
+
 def document_to_obj(document) -> dict:
     """The document as the JSON value parse_document accepts: dicts,
     lists and ints, keys in schema order.

@@ -1,15 +1,31 @@
 """End-to-end command behavior: outputs, exit codes, files written."""
 
+import contextlib
 import io
 import json
 import pathlib
+import random
 import subprocess
 import sys
+import tempfile
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 import conftest
-from tbcalc import ParseError, cli, load_document, monodromy_matrix, tb_heegaard, tb_open_book
+import helpers
+import tbcalc.openbook
+from tbcalc import (
+    InputDocument,
+    ParseError,
+    cli,
+    load_document,
+    monodromy_matrix,
+    tb_heegaard,
+    tb_open_book,
+    write_document,
+)
 from tbcalc.cli import _exact_int_output as unlimited_int_digits
 from tbcalc.cli import main
 
@@ -320,6 +336,14 @@ class TestHomology:
         assert payload["complement_lemma"] is None
 
 
+# the open books with a knot, among the fixtures and the test documents
+STABILIZABLE = [
+    name
+    for name in conftest.FIXTURE_NAMES + sorted(path.stem for path in conftest.DATA.glob("*.json"))
+    if load_document(conftest.document_path(name)).knot is not None
+]
+
+
 class TestStabilize:
     def test_writes_and_reports(self, capsys, tmp_path):
         out_path = tmp_path / "stab.json"
@@ -400,6 +424,60 @@ class TestStabilize:
         code, _, err = run(capsys, "stabilize", "--sign", "+1", "-o", str(path), path)
         assert code == 1
         assert "no knot block" in err
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.sampled_from(("+1", "-1")))
+    @example(10, False, False, "+1")
+    @example(13, True, False, "-1")
+    @example(3, True, True, "-1")
+    @settings(deadline=None, max_examples=150)
+    def test_tb_after_is_the_tb_of_the_written_book(self, seed, realizable, bounding, sign):
+        """stabilize reads tb after off diag(C, sign), without sweeping the
+        stabilized word; the written book, read back and swept afresh,
+        has that tb, and a knot of infinite order stays undefined."""
+        rng = random.Random(seed)
+        draw_book = helpers.random_realizable_open_book if realizable else helpers.random_open_book
+        book = draw_book(rng)
+        knot = (helpers.random_bounding_knot if bounding else helpers.random_knot)(rng, book)
+        with tempfile.TemporaryDirectory() as folder:
+            source, target = pathlib.Path(folder, "in.json"), pathlib.Path(folder, "out.json")
+            write_document(InputDocument(open_book=book, knot=knot), source)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["stabilize", "--json", "--sign", sign, "-o", str(target), str(source)])
+            written = load_document(target)
+        result = tb_open_book(written.open_book, written.knot)
+        payload = json.loads(out.getvalue())
+        if result is None:
+            assert code == 2
+            assert payload["tb_after"] is None
+        else:
+            assert code == 0
+            assert payload["tb_after"] == {
+                "numerator": result.tb.numerator,
+                "denominator": result.tb.denominator,
+            }
+
+    @pytest.mark.parametrize("name", STABILIZABLE)
+    def test_one_sweep_per_op(self, capsys, monkeypatch, tmp_path, name):
+        """Without -v, tb and stabilize each sweep the word once."""
+        calls = []
+
+        def recording(open_book):
+            calls.append(open_book)
+            return monodromy_matrix(open_book)
+
+        monkeypatch.setattr(tbcalc.openbook, "monodromy_matrix", recording)
+        path = str(conftest.document_path(name))
+        out_path = str(tmp_path / "stab.json")
+        for argv in (
+            ["tb", path],
+            ["tb", "--json", path],
+            ["stabilize", "--sign", "+1", "-o", out_path, path],
+            ["stabilize", "--json", "--sign", "-1", "-o", out_path, path],
+        ):
+            calls.clear()
+            run(capsys, *argv)
+            assert len(calls) == 1, argv
 
 
 class TestConvert:

@@ -25,6 +25,7 @@ from tbcalc import (
     tb_open_book,
     to_heegaard,
 )
+from tbcalc.openbook import SkewSymmetryError
 
 GOLDEN = conftest.DATA / "golden"
 CONVERTED = sorted(path.name.split(".")[0] for path in GOLDEN.glob("*.convert.json"))
@@ -70,6 +71,30 @@ class TestPageSurface:
             PageSurface(genus, boundary)
 
 
+@st.composite
+def skew_blocks_with_faults(draw):
+    """A skew block of size 0 to 12, sparse or dense, as (count, entries),
+    then given 0 to 2 faults: on the diagonal, above it or below it."""
+    count = draw(st.integers(0, 12))
+    density = draw(st.sampled_from((0.15, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = [[0] * count for _ in range(count)]
+    for k in range(count):
+        for m in range(k):
+            if rng.random() < density:
+                rows[k][m] = rng.randint(-3, 3)
+                rows[m][k] = -rows[k][m]
+    kinds = ["diagonal"] * (count >= 1) + ["above", "below"] * (count >= 2)
+    faults = draw(st.lists(st.sampled_from(kinds), max_size=2)) if kinds else []
+    for kind in faults:
+        if kind == "diagonal":
+            row = col = rng.randrange(count)
+        else:
+            row, col = sorted(rng.sample(range(count), 2), reverse=kind == "below")
+        rows[row][col] += rng.choice((-2, -1, 1, 2))
+    return count, [value for row in rows for value in row]
+
+
 class TestValidation:
     def test_twist_sign(self):
         with pytest.raises(ValueError):
@@ -112,6 +137,22 @@ class TestValidation:
                 (DehnTwist(1, (1,)),),
                 IntegerMatrix.from_rows([[1]]),
             )
+
+    @given(skew_blocks_with_faults())
+    @settings(deadline=None, max_examples=300)
+    def test_skew_check_names_the_column_scans_fault(self, block):
+        """Accepts exactly the blocks the column scan finds skew, and
+        otherwise names the scan's first fault."""
+        count, entries = block
+        fault = oracles.skew_fault(entries, count)
+        twists = (DehnTwist(1, ()),) * count
+        matrix = IntegerMatrix(count, count, tuple(entries))
+        if fault is None:
+            OpenBookPresentation(PageSurface(0, 1), twists, matrix)
+            return
+        with pytest.raises(SkewSymmetryError) as error:
+            OpenBookPresentation(PageSurface(0, 1), twists, matrix)
+        assert (error.value.row, error.value.col) == fault
 
     def test_twist_arc_length(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -192,3 +193,32 @@ def test_certificates_and_decompositions_refuse_wrong_types(build):
     # refuses any other type, as the parser's records do
     with pytest.raises(TypeError):
         build()
+
+
+def test_derived_records_are_no_larger_than_constructed_ones():
+    """_derive stores the fields as __init__ does, so a derived record is
+    as small as a checked one.  Filling a record's __dict__ with update()
+    gives it a dict of its own instead, 248 B against 96 B per twist on
+    Python 3.11, and stabilize derives one twist per letter of the word."""
+    pairings = (1, 0, -1)
+
+    def traced(build):
+        tracemalloc.start()
+        try:
+            records = [build() for _ in range(10_000)]
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 10_000
+        return size
+
+    builds = (
+        lambda: DehnTwist(1, pairings),
+        lambda: DehnTwist._derive(sign=1, arc_pairings=pairings),
+    )
+    # the first trace of a process also counts one-time allocations
+    traced(builds[0])
+    checked, derived = [traced(build) for build in builds]
+    # less than a byte per record apart: the allocator's own bookkeeping
+    # moves the totals by a few dozen bytes from run to run
+    assert derived - checked < 10_000, (derived, checked)
