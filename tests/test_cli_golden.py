@@ -1,12 +1,15 @@
 """What the four commands print is pinned.
 
-For the nine fixtures and the four documents under `tests/data/` (all
+For the nine fixtures and the five documents under `tests/data/` (all
 but `big-certificate`, whose `tb --json` alone is 169 KB), each of `tb`,
 `homology`, `stabilize --sign +1`, `stabilize --sign -1` and `convert`
 runs plain, with `--json` and with `-vv`.  Exit code, stdout and stderr
-must match `tests/data/golden/cli.json`.  `not-kernel-orthogonal` is the
-one document whose `tb` warns on stderr: its I pairs to 1 with the
-kernel vector (0, 1) of C.  The commands run in a temporary directory
+must match `tests/data/golden/cli.json`.  `not-kernel-orthogonal` and
+`stabilize-not-orthogonal` are the documents whose `tb` warns on stderr:
+the first one's I pairs to 1 with the kernel vector (0, 1) of C, and the
+second one's knot meets ker C too, so `tb after` of its stabilizations
+is read off fresh Smith pivots and is not `tb before` minus the sign.
+The commands run in a temporary directory
 and write `out.json` there; `test_written_bytes.py` pins those bytes.
 After an intended change of the outputs, rewrite that file with
 `PYTHONPATH=src python tests/test_cli_golden.py`.
@@ -30,6 +33,7 @@ DOCUMENTS = conftest.FIXTURE_NAMES + [
     "knotless-openbook",
     "long-word",
     "not-kernel-orthogonal",
+    "stabilize-not-orthogonal",
 ]
 COMMANDS = {
     "tb": ("tb",),
@@ -62,7 +66,7 @@ def golden():
 
 def test_golden_holds_every_case():
     assert sorted(golden()) == sorted(" ".join(case) for case in CASES)
-    assert len(CASES) == 195
+    assert len(CASES) == 210
 
 
 @pytest.mark.parametrize("document, command, mode", CASES)

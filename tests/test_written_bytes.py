@@ -8,7 +8,8 @@ commands' outputs on the nine fixtures must match the golden files under
 no fixture reaches.  The two knotless ones pin `convert` of an open book
 without a knot, and `tb` and `homology` of both modes without one.
 `long-word` (60 twists) pins how `stabilize` and `convert` write a long
-word and its l x l pairing block.  After an
+word and its l x l pairing block.  `stabilize-not-orthogonal` pins both
+stabilizations of a knot that meets the kernel of C.  After an
 intended format change, rewrite those files with
 `PYTHONPATH=src python tests/test_written_bytes.py`.
 """
@@ -54,6 +55,7 @@ DATA_DOCUMENTS = {
     "knotless-openbook": ("convert", "homology", "homology --json", "tb"),
     "knotless-heegaard": ("homology", "homology --json", "tb"),
     "long-word": ("convert", "stabilize+1", "stabilize-1"),
+    "stabilize-not-orthogonal": ("convert", "stabilize+1", "stabilize-1"),
 }
 CASES = [
     (fixture, command)
