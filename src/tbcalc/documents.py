@@ -35,16 +35,17 @@ either way each datum is checked once.
 
 dumps_document writes the keys above in that order, laid out as
 ``json.dumps(..., indent=2)`` lays them out, straight from the typed
-records; tests/oracles.py keeps the json.dumps route as its reference.
+records, and write_document streams the same text to a file;
+tests/oracles.py keeps the json.dumps route as its reference.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Any, Union
+from typing import IO, Any, Iterator, Union
 
 from .heegaard import HeegaardData
 from .lattice import IntegerMatrix, _Record, _set
@@ -332,15 +333,42 @@ def _ints(width: int, indent: str) -> str:
     return _list(["%d"] * width, indent)
 
 
-def _matrix(matrix: IntegerMatrix, indent: str) -> str:
-    return _list([_ints(matrix.cols, indent + "  ")] * matrix.rows, indent) % matrix.entries
+def _matrix(matrix: IntegerMatrix, indent: str) -> Iterator[str]:
+    """The matrix as an array of rows nested at indent, in pieces.
+
+    A pairing block is mostly zeros, so each row is cut from one shared
+    row of zeros, and only its nonzero entries are formatted in between.
+    Entry j of that row sits at offset step * (j + 1) - 1: step counts
+    one entry's indent (indent and four spaces), the entry, its comma and
+    its line break, and the row opens with "[" and a line break.
+    """
+    if not matrix.rows:
+        yield "[]"
+        return
+    cols = matrix.cols
+    zeros = _ints(cols, indent + "  ").replace("%d", "0")
+    step = len(indent) + 7
+    entries = matrix.entries
+    opening = "[\n" + indent + "  "
+    for i in range(matrix.rows):
+        yield opening
+        opening = ",\n" + indent + "  "
+        row = entries[i * cols : (i + 1) * cols]
+        end = 0
+        for j in compress(range(cols), row):
+            at = step * (j + 1) - 1
+            yield zeros[end:at]
+            yield "%d" % row[j]
+            end = at + 1
+        yield zeros[end:]
+    yield "\n" + indent + "]"
 
 
-def dumps_document(document: InputDocument) -> str:
-    """The document as ``json.dumps(..., indent=2)`` lays it out, plus a
-    trailing newline.  Each array of ints is a ``%d`` template sized from
-    the page or the genus and filled from the ints as stored; strings
-    never pass through a template."""
+def _pieces(document: InputDocument) -> Iterator[str]:
+    """dumps_document's text in pieces, a matrix row by row.  Each vector
+    of ints and the twists are a ``%d`` template sized from the page or
+    the genus and filled from the ints as stored; strings never pass
+    through a template."""
     members = {"mode": f'"{document.mode}"'}
     if document.name is not None:
         members["name"] = encode_basestring_ascii(document.name)
@@ -368,8 +396,27 @@ def dumps_document(document: InputDocument) -> str:
             members["A"] = _ints(heegaard.genus, "  ") % heegaard.knot_generators
             members["I"] = _ints(heegaard.genus, "  ") % heegaard.knot_relations
             members["dividing"] = "%d" % heegaard.dividing_intersections
-    return _object(members, "") + "\n"
+    opening = "{\n  "
+    for key, value in members.items():
+        yield f'{opening}"{key}": '
+        opening = ",\n  "
+        if type(value) is str:
+            yield value
+        else:
+            yield from value
+    yield "\n}\n"
+
+
+def dumps_document(document: InputDocument) -> str:
+    """The document as ``json.dumps(..., indent=2)`` lays it out, plus a
+    trailing newline."""
+    return "".join(_pieces(document))
 
 
 def write_document(document: InputDocument, path: Union[str, Path]) -> None:
-    Path(path).write_text(dumps_document(document))
+    """Write dumps_document's text to path, piece by piece as it is
+    formatted, so the whole text is never held at once.  A document that
+    cannot be formatted (an int of more digits than
+    sys.get_int_max_str_digits() allows) leaves the file partly written."""
+    with Path(path).open("w") as f:
+        f.writelines(_pieces(document))

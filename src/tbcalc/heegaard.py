@@ -111,7 +111,8 @@ def tb_heegaard(data: HeegaardData) -> TbResult | None:
     C @ E == d * A.  Returns None when no such d exists (the knot is not
     rationally nullhomologous and tb is undefined), and raises ValueError
     for data without a knot.  C is factored once, for both the order and
-    the kernel.
+    the kernel.  The certificate is checked, C @ E == d * A, before it is
+    used; a failure raises AssertionError.
     """
     if data.knot_generators is None:
         raise ValueError("the data has no knot, so it has no tb")
@@ -119,15 +120,18 @@ def tb_heegaard(data: HeegaardData) -> TbResult | None:
     certificate = minimal_order(smith, data.knot_generators)
     if certificate is None:
         return None
+    order = certificate.order
+    if data.relations @ certificate.solution != tuple([order * a for a in data.knot_generators]):
+        raise AssertionError("the tb certificate failed its check C @ E == d * A")
     value = Fraction(-data.dividing_intersections, 2) + Fraction(
-        dot(certificate.solution, data.knot_relations), certificate.order
+        dot(certificate.solution, data.knot_relations), order
     )
     orthogonal = all(
         dot(vector, data.knot_relations) == 0
         for vector in kernel_basis(smith)
     )
     return TbResult(
-        order=certificate.order,
+        order=order,
         tb=value,
         certificate=certificate.solution,
         kernel_orthogonal=orthogonal,

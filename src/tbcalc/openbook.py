@@ -206,13 +206,27 @@ def _tb_across_stabilization(
 
     The new twist comes last and meets only the new arc, once, so the
     stabilized book's pairing matrix is diag(C, sign) and its knot pairs
-    as (A, 1); the l + 1 twists are not swept again.  sign and knot are
-    taken as stabilize accepted them.
+    as (A, 1); the l + 1 twists are not swept again.  sign is a unit, so
+    (A, 1) has A's order d, or is undefined with it, and diag(C, sign)
+    maps (E, sign * d) to d * (A, 1): tb drops by sign, with no second
+    factorization.  Only a knot that meets ker C has diag(C, sign)
+    factored afresh, since its tb depends on the certificate that the
+    pivots reach.  sign and knot are taken as stabilize accepted them.
     """
     matrix = monodromy_matrix(open_book)
     pairings = knot.arc_pairings
+    before = _tb(matrix, pairings)
+    if before is None:
+        return None, None
+    if before.kernel_orthogonal:
+        return before, TbResult._derive(
+            order=before.order,
+            tb=before.tb - sign,
+            certificate=before.certificate + (sign * before.order,),
+            kernel_orthogonal=True,
+        )
     padded = [row + [0] for row in matrix.to_rows()] + [[0] * matrix.rows + [sign]]
-    return _tb(matrix, pairings), _tb(IntegerMatrix.from_rows(padded), pairings + (1,))
+    return before, _tb(IntegerMatrix.from_rows(padded), pairings + (1,))
 
 
 def stabilize(

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 
 import conftest
 import helpers
+import tbcalc.heegaard
 import tbcalc.openbook
 from tbcalc import (
     InputDocument,
@@ -22,6 +23,7 @@ from tbcalc import (
     cli,
     load_document,
     monodromy_matrix,
+    smith_normal_form,
     tb_heegaard,
     tb_open_book,
     write_document,
@@ -478,6 +480,42 @@ class TestStabilize:
             calls.clear()
             run(capsys, *argv)
             assert len(calls) == 1, argv
+
+    @pytest.mark.parametrize(
+        "name, factorizations",
+        [
+            ("standard-unknot", 1),
+            ("long-word", 1),
+            ("infinite-order", 1),
+            ("stabilize-not-orthogonal", 2),
+        ],
+    )
+    def test_one_factorization_unless_the_knot_meets_the_kernel(
+        self, capsys, monkeypatch, tmp_path, name, factorizations
+    ):
+        """stabilize factors C once and reads tb after off tb before when
+        the knot is orthogonal to ker C (standard-unknot, and long-word
+        of order 81) or of infinite order; only a knot that meets ker C has
+        diag(C, sign) factored as well."""
+        if name == "infinite-order":
+            path = write_obj(tmp_path, INFINITE_OPENBOOK)
+        else:
+            path = str(conftest.document_path(name))
+        calls = []
+
+        def recording(matrix):
+            calls.append(matrix)
+            return smith_normal_form(matrix)
+
+        monkeypatch.setattr(tbcalc.heegaard, "smith_normal_form", recording)
+        out_path = str(tmp_path / "stab.json")
+        for argv in (
+            ["stabilize", "--sign", "+1", "-o", out_path, path],
+            ["stabilize", "--json", "--sign", "-1", "-o", out_path, path],
+        ):
+            calls.clear()
+            run(capsys, *argv)
+            assert len(calls) == factorizations, argv
 
 
 class TestConvert:

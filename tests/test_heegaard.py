@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
+import tbcalc.heegaard
 from tbcalc import HeegaardData, IntegerMatrix, TbResult, h1_groups, tb_heegaard
+from tbcalc.lattice import OrderCertificate
 
 S1XS2 = IntegerMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 1]])
 
@@ -140,6 +142,29 @@ class TestTbHeegaard:
         assert not result.kernel_orthogonal
         orthogonal = tb_heegaard(data([[0]], [0], [0]))
         assert orthogonal.kernel_orthogonal
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            lambda order, solution: (order, (solution[0] + 1,) + solution[1:]),
+            lambda order, solution: (order + 1, solution),
+            lambda order, solution: (2 * order, solution),
+        ],
+        ids=["E", "d + 1", "2d"],
+    )
+    def test_a_wrong_certificate_fails_its_check(self, monkeypatch, wrong):
+        """tb_heegaard checks C @ E == d * A before it uses E and d."""
+        found = tbcalc.heegaard.minimal_order
+
+        def wrong_order(smith, target):
+            certificate = found(smith, target)
+            return OrderCertificate(*wrong(certificate.order, certificate.solution))
+
+        monkeypatch.setattr(tbcalc.heegaard, "minimal_order", wrong_order)
+        with pytest.raises(AssertionError, match="C @ E == d \\* A"):
+            tb_heegaard(data([[1, 1, 0], [0, 0, 1], [0, 0, 1]], [2, 1, 1], [1, 1, 2]))
+        with pytest.raises(AssertionError, match="C @ E == d \\* A"):
+            tb_heegaard(data([[-2]], [-1], [-1]))
 
     def test_random_consistency(self):
         rng = random.Random(5150)

@@ -25,7 +25,7 @@ from tbcalc import (
     tb_open_book,
     to_heegaard,
 )
-from tbcalc.openbook import SkewSymmetryError
+from tbcalc.openbook import SkewSymmetryError, _tb_across_stabilization
 
 GOLDEN = conftest.DATA / "golden"
 CONVERTED = sorted(path.name.split(".")[0] for path in GOLDEN.glob("*.convert.json"))
@@ -391,6 +391,49 @@ class TestStabilize:
                     assert after.tb == before.tb - sign
                     checked += 1
         assert checked >= 40
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from((1, -1)),
+    )
+    # knots that meet ker C, so tb after is read off fresh pivots:
+    # tb before 77, after 412 (+1) and 414 (-1); then -90, -55 and -53
+    @example(4923, False, True, 1)
+    @example(4923, False, True, -1)
+    @example(12649, False, True, 1)
+    @example(12649, False, True, -1)
+    @example(82, False, True, 1)
+    @example(305, False, True, -1)
+    @settings(deadline=None, max_examples=200)
+    def test_tb_across_stabilization_is_the_tb_of_the_stabilized_book(
+        self, seed, realizable, bounding, sign
+    ):
+        """tb before and after, read off C alone, are tb_open_book of the
+        book and of the stabilized book swept afresh: the same order, tb
+        and kernel verdict, whether the knot meets ker C or not, and a
+        certificate that diag(C, sign) maps to order * (A, 1)."""
+        rng = random.Random(seed)
+        if realizable:
+            book = helpers.random_realizable_open_book(rng)
+        else:
+            book = helpers.random_open_book(rng, max_twists=5, max_arcs=7)
+        knot = (helpers.random_bounding_knot if bounding else helpers.random_knot)(rng, book)
+        before, after = _tb_across_stabilization(book, knot, sign)
+        assert before == tb_open_book(book, knot)
+        stabilized, new_knot = stabilize(book, knot, sign)
+        fresh = tb_open_book(stabilized, new_knot)
+        if fresh is None:
+            assert (before, after) == (None, None)
+            return
+        assert (after.order, after.tb, after.kernel_orthogonal) == (
+            fresh.order,
+            fresh.tb,
+            fresh.kernel_orthogonal,
+        )
+        scaled = tuple([after.order * a for a in new_knot.arc_pairings])
+        assert monodromy_matrix(stabilized) @ after.certificate == scaled
 
     def test_pairing_matrix_gains_diagonal_block(self):
         book = two_parallel_twists(1)

@@ -36,6 +36,7 @@ from tbcalc import (
     PageSurface,
     dumps_document,
     parse_document,
+    write_document,
 )
 from tbcalc.cli import main
 from tbcalc.documents import InputDocument
@@ -88,11 +89,17 @@ def vectors(size, entries=None):
     return st.lists(entries, min_size=size, max_size=size)
 
 
+def mostly_zero(entries):
+    """Zero four times in five, else an entry: mostly-zero blocks with
+    all-zero rows and lone entries, as stabilized pairing blocks are."""
+    return st.one_of(st.just(0), st.just(0), st.just(0), st.just(0), entries)
+
+
 def block_entries(draw):
     """Plain ints for a whole matrix or twist list, or ints with some Loud
-    among them: a block of plain ints takes the writer's one-template
-    path, any other falls back to item by item."""
-    return draw(st.sampled_from((plain_integers(), integers())))
+    among them, either dense or mostly zero."""
+    entries = draw(st.sampled_from((plain_integers(), integers())))
+    return draw(st.sampled_from((entries, mostly_zero(entries))))
 
 
 texts = st.one_of(
@@ -155,6 +162,76 @@ def test_dumps_document_writes_what_json_writes(document):
     text = dumps_document(document)
     assert text == dumps_document_reference(document)
     assert parse_document(text) == document
+
+
+def sparse(rows):
+    return IntegerMatrix.from_rows(rows)
+
+
+def skew(size, entries):
+    """A size x size skew block holding the (row, col, value) entries below
+    the diagonal, and their mirrors."""
+    rows = [[0] * size for _ in range(size)]
+    for row, col, value in entries:
+        rows[row][col], rows[col][row] = value, -value
+    return IntegerMatrix.from_rows(rows)
+
+
+def annulus_twists(count):
+    return [DehnTwist(1, (k % 2,)) for k in range(count)]
+
+
+MOSTLY_ZERO = [
+    # all-zero rows, and a lone entry in the first or in the last column
+    sparse([[0, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    sparse([[5, 0, 0], [0, 0, 0], [-12, 0, 0]]),
+    sparse([[0, 0, -7], [0, 0, 0], [0, 0, 31]]),
+    sparse([[0, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+    # negative and multi-digit entries, and one past 2**64
+    sparse([[0, -123456, 0], [0, 0, 0], [2**70, 0, -(2**65)]]),
+    # int subclasses, and a zero that is one
+    sparse([[0, Loud(-4), 0], [0, 0, 0], [Loud(0), 0, Loud(100)]]),
+    sparse([[1]]),
+    sparse([[0]]),
+]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [InputDocument(heegaard=HeegaardData(m.rows, m, None, None)) for m in MOSTLY_ZERO]
+    + [
+        InputDocument(
+            heegaard=HeegaardData(m.rows, m, (0,) * m.rows, (1,) + (0,) * (m.rows - 1), 2)
+        )
+        for m in MOSTLY_ZERO
+    ]
+    + [
+        InputDocument(
+            open_book=OpenBookPresentation(
+                PageSurface(0, 2), annulus_twists(size), skew(size, entries)
+            ),
+            knot=PageKnot((1,)),
+        )
+        for size, entries in [
+            (0, []),
+            (1, []),
+            (4, []),
+            (4, [(1, 0, 3)]),
+            (4, [(3, 0, -1), (3, 2, 1)]),
+            (5, [(4, 1, -(10**12)), (2, 0, Loud(9))]),
+            (7, [(6, 5, 1)]),
+        ]
+    ],
+)
+def test_mostly_zero_blocks_write_what_json_writes(value, tmp_path):
+    """The writer splices only the nonzero entries of a matrix into a row
+    of zeros: C and the pairing block, 0x0 to 7x7, at each edge of a
+    row.  write_document streams the same bytes."""
+    text = dumps_document(value)
+    assert text == dumps_document_reference(value)
+    assert parse_document(text) == value
+    write_document(value, tmp_path / "doc.json")
+    assert (tmp_path / "doc.json").read_text() == text
 
 
 def disk_page_book(count=2):
