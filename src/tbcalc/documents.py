@@ -346,7 +346,7 @@ def _matrix(matrix: IntegerMatrix, indent: str) -> Iterator[str]:
         yield "[]"
         return
     cols = matrix.cols
-    zeros = _ints(cols, indent + "  ").replace("%d", "0")
+    zeros = _list(["0"] * cols, indent + "  ")
     step = len(indent) + 7
     entries = matrix.entries
     opening = "[\n" + indent + "  "

@@ -164,10 +164,6 @@ def test_dumps_document_writes_what_json_writes(document):
     assert parse_document(text) == document
 
 
-def sparse(rows):
-    return IntegerMatrix.from_rows(rows)
-
-
 def skew(size, entries):
     """A size x size skew block holding the (row, col, value) entries below
     the diagonal, and their mirrors."""
@@ -183,16 +179,16 @@ def annulus_twists(count):
 
 MOSTLY_ZERO = [
     # all-zero rows, and a lone entry in the first or in the last column
-    sparse([[0, 0, 0], [0, 0, 0], [0, 0, 0]]),
-    sparse([[5, 0, 0], [0, 0, 0], [-12, 0, 0]]),
-    sparse([[0, 0, -7], [0, 0, 0], [0, 0, 31]]),
-    sparse([[0, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+    IntegerMatrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    IntegerMatrix.from_rows([[5, 0, 0], [0, 0, 0], [-12, 0, 0]]),
+    IntegerMatrix.from_rows([[0, 0, -7], [0, 0, 0], [0, 0, 31]]),
+    IntegerMatrix.from_rows([[0, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
     # negative and multi-digit entries, and one past 2**64
-    sparse([[0, -123456, 0], [0, 0, 0], [2**70, 0, -(2**65)]]),
+    IntegerMatrix.from_rows([[0, -123456, 0], [0, 0, 0], [2**70, 0, -(2**65)]]),
     # int subclasses, and a zero that is one
-    sparse([[0, Loud(-4), 0], [0, 0, 0], [Loud(0), 0, Loud(100)]]),
-    sparse([[1]]),
-    sparse([[0]]),
+    IntegerMatrix.from_rows([[0, Loud(-4), 0], [0, 0, 0], [Loud(0), 0, Loud(100)]]),
+    IntegerMatrix.from_rows([[1]]),
+    IntegerMatrix.from_rows([[0]]),
 ]
 
 
