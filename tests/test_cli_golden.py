@@ -8,7 +8,8 @@ must match `tests/data/golden/cli.json`.  `not-kernel-orthogonal` and
 `stabilize-not-orthogonal` are the documents whose `tb` warns on stderr:
 the first one's I pairs to 1 with the kernel vector (0, 1) of C, and the
 second one's knot meets ker C too, so `tb after` of its stabilizations
-is read off fresh Smith pivots and is not `tb before` minus the sign.
+is read off fresh Smith pivots and is not `tb before` minus the sign;
+its `stabilize` warns as its `tb` does.
 The commands run in a temporary directory
 and write `out.json` there; `test_written_bytes.py` pins those bytes.
 After an intended change of the outputs, rewrite that file with
