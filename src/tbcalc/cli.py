@@ -28,13 +28,7 @@ from .documents import (
 )
 from .heegaard import HeegaardData, TbResult, tb_heegaard
 from .homology import AbelianGroup, h1_groups
-from .openbook import (
-    _tb_across_stabilization,
-    monodromy_matrix,
-    stabilize,
-    tb_open_book,
-    to_heegaard,
-)
+from .openbook import _doubled, _tb_across_stabilization, _view, stabilize
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -42,6 +36,7 @@ EXIT_INFINITE = 2
 
 VERDICT_INFINITE = "infinite order"
 NO_KNOT_BLOCK = 'the document has no knot block; add "knot": {"arcs": [...]}'
+NO_KNOT_DATA = 'the document has no knot data; add "A", "I" and "dividing"'
 
 
 class UsageError(Exception):
@@ -124,34 +119,25 @@ def _load(args: argparse.Namespace) -> InputDocument:
     return load_document(args.input)
 
 
-def _print_context(document: InputDocument, verbose: int) -> None:
+def _print_context(document: InputDocument, view: HeegaardData, verbose: int) -> None:
     if document.name or document.description:
         line = document.name or "(unnamed)"
         print(f"{line}: {document.description}" if document.description else line)
-    if verbose > 1 and document.mode == "openbook":
-        print(f"pairing matrix C = {monodromy_matrix(document.open_book).to_rows()}")
-    elif verbose > 1:
-        print(f"pairing matrix C = {document.heegaard.relations.to_rows()}")
+    if verbose > 1:
+        print(f"pairing matrix C = {view.relations.to_rows()}")
 
 
 # a handler's exit code, the payload --json prints and the lines printed without it
 _Result = tuple[int, dict, list[str]]
 
 
-def _tb_result(document: InputDocument) -> TbResult | None:
-    if document.mode == "openbook":
-        if document.knot is None:
-            raise UsageError(NO_KNOT_BLOCK)
-        return tb_open_book(document.open_book, document.knot)
-    if document.heegaard.knot_generators is None:
-        raise UsageError('the document has no knot data; add "A", "I" and "dividing"')
-    return tb_heegaard(document.heegaard)
-
-
-def _heegaard_view(document: InputDocument) -> HeegaardData:
-    if document.mode == "heegaard":
-        return document.heegaard
-    return to_heegaard(document.open_book, document.knot)
+def _warn_if_not_orthogonal(result: TbResult) -> None:
+    if not result.kernel_orthogonal:
+        print(
+            "warning: the knot pairing vector is not orthogonal to the kernel of C; "
+            "the reported tb depends on the certificate choice",
+            file=sys.stderr,
+        )
 
 
 def _verdict(result: TbResult) -> str:
@@ -174,19 +160,16 @@ def _group_obj(group: AbelianGroup) -> dict:
     }
 
 
-def cmd_tb(document: InputDocument, args: argparse.Namespace) -> _Result:
-    result = _tb_result(document)
+def cmd_tb(document: InputDocument, view: HeegaardData, args: argparse.Namespace) -> _Result:
+    if view.knot_generators is None:
+        raise UsageError(NO_KNOT_BLOCK if document.mode == "openbook" else NO_KNOT_DATA)
+    result = tb_heegaard(view)
     if result is None:
         return EXIT_INFINITE, {"verdict": VERDICT_INFINITE}, [
             f"verdict: {VERDICT_INFINITE}",
             "no positive multiple of the knot class bounds; tb is undefined",
         ]
-    if not result.kernel_orthogonal:
-        print(
-            "warning: the knot pairing vector is not orthogonal to the kernel of C; "
-            "the reported tb depends on the certificate choice",
-            file=sys.stderr,
-        )
+    _warn_if_not_orthogonal(result)
     verdict = _verdict(result)
     payload = {
         "verdict": verdict,
@@ -203,9 +186,8 @@ def cmd_tb(document: InputDocument, args: argparse.Namespace) -> _Result:
     ]
 
 
-def cmd_homology(document: InputDocument, args: argparse.Namespace) -> _Result:
-    data = _heegaard_view(document)
-    groups = h1_groups(data)
+def cmd_homology(document: InputDocument, view: HeegaardData, args: argparse.Namespace) -> _Result:
+    groups = h1_groups(view)
     payload: dict = {
         "h1_manifold": _group_obj(groups.manifold),
         "h1_complement": None,
@@ -217,19 +199,19 @@ def cmd_homology(document: InputDocument, args: argparse.Namespace) -> _Result:
         payload["complement_lemma"] = groups.complement_lemma
         lines.append(f"H1(M \\ nu K) = {groups.exterior}")
         lines.append(f"complement lemma: {'holds' if groups.complement_lemma else 'FAILS'}")
-    elif data.knot_generators is not None:
+    elif view.knot_generators is not None:
         lines.append("knot is not nullhomologous; exterior homology not reported")
     return EXIT_OK, payload, lines
 
 
-def cmd_stabilize(document: InputDocument, args: argparse.Namespace) -> _Result:
+def cmd_stabilize(document: InputDocument, view: HeegaardData, args: argparse.Namespace) -> _Result:
     if document.mode != "openbook":
         raise UsageError("stabilize requires an openbook document")
     if document.knot is None:
         raise UsageError(NO_KNOT_BLOCK)
     sign = 1 if args.sign == "+1" else -1
     stabilized, knot = stabilize(document.open_book, document.knot, sign)
-    before, after = _tb_across_stabilization(document.open_book, document.knot, sign)
+    before, after = _tb_across_stabilization(view, sign)
     write_document(
         InputDocument(
             open_book=stabilized,
@@ -250,17 +232,18 @@ def cmd_stabilize(document: InputDocument, args: argparse.Namespace) -> _Result:
     if before is None:
         summary = "tb undefined before and after (knot class of infinite order)"
     else:
+        _warn_if_not_orthogonal(before)
         summary = f"tb before = {before.tb}, tb after = {after.tb}, delta = {delta}"
     code = EXIT_OK if before is not None else EXIT_INFINITE
     return code, payload, [f"wrote {args.output}", summary]
 
 
-def cmd_convert(document: InputDocument, args: argparse.Namespace) -> _Result:
+def cmd_convert(document: InputDocument, view: HeegaardData, args: argparse.Namespace) -> _Result:
     if document.mode != "openbook":
         raise UsageError("convert requires an openbook document")
     write_document(
         InputDocument(
-            heegaard=_heegaard_view(document),
+            heegaard=_doubled(view),
             name=document.name,
             description=document.description,
         ),
@@ -305,10 +288,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         document = _load(args)
+        # every command reads this one view: (C, A, -A) for an open book
+        view = document.heegaard or _view(document.open_book, document.knot)
         with _exact_int_output():
             if args.verbose and not args.machine:
-                _print_context(document, args.verbose)
-            code, payload, lines = _HANDLERS[args.command](document, args)
+                _print_context(document, view, args.verbose)
+            code, payload, lines = _HANDLERS[args.command](document, view, args)
             print(json.dumps(payload, indent=2) if args.machine else "\n".join(lines))
         return code
     except (UsageError, DocumentError, OSError) as error:

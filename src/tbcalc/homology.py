@@ -59,10 +59,6 @@ class AbelianGroup(_Record):
             free_rank=sum(1 for f in factors if f == 0),
         )
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.torsion and not self.free_rank
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:

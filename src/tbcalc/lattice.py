@@ -125,14 +125,6 @@ class IntegerMatrix(_Record):
                 raise ValueError("rows must all have the same length")
         return cls(n_rows, n_cols, tuple(list(chain.from_iterable(row_list))))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple([1 if i == j else 0 for i in range(n) for j in range(n)]))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -152,15 +144,6 @@ class IntegerMatrix(_Record):
     def to_rows(self) -> list[list[int]]:
         """Mutable row-of-lists copy."""
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            self.cols,
-            self.rows,
-            tuple(
-                [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-            ),
-        )
 
     def __neg__(self) -> "IntegerMatrix":
         return IntegerMatrix(self.rows, self.cols, tuple([-e for e in self.entries]))

@@ -118,10 +118,6 @@ class OpenBookPresentation(_Record):
         _set(self, "twists", twists)
         _set(self, "twist_pairings", twist_pairings)
 
-    @property
-    def twist_count(self) -> int:
-        return len(self.twists)
-
 
 def monodromy_matrix(open_book: OpenBookPresentation) -> IntegerMatrix:
     """Pairing matrix of the monodromy word acting on the cut arcs.
@@ -178,9 +174,8 @@ def tb_open_book(open_book: OpenBookPresentation, knot: PageKnot) -> TbResult | 
     knot is not rationally nullhomologous and tb is undefined).
 
     This is the Heegaard formula -dividing/2 + <E, I> / d with I = -A and
-    no dividing-set crossings, so tb_heegaard assembles it.  It keeps C
-    rather than going through to_heegaard so that its certificate solves
-    C @ E == d * A; to_heegaard's -C gives -E, with the same d and tb.
+    no dividing-set crossings, so tb_heegaard reads it off the book's
+    view.
     """
     pairings = knot.arc_pairings
     if len(pairings) != open_book.page.arc_count:
@@ -188,34 +183,39 @@ def tb_open_book(open_book: OpenBookPresentation, knot: PageKnot) -> TbResult | 
             f"knot pairs with {len(pairings)} arcs, page has "
             f"{open_book.page.arc_count}"
         )
-    return _tb(monodromy_matrix(open_book), pairings)
+    return tb_heegaard(_view(open_book, knot))
 
 
-def _tb(matrix: IntegerMatrix, pairings: tuple[int, ...]) -> TbResult | None:
-    """tb_open_book of the knot with these arc pairings, on a page whose
-    monodromy pairing matrix is matrix."""
-    negated = tuple([-a for a in pairings])
-    return tb_heegaard(HeegaardData(len(pairings), matrix, pairings, negated))
+def _view(open_book: OpenBookPresentation, knot: PageKnot | None) -> HeegaardData:
+    """The Heegaard data (C, A, -A) with no dividing-set crossings that
+    every command reads, C from one sweep of the word; with knot None it
+    has no knot either.  The knot must already pair with each cut arc."""
+    pairings = None if knot is None else knot.arc_pairings
+    return HeegaardData._derive(
+        genus=open_book.page.arc_count,
+        relations=monodromy_matrix(open_book),
+        knot_generators=pairings,
+        knot_relations=None if knot is None else tuple([-a for a in pairings]),
+        dividing_intersections=0,
+    )
 
 
 def _tb_across_stabilization(
-    open_book: OpenBookPresentation, knot: PageKnot, sign: int
+    view: HeegaardData, sign: int
 ) -> tuple[TbResult | None, TbResult | None]:
-    """tb_open_book of the knot before and after stabilize(open_book, knot,
-    sign), from one sweep of the word.
+    """tb of an open book's knot before and after stabilize(open_book,
+    knot, sign), from the book's view: the word is not swept.
 
     The new twist comes last and meets only the new arc, once, so the
     stabilized book's pairing matrix is diag(C, sign) and its knot pairs
-    as (A, 1); the l + 1 twists are not swept again.  sign is a unit, so
-    (A, 1) has A's order d, or is undefined with it, and diag(C, sign)
-    maps (E, sign * d) to d * (A, 1): tb drops by sign, with no second
-    factorization.  Only a knot that meets ker C has diag(C, sign)
-    factored afresh, since its tb depends on the certificate that the
-    pivots reach.  sign and knot are taken as stabilize accepted them.
+    as (A, 1).  sign is a unit, so (A, 1) has A's order d, or is
+    undefined with it, and diag(C, sign) maps (E, sign * d) to
+    d * (A, 1): tb drops by sign, with no second factorization.  Only a
+    knot that meets ker C has diag(C, sign) factored afresh, since its
+    tb depends on the certificate that the pivots reach.  The view must
+    have a knot, and sign is taken as stabilize accepted it.
     """
-    matrix = monodromy_matrix(open_book)
-    pairings = knot.arc_pairings
-    before = _tb(matrix, pairings)
+    before = tb_heegaard(view)
     if before is None:
         return None, None
     if before.kernel_orthogonal:
@@ -225,8 +225,10 @@ def _tb_across_stabilization(
             certificate=before.certificate + (sign * before.order,),
             kernel_orthogonal=True,
         )
-    padded = [row + [0] for row in matrix.to_rows()] + [[0] * matrix.rows + [sign]]
-    return before, _tb(IntegerMatrix.from_rows(padded), pairings + (1,))
+    rows = [row + [0] for row in view.relations.to_rows()] + [[0] * view.genus + [sign]]
+    generators, relations = view.knot_generators + (1,), view.knot_relations + (-1,)
+    padded = HeegaardData(view.genus + 1, IntegerMatrix.from_rows(rows), generators, relations)
+    return before, tb_heegaard(padded)
 
 
 def stabilize(
@@ -281,13 +283,17 @@ def to_heegaard(
     page so it misses the dividing set, and both knot vectors coincide
     with the arc pairings.  With knot None the data has no knot either.
     """
-    size = open_book.page.arc_count
-    if knot is not None and len(knot.arc_pairings) != size:
+    if knot is not None and len(knot.arc_pairings) != open_book.page.arc_count:
         raise ValueError("knot does not match the page")
-    pairings = None if knot is None else knot.arc_pairings
-    return HeegaardData(
-        genus=size,
-        relations=-monodromy_matrix(open_book),
-        knot_generators=pairings,
-        knot_relations=pairings,
+    return _doubled(_view(open_book, knot))
+
+
+def _doubled(view: HeegaardData) -> HeegaardData:
+    """to_heegaard of the open book whose view this is: -C, and I = A."""
+    return HeegaardData._derive(
+        genus=view.genus,
+        relations=-view.relations,
+        knot_generators=view.knot_generators,
+        knot_relations=view.knot_generators,
+        dividing_intersections=0,
     )

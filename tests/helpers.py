@@ -19,6 +19,19 @@ def random_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> Integ
     return IntegerMatrix(rows, cols, entries)
 
 
+def identity(n: int) -> IntegerMatrix:
+    return IntegerMatrix(n, n, tuple([int(i == j) for i in range(n) for j in range(n)]))
+
+
+def zeros(rows: int, cols: int) -> IntegerMatrix:
+    return IntegerMatrix(rows, cols, (0,) * (rows * cols))
+
+
+def transpose(matrix: IntegerMatrix) -> IntegerMatrix:
+    columns = [e for j in range(matrix.cols) for e in matrix.column(j)]
+    return IntegerMatrix(matrix.cols, matrix.rows, tuple(columns))
+
+
 def random_vector(rng: random.Random, size: int, bound: int) -> tuple[int, ...]:
     return tuple(rng.randint(-bound, bound) for _ in range(size))
 
@@ -76,7 +89,7 @@ def realizable_open_book(
     planar page.
     """
     twists = tuple(DehnTwist(sign, pairings.row(k)) for k, sign in enumerate(signs))
-    block = pairings @ page_intersection_form(page) @ pairings.transpose()
+    block = pairings @ page_intersection_form(page) @ transpose(pairings)
     return OpenBookPresentation(page, twists, block)
 
 

@@ -461,7 +461,8 @@ class TestStabilize:
 
     @pytest.mark.parametrize("name", STABILIZABLE)
     def test_one_sweep_per_op(self, capsys, monkeypatch, tmp_path, name):
-        """Without -v, tb and stabilize each sweep the word once."""
+        """Every command sweeps the word once, plain, with --json and with
+        -vv, whose pairing matrix is read off the same view."""
         calls = []
 
         def recording(open_book):
@@ -469,17 +470,16 @@ class TestStabilize:
             return monodromy_matrix(open_book)
 
         monkeypatch.setattr(tbcalc.openbook, "monodromy_matrix", recording)
-        path = str(conftest.document_path(name))
-        out_path = str(tmp_path / "stab.json")
-        for argv in (
-            ["tb", path],
-            ["tb", "--json", path],
-            ["stabilize", "--sign", "+1", "-o", out_path, path],
-            ["stabilize", "--json", "--sign", "-1", "-o", out_path, path],
-        ):
-            calls.clear()
-            run(capsys, *argv)
-            assert len(calls) == 1, argv
+        monkeypatch.setattr(tbcalc.cli, "monodromy_matrix", recording, raising=False)
+        out = ["-o", str(tmp_path / "out.json")]
+        commands = [["tb"], ["homology"], ["stabilize", "--sign", "+1", *out]]
+        commands += [["stabilize", "--sign", "-1", *out], ["convert", *out]]
+        for command in commands:
+            for mode in ([], ["--json"], ["-vv"]):
+                calls.clear()
+                code, _, _ = run(capsys, *command, *mode, str(conftest.document_path(name)))
+                assert code in (0, 2)
+                assert len(calls) == 1, command + mode
 
     @pytest.mark.parametrize(
         "name, factorizations",

@@ -50,7 +50,7 @@ class TestValidation:
     @pytest.mark.parametrize("entry", [True, 1.5, "1"])
     def test_knot_vectors_must_hold_plain_ints(self, entry):
         # the first bad entry is the one reported, not the later 2.5
-        relations = IntegerMatrix.zeros(3, 3)
+        relations = helpers.zeros(3, 3)
         bad = (0, entry, 2.5)
         with pytest.raises(TypeError, match=re.escape(repr(entry))):
             HeegaardData(3, relations, bad, (0, 0, 0))
@@ -59,7 +59,7 @@ class TestValidation:
 
     def test_negative_genus(self):
         with pytest.raises(ValueError):
-            HeegaardData(-1, IntegerMatrix.zeros(0, 0), (), (), 0)
+            HeegaardData(-1, helpers.zeros(0, 0), (), (), 0)
 
     @pytest.mark.parametrize("genus", [True, 1.0])
     def test_genus_must_be_a_plain_int(self, genus):
@@ -207,7 +207,7 @@ class TestChangeOfBasis:
             sample.genus,
             q @ sample.relations @ p,
             q @ sample.knot_generators,
-            p.transpose() @ sample.knot_relations,
+            helpers.transpose(p) @ sample.knot_relations,
             sample.dividing_intersections,
         )
         # H1 of the manifold and, for a nullhomologous knot, of the exterior

@@ -13,6 +13,7 @@ import helpers
 import oracles
 from tbcalc import (
     DehnTwist,
+    HeegaardData,
     IntegerMatrix,
     OpenBookPresentation,
     PageKnot,
@@ -25,7 +26,7 @@ from tbcalc import (
     tb_open_book,
     to_heegaard,
 )
-from tbcalc.openbook import SkewSymmetryError, _tb_across_stabilization
+from tbcalc.openbook import SkewSymmetryError, _tb_across_stabilization, _view
 
 GOLDEN = conftest.DATA / "golden"
 CONVERTED = sorted(path.name.split(".")[0] for path in GOLDEN.glob("*.convert.json"))
@@ -195,7 +196,7 @@ class TestMonodromyMatrix:
         assert monodromy_matrix(book).to_rows() == [[4, 2], [2, 1]]
 
     def test_empty_word(self):
-        book = OpenBookPresentation(PageSurface(1, 1), (), IntegerMatrix.zeros(0, 0))
+        book = OpenBookPresentation(PageSurface(1, 1), (), helpers.zeros(0, 0))
         assert monodromy_matrix(book).to_rows() == [[0, 0], [0, 0]]
 
     def test_matches_reference(self):
@@ -244,7 +245,7 @@ class TestMonodromyMatrix:
         book = OpenBookPresentation(
             PageSurface(0, 2),
             tuple(DehnTwist(1, arcs) for _ in range(count)),
-            IntegerMatrix.zeros(count, count),
+            helpers.zeros(count, count),
         )
         with pytest.raises(ValueError):
             oracles.monodromy_matrix_reference(book)
@@ -266,7 +267,7 @@ class TestTbOpenBook:
         assert result.certificate == (1,)
 
     def test_disk_page(self):
-        book = OpenBookPresentation(PageSurface(0, 1), (), IntegerMatrix.zeros(0, 0))
+        book = OpenBookPresentation(PageSurface(0, 1), (), helpers.zeros(0, 0))
         result = tb_open_book(book, PageKnot(()))
         assert result.order == 1 and result.tb == 0 and result.certificate == ()
 
@@ -283,7 +284,7 @@ class TestTbOpenBook:
 
     def test_infinite_order(self):
         # empty word: C = 0, nothing nonzero bounds
-        book = OpenBookPresentation(PageSurface(1, 1), (), IntegerMatrix.zeros(0, 0))
+        book = OpenBookPresentation(PageSurface(1, 1), (), helpers.zeros(0, 0))
         assert tb_open_book(book, PageKnot((1, 0))) is None
 
     def test_value_ignores_solution_choice_when_orthogonal(self):
@@ -347,7 +348,7 @@ def any_books_with_knots():
 
 # 0 cut arcs and 0 twists
 DISK_PAGE_EMPTY_WORD = (
-    OpenBookPresentation(PageSurface(0, 1), (), IntegerMatrix.zeros(0, 0)),
+    OpenBookPresentation(PageSurface(0, 1), (), helpers.zeros(0, 0)),
     PageKnot(()),
 )
 
@@ -358,7 +359,7 @@ class TestStabilize:
         stabilized, new_knot = stabilize(book, knot, -1)
         assert stabilized.page.boundary_components == 3
         assert stabilized.page.arc_count == 2
-        assert stabilized.twist_count == 2
+        assert len(stabilized.twists) == 2
         assert stabilized.twists[-1] == DehnTwist(-1, (0, 1))
         assert stabilized.twists[0].arc_pairings == (-1, 0)
         assert new_knot.arc_pairings == (-1, 1)
@@ -420,7 +421,7 @@ class TestStabilize:
         else:
             book = helpers.random_open_book(rng, max_twists=5, max_arcs=7)
         knot = (helpers.random_bounding_knot if bounding else helpers.random_knot)(rng, book)
-        before, after = _tb_across_stabilization(book, knot, sign)
+        before, after = _tb_across_stabilization(_view(book, knot), sign)
         assert before == tb_open_book(book, knot)
         stabilized, new_knot = stabilize(book, knot, sign)
         fresh = tb_open_book(stabilized, new_knot)
@@ -450,7 +451,7 @@ class TestStabilize:
         diag(C, sign) and the knot runs once over the new arc."""
         book, knot = book_and_knot
         stabilized, new_knot = stabilize(book, knot, sign)
-        count = book.twist_count
+        count = len(book.twists)
         assert stabilized.twist_pairings.to_rows() == [
             row + [0] for row in book.twist_pairings.to_rows()
         ] + [[0] * (count + 1)]
@@ -567,6 +568,26 @@ class TestToHeegaard:
         assert agreements >= 30
         assert singular >= 30
 
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    # singular C with a bounding knot, and with a random one that bounds
+    @example(10, False, True)
+    @example(4, True, False)
+    @settings(deadline=None, max_examples=200)
+    def test_view_and_doubled_page_give_the_same_homology(self, seed, realizable, bounding):
+        """The CLI reads homology off the view (C, A, -A); to_heegaard is
+        that view negated, (-C, A, A).  The exterior relations [C; A^T]
+        are -[-C; -A^T], so both present the same groups, singular C
+        included."""
+        rng = random.Random(seed)
+        draw = helpers.random_realizable_open_book if realizable else helpers.random_open_book
+        book = draw(rng)
+        knot = (helpers.random_bounding_knot if bounding else helpers.random_knot)(rng, book)
+        view, doubled = _view(book, knot), to_heegaard(book, knot)
+        matrix, pairings = monodromy_matrix(book), knot.arc_pairings
+        assert view == HeegaardData(len(pairings), matrix, pairings, tuple([-a for a in pairings]))
+        assert doubled == HeegaardData(len(pairings), -matrix, pairings, pairings)
+        assert h1_groups(view) == h1_groups(doubled)
+
 
 class TestChangeOfBasis:
     """Mapping every twist's arc vector and the knot's vector by Q^T, for
@@ -584,7 +605,7 @@ class TestChangeOfBasis:
         else:
             knot = helpers.random_knot(rng, book)
         q = helpers.random_unimodular(rng, book.page.arc_count)
-        q_t = q.transpose()
+        q_t = helpers.transpose(q)
         changed = OpenBookPresentation(
             book.page,
             [DehnTwist(twist.sign, q_t @ twist.arc_pairings) for twist in book.twists],
@@ -633,10 +654,10 @@ class TestRealizableBooks:
     def test_variation_identity(self, seed, bounding):
         book, _ = realizable_book_and_knot(random.Random(seed), bounding)
         matrix = monodromy_matrix(book)
-        size = matrix.rows
-        variation = [a - b for a, b in zip(matrix.entries, matrix.transpose().entries)]
+        size, transposed = matrix.rows, helpers.transpose(matrix)
+        variation = [a - b for a, b in zip(matrix.entries, transposed.entries)]
         form = helpers.page_intersection_form(book.page)
-        assert IntegerMatrix(size, size, tuple(variation)) == matrix.transpose() @ form @ matrix
+        assert IntegerMatrix(size, size, tuple(variation)) == transposed @ form @ matrix
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(deadline=None, max_examples=200)

@@ -183,9 +183,9 @@ def test_a_different_field_breaks_equality():
         lambda: TbResult(2, Fraction(-1), ("x",), True),
         lambda: TbResult(2, Fraction(-1), (1,), "yes"),
         lambda: TbResult(2, Fraction(-1), (1,), 1),
-        lambda: SmithDecomposition(*[IntegerMatrix.identity(1)] * 3, True),
-        lambda: SmithDecomposition(*[IntegerMatrix.identity(1)] * 3, "x"),
-        lambda: SmithDecomposition(*[IntegerMatrix.identity(1)] * 3, 1.0),
+        lambda: SmithDecomposition(*[IntegerMatrix.from_rows([[1]])] * 3, True),
+        lambda: SmithDecomposition(*[IntegerMatrix.from_rows([[1]])] * 3, "x"),
+        lambda: SmithDecomposition(*[IntegerMatrix.from_rows([[1]])] * 3, 1.0),
     ],
 )
 def test_certificates_and_decompositions_refuse_wrong_types(build):

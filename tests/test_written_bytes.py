@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 
 import conftest
+import helpers
 from oracles import dumps_document_reference
 from tbcalc import (
     DehnTwist,
@@ -233,7 +234,7 @@ def test_mostly_zero_blocks_write_what_json_writes(value, tmp_path):
 def disk_page_book(count=2):
     """count twists on a disk page: every arcs list is empty."""
     twists = [DehnTwist((-1) ** k, ()) for k in range(count)]
-    return OpenBookPresentation(PageSurface(0, 1), twists, IntegerMatrix.zeros(count, count))
+    return OpenBookPresentation(PageSurface(0, 1), twists, helpers.zeros(count, count))
 
 
 def annulus_book(arcs, pairings):
@@ -262,7 +263,7 @@ def heegaard(rows, a=None, i=None, dividing=0):
         InputDocument(heegaard=heegaard([[1, Loud(2)], [3, 4]])),
         InputDocument(heegaard=heegaard([[2, 0], [0, 0]], (Loud(1), 0), (0, Loud(-3)), 4)),
         InputDocument(
-            heegaard=HeegaardData(Loud(1), IntegerMatrix.identity(1), (1,), (2,), Loud(2))
+            heegaard=HeegaardData(Loud(1), IntegerMatrix.from_rows([[1]]), (1,), (2,), Loud(2))
         ),
         InputDocument(open_book=two_twist_book()),
         InputDocument(open_book=disk_page_book()),
@@ -277,7 +278,7 @@ def heegaard(rows, a=None, i=None, dividing=0):
             open_book=OpenBookPresentation(
                 PageSurface(Loud(1), Loud(1)),
                 [DehnTwist(Loud(-1), (1, 0))],
-                IntegerMatrix.zeros(1, 1),
+                IntegerMatrix.from_rows([[0]]),
             )
         ),
         InputDocument(open_book=two_twist_book(), name="100%", description="50% of %s"),
