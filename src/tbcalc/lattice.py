@@ -156,14 +156,14 @@ class IntegerMatrix(_Record):
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            product = tuple(
-                [
-                    sum(self[i, k] * other[k, j] for k in range(self.cols))
-                    for i in range(self.rows)
-                    for j in range(other.cols)
-                ]
-            )
-            return IntegerMatrix(self.rows, other.cols, product)
+            # an entry in a zero row of self or a zero column of other is 0
+            live_rows = [i for i in range(self.rows) if any(self.row(i))]
+            live_cols = [j for j in range(other.cols) if any(other.column(j))]
+            product = [0] * (self.rows * other.cols)
+            for i in live_rows:
+                for j in live_cols:
+                    product[i * other.cols + j] = sum(self[i, k] * other[k, j] for k in range(self.cols))
+            return IntegerMatrix(self.rows, other.cols, tuple(product))
         if isinstance(other, (tuple, list)):
             if self.cols != len(other):
                 raise ValueError(
@@ -243,8 +243,10 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     sliced out of it at the end.  Pivots are chosen as a smallest nonzero
     entry of the active block by absolute value, remainders are produced
     by floor division, and signs are normalized only once a pivot's row
-    and column are clear.  The returned decomposition is re-multiplied
-    before being handed back.
+    and column are clear; a column operation skips the rows it leaves
+    unchanged, those with 0 in the pivot column.  Before being handed back
+    the decomposition is re-multiplied, U @ M @ V compared in full with D;
+    each product skips only entries of rows or columns seen to be zero.
 
     >>> smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 3]])).diagonal()
     (1, 6)
@@ -292,7 +294,8 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
                         q = w[t][j] // w[t][t]
                         if q:
                             for r in w:
-                                r[j] -= q * r[t]
+                                if r[t]:
+                                    r[j] -= q * r[t]
                         if w[t][j]:
                             swap_cols(t, j)
                             break

@@ -39,6 +39,18 @@ def cofactor_det(rows: Rows) -> int:
     return total
 
 
+def matmul(left: Rows, right: Rows, cols: int) -> Rows:
+    """Product of two matrices given as lists of rows, entry by entry by the
+    triple loop.  cols is the column count of right, which its rows cannot
+    carry when it has none."""
+    product = [[0] * cols for _ in left]
+    for i, row in enumerate(left):
+        for j in range(cols):
+            for k, entry in enumerate(row):
+                product[i][j] += entry * right[k][j]
+    return product
+
+
 def rational_solution(rows: Rows, target) -> tuple[list[Fraction], list[int]] | None:
     """Gauss-Jordan over Q.
 

@@ -1,6 +1,7 @@
 """Exact linear algebra: frozen examples plus property tests against oracles."""
 
 import math
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -38,6 +39,30 @@ def square_matrices(draw, max_dim: int = 4, bound: int = 6):
         st.lists(st.integers(-bound, bound), min_size=size * size, max_size=size * size)
     )
     return IntegerMatrix(size, size, tuple(entries))
+
+
+@st.composite
+def products(draw, max_dim: int = 4):
+    """Factors as lists of rows, left rows x inner and right inner x cols,
+    with entries of a few bits or of thousands, random rows of the left
+    factor and columns of the right one zeroed, and either factor perhaps
+    all zero."""
+    rows, inner, cols = draw(st.lists(st.integers(0, max_dim), min_size=3, max_size=3))
+    entries = st.one_of(st.integers(-9, 9), st.integers(-(2**4000), 2**4000))
+
+    def factor(height, width, zero_rows, zero_cols):
+        matrix = [draw(st.lists(entries, min_size=width, max_size=width)) for _ in range(height)]
+        if draw(st.booleans()):
+            zero_rows, zero_cols = range(height), range(width)
+        return [
+            [0 if i in zero_rows or j in zero_cols else e for j, e in enumerate(row)]
+            for i, row in enumerate(matrix)
+        ]
+
+    indices = st.sets(st.integers(0, max_dim))
+    left = factor(rows, inner, draw(indices), ())
+    right = factor(inner, cols, (), draw(indices))
+    return left, right, inner, cols
 
 
 @st.composite
@@ -104,6 +129,19 @@ class TestIntegerMatrix:
         with pytest.raises(ValueError):
             a @ (1, 2, 3)
 
+    @given(products())
+    @settings(deadline=None)
+    def test_matmul_matches_the_triple_loop(self, factors):
+        left, right, inner, cols = factors
+        a = IntegerMatrix(len(left), inner, tuple([e for row in left for e in row]))
+        b = IntegerMatrix(inner, cols, tuple([e for row in right for e in row]))
+        expected = oracles.matmul(left, right, cols)
+        product = a @ b
+        assert (product.rows, product.cols, product.to_rows()) == (len(left), cols, expected)
+        for j in range(cols):
+            column = [row[j] for row in right]
+            assert a @ column == a @ tuple(column) == tuple([row[j] for row in expected])
+
     def test_determinant_frozen(self):
         assert IntegerMatrix.from_rows([[2, 1, 3], [1, 1, 1], [0, 2, 5]]).determinant() == 7
         assert helpers.identity(4).determinant() == 1
@@ -153,6 +191,46 @@ class TestSmithNormalForm:
         rows = plus.U.to_rows()
         negated = [[-e for e in row] if i < plus.rank else row for i, row in enumerate(rows)]
         assert minus.U.to_rows() == negated
+
+
+class TestSkippedWork:
+    """Products skip the entries of rows and columns seen to be zero in
+    their factors; reads of IntegerMatrix entries count what they compute."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Entry reads, one count per product since the fixture was set up."""
+        counts = [0]
+        getitem, matmul = IntegerMatrix.__getitem__, IntegerMatrix.__matmul__
+
+        def counting_getitem(matrix, key):
+            counts[-1] += 1
+            return getitem(matrix, key)
+
+        def counting_matmul(matrix, other):
+            counts.append(0)
+            return matmul(matrix, other)
+
+        monkeypatch.setattr(IntegerMatrix, "__getitem__", counting_getitem)
+        monkeypatch.setattr(IntegerMatrix, "__matmul__", counting_matmul)
+        return counts
+
+    def test_zero_matrix(self, reads):
+        n = 80
+        result = smith_normal_form(helpers.zeros(n, n))
+        assert (result.rank, result.D) == (0, helpers.zeros(n, n))
+        assert sum(reads) <= 4 * n
+
+    def test_check_reads_the_live_rows_of_u_times_m(self, reads):
+        # rows rank.. of U @ M are zero, so the second product of the
+        # re-multiplication computes only the first rank rows
+        rng = random.Random(12)
+        n, rank = 12, 6
+        matrix = helpers.random_matrix(rng, n, rank, 3) @ helpers.random_matrix(rng, rank, n, 3)
+        reads.clear()
+        result = smith_normal_form(matrix)
+        assert result.rank == rank
+        assert reads == [2 * n**3, 2 * rank * n * n]
 
 
 def integer_solution(matrix, target):

@@ -2,17 +2,21 @@
 
 Inputs are arbitrary bytes and small, loosely shaped JSON documents
 (genus at most 3, at most 6 twists) that are often close to valid, so
-that they reach the lattice and homology layers as well as the parser.
+that they reach the lattice and homology layers as well as the parser,
+and a large page with an empty word, which must end in time.
 """
 
 import contextlib
 import io
 import json
+import subprocess
+import sys
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import conftest
 from tbcalc.cli import main
 
 OUTPUT = "OUTPUT"
@@ -152,3 +156,23 @@ def test_arbitrary_bytes(workdir, data):
 @settings(deadline=None, max_examples=300)
 def test_loosely_shaped_documents(workdir, text):
     run_every_command(workdir, text.encode())
+
+
+@pytest.mark.parametrize(
+    "command, stdout",
+    [
+        ("homology", "H1(M) = Z^600\nH1(M \\ nu K) = Z^601\ncomplement lemma: holds\n"),
+        ("tb", f"verdict: nullhomologous\norder 1, tb = 0\ncertificate E = {[0] * 600}\n"),
+    ],
+    ids=["homology", "tb"],
+)
+def test_empty_word_on_a_genus_300_page(command, stdout):
+    """C is the 600x600 zero matrix: its Smith form and the products that
+    check it skip every entry, so the command ends well within 60 s."""
+    result = subprocess.run(
+        [sys.executable, "-m", "tbcalc", command, str(conftest.DATA / "empty-word-genus-300.json")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
