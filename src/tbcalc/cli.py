@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Sequence
 
 from .documents import (
     DocumentError,
@@ -146,9 +146,7 @@ def _verdict(result: TbResult) -> str:
     return f"rationally nullhomologous of order {result.order}"
 
 
-def _fraction_obj(value: Fraction | None) -> dict | None:
-    if value is None:
-        return None
+def _fraction_obj(value: Fraction) -> dict:
     return {"numerator": value.numerator, "denominator": value.denominator}
 
 
@@ -209,7 +207,7 @@ def cmd_stabilize(document: InputDocument, view: HeegaardData, args: argparse.Na
         raise UsageError("stabilize requires an openbook document")
     if document.knot is None:
         raise UsageError(NO_KNOT_BLOCK)
-    sign = 1 if args.sign == "+1" else -1
+    sign = int(args.sign)
     stabilized, knot = stabilize(document.open_book, document.knot, sign)
     before, after = _tb_across_stabilization(view, sign)
     write_document(
@@ -221,21 +219,20 @@ def cmd_stabilize(document: InputDocument, view: HeegaardData, args: argparse.Na
         ),
         args.output,
     )
-    delta = after.tb - before.tb if before and after else None
-    payload = {
-        "output": str(args.output),
-        "sign": sign,
-        "tb_before": _fraction_obj(before.tb if before else None),
-        "tb_after": _fraction_obj(after.tb if after else None),
-        "delta": _fraction_obj(delta),
-    }
+    payload = {"output": str(args.output), "sign": sign}
     if before is None:
+        payload.update(tb_before=None, tb_after=None, delta=None)
         summary = "tb undefined before and after (knot class of infinite order)"
-    else:
-        _warn_if_not_orthogonal(before)
-        summary = f"tb before = {before.tb}, tb after = {after.tb}, delta = {delta}"
-    code = EXIT_OK if before is not None else EXIT_INFINITE
-    return code, payload, [f"wrote {args.output}", summary]
+        return EXIT_INFINITE, payload, [f"wrote {args.output}", summary]
+    _warn_if_not_orthogonal(before)
+    delta = after.tb - before.tb
+    payload.update(
+        tb_before=_fraction_obj(before.tb),
+        tb_after=_fraction_obj(after.tb),
+        delta=_fraction_obj(delta),
+    )
+    summary = f"tb before = {before.tb}, tb after = {after.tb}, delta = {delta}"
+    return EXIT_OK, payload, [f"wrote {args.output}", summary]
 
 
 def cmd_convert(document: InputDocument, view: HeegaardData, args: argparse.Namespace) -> _Result:

@@ -28,10 +28,10 @@ Parsing is strict: unknown keys, non-integer numbers, and shape or
 symmetry violations are rejected with the offending field's path.  The
 parser checks each field where it stands in document order, so the first
 fault is the one named, and builds each record once from the checked
-values without its constructor's checks (_Record._derive); only
-OpenBookPresentation's constructor runs, for the skew check.  Library
-callers who build records themselves get the constructors' checks, so
-either way each datum is checked once.
+values without its constructor's checks (_Record._derive): it runs no
+record constructor, and shares the skew scan (openbook._skew_fault) with
+OpenBookPresentation's.  Library callers who build records themselves
+get the constructors' checks, so either way each datum is checked once.
 
 dumps_document writes the keys above in that order, laid out as
 ``json.dumps(..., indent=2)`` lays them out, straight from the typed
@@ -42,20 +42,15 @@ tests/oracles.py keeps the json.dumps route as its reference.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
+from io import TextIOBase
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
-from typing import IO, Any, Iterator, Union
+from os import PathLike
 
 from .heegaard import HeegaardData
 from .lattice import IntegerMatrix, _Record, _set
-from .openbook import (
-    DehnTwist,
-    OpenBookPresentation,
-    PageKnot,
-    PageSurface,
-    SkewSymmetryError,
-)
+from .openbook import DehnTwist, OpenBookPresentation, PageKnot, PageSurface, _skew_fault
 
 
 class DocumentError(ValueError):
@@ -136,19 +131,19 @@ def _require_keys(obj: dict, path: tuple, required: tuple, optional: tuple = ())
             raise ValidationError(_path(path + (key,)), "missing required key")
 
 
-def _as_int(value: Any, path: tuple) -> int:
+def _as_int(value: object, path: tuple) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(_path(path), f"expected an integer, got {value!r}")
     return value
 
 
-def _as_str(value: Any, path: tuple) -> str:
+def _as_str(value: object, path: tuple) -> str:
     if not isinstance(value, str):
         raise ValidationError(_path(path), "expected a string")
     return value
 
 
-def _as_ints(value: Any, path: tuple, length: int) -> list:
+def _as_ints(value: object, path: tuple, length: int) -> list:
     """value, once it is an array of length ints.  The entries are walked
     to name the first fault only when their types are not all int."""
     if not isinstance(value, list):
@@ -161,7 +156,7 @@ def _as_ints(value: Any, path: tuple, length: int) -> list:
     return value
 
 
-def _as_matrix(value: Any, path: tuple, rows: int, cols: int) -> IntegerMatrix:
+def _as_matrix(value: object, path: tuple, rows: int, cols: int) -> IntegerMatrix:
     if not isinstance(value, list):
         raise ValidationError(_path(path), "expected an array of rows")
     if len(value) != rows:
@@ -208,18 +203,15 @@ def _parse_open_book(obj: dict) -> tuple[OpenBookPresentation, PageKnot | None]:
 
     count = len(twists)
     pairings = _as_matrix(obj["twist_pairings"], ("twist_pairings",), count, count)
-    try:
-        open_book = OpenBookPresentation(page, twists, pairings)
-    except SkewSymmetryError as error:
-        m, k = error.row, error.col
-        if m == k:
-            raise ValidationError(
-                f"twist_pairings[{k}][{k}]", "skew-symmetry violated (diagonal must be 0)"
-            ) from error
-        raise ValidationError(
-            f"twist_pairings[{m}][{k}]",
-            f"skew-symmetry violated (must equal -twist_pairings[{k}][{m}])",
-        ) from error
+    fault = _skew_fault(pairings.entries, count)
+    if fault is not None:
+        m, k = fault
+        detail = "diagonal must be 0" if m == k else f"must equal -twist_pairings[{k}][{m}]"
+        raise ValidationError(f"twist_pairings[{m}][{k}]", f"skew-symmetry violated ({detail})")
+    # _as_ints checked each twist's length, and _as_matrix the block's shape
+    open_book = OpenBookPresentation._derive(
+        page=page, twists=tuple(twists), twist_pairings=pairings
+    )
 
     knot = None
     if "knot" in obj:
@@ -262,7 +254,7 @@ def _parse_heegaard(obj: dict) -> HeegaardData:
     )
 
 
-def document_from_obj(obj: Any) -> InputDocument:
+def document_from_obj(obj: object) -> InputDocument:
     """Validate a decoded JSON object and build the document."""
     if not isinstance(obj, dict):
         raise ValidationError("$", "top level must be an object")
@@ -301,10 +293,14 @@ def parse_document(text: str) -> InputDocument:
     return document_from_obj(raw)
 
 
-def load_document(source: Union[str, Path, IO[str]]) -> InputDocument:
+def load_document(source: str | PathLike[str] | TextIOBase) -> InputDocument:
     """Parse a document from a path or an open text stream."""
     try:
-        text = source.read() if hasattr(source, "read") else Path(source).read_text()
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source) as f:
+                text = f.read()
     except UnicodeDecodeError as error:
         raise ParseError(
             f"cannot decode the document as {error.encoding}: {error.reason} "
@@ -413,10 +409,10 @@ def dumps_document(document: InputDocument) -> str:
     return "".join(_pieces(document))
 
 
-def write_document(document: InputDocument, path: Union[str, Path]) -> None:
+def write_document(document: InputDocument, path: str | PathLike[str]) -> None:
     """Write dumps_document's text to path, piece by piece as it is
     formatted, so the whole text is never held at once.  A document that
     cannot be formatted (an int of more digits than
     sys.get_int_max_str_digits() allows) leaves the file partly written."""
-    with Path(path).open("w") as f:
+    with open(path, "w") as f:
         f.writelines(_pieces(document))

@@ -13,7 +13,7 @@ pairing vectors need not come from an embedding.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .heegaard import HeegaardData
 from .lattice import (

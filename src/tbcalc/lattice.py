@@ -18,9 +18,9 @@ of a size that no allocation draws from; each of those lists keeps up to
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
 
 
 def _check_int(value: object) -> int:
@@ -149,8 +149,8 @@ class IntegerMatrix(_Record):
         return IntegerMatrix(self.rows, self.cols, tuple([-e for e in self.entries]))
 
     def __matmul__(
-        self, other: Union["IntegerMatrix", Sequence[int]]
-    ) -> Union["IntegerMatrix", tuple[int, ...]]:
+        self, other: IntegerMatrix | Sequence[int]
+    ) -> IntegerMatrix | tuple[int, ...]:
         if isinstance(other, IntegerMatrix):
             if self.cols != other.rows:
                 raise ValueError(

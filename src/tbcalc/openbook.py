@@ -63,21 +63,21 @@ class PageKnot(_Record):
         _set(self, "arc_pairings", _check_ints(arc_pairings))
 
 
-class SkewSymmetryError(ValueError):
-    """twist_pairings[row][col] differs from -twist_pairings[col][row].
-
-    row >= col; the pair reported is the first met scanning the columns
-    in order, each from the diagonal down.
-    """
-
-    def __init__(self, row: int, col: int):
-        super().__init__(
-            "twist_pairings diagonal must vanish"
-            if row == col
-            else "twist_pairings must be skew-symmetric"
-        )
-        self.row = row
-        self.col = col
+def _skew_fault(entries: tuple[int, ...], count: int) -> tuple[int, int] | None:
+    """The first (row, col), row >= col, where the row-major count x count
+    block breaks entries[row][col] == -entries[col][row], scanning the
+    columns in order, each from the diagonal down; None if it is skew.
+    Only nonzero entries are compared with their mirrors: a diagonal
+    position is its own mirror, so a nonzero diagonal entry is a fault."""
+    faults = [
+        (min(k, m), max(k, m))
+        for k, m in compress(product(range(count), repeat=2), entries)
+        if entries[k * count + m] != -entries[m * count + k]
+    ]
+    if not faults:
+        return None
+    col, row = min(faults)  # least column, then least row
+    return row, col
 
 
 class OpenBookPresentation(_Record):
@@ -96,18 +96,14 @@ class OpenBookPresentation(_Record):
             raise ValueError(
                 f"twist_pairings must be {count}x{count} for {count} twists"
             )
-        # each nonzero entry against its mirror; a diagonal position is its
-        # own mirror, so a nonzero diagonal entry is a fault as well
-        pairings = twist_pairings.entries
-        faults = [
-            (min(k, m), max(k, m))
-            for k, m in compress(product(range(count), repeat=2), pairings)
-            if pairings[k * count + m] != -pairings[m * count + k]
-        ]
-        if faults:
-            # the first fault scanning the columns: least column, then least row
-            col, row = min(faults)
-            raise SkewSymmetryError(row, col)
+        fault = _skew_fault(twist_pairings.entries, count)
+        if fault is not None:
+            row, col = fault
+            raise ValueError(
+                "twist_pairings diagonal must vanish"
+                if row == col
+                else "twist_pairings must be skew-symmetric"
+            )
         for index, twist in enumerate(twists):
             if len(twist.arc_pairings) != page.arc_count:
                 raise ValueError(
@@ -177,12 +173,8 @@ def tb_open_book(open_book: OpenBookPresentation, knot: PageKnot) -> TbResult | 
     no dividing-set crossings, so tb_heegaard reads it off the book's
     view.
     """
-    pairings = knot.arc_pairings
-    if len(pairings) != open_book.page.arc_count:
-        raise ValueError(
-            f"knot pairs with {len(pairings)} arcs, page has "
-            f"{open_book.page.arc_count}"
-        )
+    if len(knot.arc_pairings) != open_book.page.arc_count:
+        raise ValueError("knot does not match the page")
     return tb_heegaard(_view(open_book, knot))
 
 
@@ -239,15 +231,14 @@ def stabilize(
     Adds a boundary component (so one new cut arc), appends a new
     +1 or -1 twist meeting only the new arc, once, and disjoint from
     every old twist curve; the knot runs once over the new arc.  tb of
-    the stabilized knot drops by the sign, which must be the int 1 or -1;
-    DehnTwist raises TypeError for a bool or any other type.
+    the stabilized knot drops by the sign, which must be the int 1 or -1:
+    the new DehnTwist raises ValueError for any other int and TypeError
+    for a bool or any other type.
 
     The old twists, the padded pairing block and the new book are derived
     from checked records: a trailing 0 and a zero row and column keep
     every invariant, so none is checked again.
     """
-    if sign not in (1, -1):
-        raise ValueError("stabilization sign must be 1 or -1")
     if len(knot.arc_pairings) != open_book.page.arc_count:
         raise ValueError("knot does not match the page")
     page = PageSurface(open_book.page.genus, open_book.page.boundary_components + 1)

@@ -7,9 +7,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
 
 import conftest
 import helpers
+import oracles
 from oracles import document_to_obj
 from tbcalc import (
     DehnTwist,
@@ -27,6 +29,7 @@ from tbcalc import (
     write_document,
 )
 from tbcalc.documents import document_from_obj
+from test_openbook import skew_blocks_with_faults
 
 
 def openbook_obj(**overrides):
@@ -435,6 +438,59 @@ def test_parsed_documents_match_their_checked_rebuild(name):
         assert repr(parsed) == repr(rebuilt)
         if written_from is not None:
             assert parsed == written_from and repr(parsed) == repr(written_from)
+
+
+RECORD_CLASSES = (
+    PageSurface,
+    DehnTwist,
+    PageKnot,
+    OpenBookPresentation,
+    IntegerMatrix,
+    HeegaardData,
+    InputDocument,
+)
+
+
+def test_the_parser_runs_no_record_constructor(monkeypatch):
+    # every record the parser builds goes through _Record._derive, so it
+    # parses the same documents with every record's __init__ refusing
+    paths = sorted(conftest.FIXTURES.glob("*.json")) + sorted(conftest.DATA.glob("*.json"))
+    texts = [path.read_text() for path in paths]
+    expected = [parse_document(text) for text in texts]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__}.__init__ ran")
+
+    for cls in RECORD_CLASSES:
+        monkeypatch.setattr(cls, "__init__", refuse)
+    parsed = [parse_document(text) for text in texts]
+    assert parsed == expected
+    assert [repr(document) for document in parsed] == [repr(document) for document in expected]
+
+
+@given(skew_blocks_with_faults())
+@settings(deadline=None, max_examples=300)
+def test_parser_names_the_column_scans_skew_fault(block):
+    """On twists with empty arcs on a disk page, the parser accepts
+    exactly the pairing blocks the column scan finds skew, and otherwise
+    names the scan's first fault by its path."""
+    count, entries = block
+    obj = {
+        "mode": "openbook",
+        "page": {"genus": 0, "boundary": 1},
+        "twists": [{"sign": 1, "arcs": []}] * count,
+        "twist_pairings": [entries[k * count : (k + 1) * count] for k in range(count)],
+    }
+    fault = oracles.skew_fault(entries, count)
+    if fault is None:
+        document = parse_document(json.dumps(obj))
+        assert document.open_book.twist_pairings.entries == tuple(entries)
+        return
+    row, col = fault
+    with pytest.raises(ValidationError) as info:
+        parse_document(json.dumps(obj))
+    detail = "diagonal must be 0" if row == col else f"must equal -twist_pairings[{col}][{row}]"
+    assert str(info.value) == f"twist_pairings[{row}][{col}]: skew-symmetry violated ({detail})"
 
 
 # objects missing several keys: the first missing one in schema order is

@@ -35,8 +35,12 @@ from tbcalc import (
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-# modules that class-building machinery would pull into the CLI's import
-HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "linecache")
+# modules that class-building machinery would pull into the CLI's import,
+# and typing and pathlib, which annotations from collections.abc and the
+# builtin open() make unnecessary
+HEAVY_MODULES = (
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "typing", "pathlib"
+)
 
 
 def test_importing_the_cli_loads_no_heavy_module():

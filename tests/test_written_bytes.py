@@ -3,10 +3,12 @@
 `dumps_document` must write exactly what `json.dumps(..., indent=2)`
 writes of the generic `oracles.document_to_obj` (plus a newline),
 checked on generated documents, and the
-commands' outputs on the nine fixtures must match the golden files under
-`tests/data/golden/`.  The documents under `tests/data/` pin the paths
-no fixture reaches.  The two knotless ones pin `convert` of an open book
-without a knot, and `tb` and `homology` of both modes without one.
+files the commands write on the nine fixtures must match the golden files
+under `tests/data/golden/`; what they print is pinned once, in
+`cli.json` (`test_cli_golden.py`).  The documents under `tests/data/`
+pin the paths no fixture reaches.  The two knotless ones pin `convert`
+of an open book without a knot, and that `tb` and `homology` of both
+modes without one write nothing.
 `long-word` (60 twists) pins how `stabilize` and `convert` write a long
 word and its l x l pairing block.  `stabilize-not-orthogonal` pins both
 stabilizations of a knot that meets the kernel of C.  After an
@@ -16,7 +18,6 @@ intended format change, rewrite those files with
 
 import contextlib
 import io
-import json
 import os
 import pathlib
 import tempfile
@@ -43,7 +44,6 @@ from tbcalc.cli import main
 from tbcalc.documents import InputDocument
 
 GOLDEN = conftest.DATA / "golden"
-OUTPUTS = GOLDEN / "outputs.json"
 WRITTEN = "out.json"
 COMMANDS = {
     "stabilize+1": ("stabilize", "--sign", "+1", "-o", WRITTEN),
@@ -307,19 +307,13 @@ def test_int_subclass_prints_as_int():
 
 def run_command(name, command):
     """Run one command on a fixture or a document under tests/data, in
-    the current directory.
-
-    Returns its exit code, stdout and stderr, and the bytes it wrote
-    (None when it wrote nothing).
-    """
-    stdout, stderr = io.StringIO(), io.StringIO()
+    the current directory, and return the bytes it wrote (None when it
+    wrote nothing)."""
     argv = [*COMMANDS[command], str(conftest.document_path(name))]
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
     written = pathlib.Path(WRITTEN)
-    data = written.read_bytes() if written.exists() else None
-    outputs = {"exit_code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
-    return outputs, data
+    return written.read_bytes() if written.exists() else None
 
 
 def golden_path(fixture, command):
@@ -329,15 +323,13 @@ def golden_path(fixture, command):
 @pytest.mark.parametrize("fixture, command", CASES)
 def test_matches_golden_files(fixture, command, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    outputs, data = run_command(fixture, command)
-    assert outputs == json.loads(OUTPUTS.read_text())[f"{fixture} {command}"]
+    data = run_command(fixture, command)
     expected = golden_path(fixture, command)
     assert data == (expected.read_bytes() if expected.exists() else None)
 
 
 def write_golden_files():
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    outputs = {}
     # every file a case writes is written again, so one that no case
     # writes any more is deleted
     for written in GOLDEN.glob("*.*.json"):
@@ -345,11 +337,10 @@ def write_golden_files():
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         for fixture, command in CASES:
-            outputs[f"{fixture} {command}"], data = run_command(fixture, command)
+            data = run_command(fixture, command)
             if data is not None:
                 golden_path(fixture, command).write_bytes(data)
                 os.remove(WRITTEN)
-    OUTPUTS.write_text(json.dumps(outputs, indent=2, ensure_ascii=False) + "\n")
 
 
 if __name__ == "__main__":
