@@ -237,16 +237,16 @@ class OrderCertificate(_Record):
 def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     """Diagonalize over the integers, returning D = U @ M @ V.
 
-    The work runs on one matrix [M | I] over [I | 0]: a row operation on
-    M's rows also builds U on the right, and a column operation on M's
-    columns, run down every row, also builds V below, so D, U and V are
-    sliced out of it at the end.  Pivots are chosen as a smallest nonzero
-    entry of the active block by absolute value, remainders are produced
-    by floor division, and signs are normalized only once a pivot's row
-    and column are clear; a column operation skips the rows it leaves
-    unchanged, those with 0 in the pivot column.  Before being handed back
-    the decomposition is re-multiplied, U @ M @ V compared in full with D;
-    each product skips only entries of rows or columns seen to be zero.
+    The work runs on one matrix [M | I] over [I | 0]: a row operation on M's
+    rows also builds U on the right, and a column operation on M's columns,
+    run down every row, also builds V below; D, U and V are sliced out at
+    the end.  Pivots are a smallest nonzero entry of the active block by
+    absolute value, remainders come from floor division, and signs are
+    normalized once a pivot's row and column are clear.  Operations skip
+    what a 0 leaves unchanged, in a row operation the added row's zero
+    entries and in a column operation the rows with 0 in the pivot column,
+    and a unit pivot skips the divisor-chain scan.  U @ M @ V is then
+    compared in full with D; its products skip only zero rows and columns.
 
     >>> smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 3]])).diagonal()
     (1, 6)
@@ -260,7 +260,10 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
             r[a], r[b] = r[b], r[a]
 
     def add_row(src: int, dst: int, factor: int) -> None:
-        w[dst] = [x + factor * y for x, y in zip(w[dst], w[src])]
+        row = w[dst]
+        for k, y in enumerate(w[src]):
+            if y:
+                row[k] += factor * y
 
     limit = min(n_rows, n_cols)
     for t in range(limit):
@@ -300,7 +303,9 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
                             swap_cols(t, j)
                             break
                 else:
-                    # divisor chain: the pivot must divide the remaining block
+                    # divisor chain: the pivot must divide the remaining block, as a unit does
+                    if w[t][t] in (1, -1):
+                        break
                     for i in range(t + 1, n_rows):
                         if any(e % w[t][t] for e in w[i][t + 1 : n_cols]):
                             add_row(i, t, 1)

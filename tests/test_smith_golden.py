@@ -144,10 +144,9 @@ def test_golden_has_unit_rich_matrices_up_to_12x12():
     assert sum(1 for e in entries if abs(e) <= 1) >= 0.8 * len(entries)
 
     def has_zero_line(case):
-        rows, cols, m = case["rows"], case["cols"], case["M"]
-        return not all(any(m[i * cols : (i + 1) * cols]) for i in range(rows)) or not all(
-            any(m[j::cols]) for j in range(cols)
-        )
+        cols, m = case["cols"], case["M"]
+        rows = [m[i : i + cols] for i in range(0, len(m), cols)]
+        return not all(map(any, rows + [m[j::cols] for j in range(cols)]))
 
     assert sum(1 for case in large if has_zero_line(case)) >= 20
     unit_pivots = [sum(1 for e in case["D"][:: case["cols"] + 1] if e == 1) for case in large]
