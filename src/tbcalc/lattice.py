@@ -6,7 +6,10 @@ the Smith normal form D = U @ M @ V with unimodular transforms U and V,
 which one working matrix builds along with D.  A matrix is factored once,
 and everything else is read off that one decomposition: orders of
 cokernel classes with integer witnesses (order 1 solves the system
-itself), kernels, and cokernel invariant factors.
+itself), kernels, and cokernel invariant factors.  For a nonsingular
+square matrix two tools need no transform: a fraction-free solve, which
+also gives the determinant, and invariant factors by elimination modulo
+|det|.
 
 Tuples throughout tbcalc are built from a list, a tuple or a slice, never
 from a generator or a lazy iterator such as map, zip or chain.  CPython
@@ -180,28 +183,67 @@ class IntegerMatrix(_Record):
         """
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        n = self.rows
-        if n == 0:
+        if self.rows == 0:
             return 1
         a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
+        return _bareiss(a) * a[-1][-1]
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) forward elimination, in place, of the rows a
+    of a square matrix, each row possibly extended by right-hand sides.
+
+    Afterwards a is upper triangular on the square part, with a[k][k] the
+    leading (k+1) x (k+1) minor of the row-permuted matrix, so a[-1][n - 1]
+    is sign * det.  Returns that sign of the row permutation, or 0 when a
+    column has no pivot and the matrix is singular.
+    """
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    # exact division: every Bareiss minor is an integer
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot, top = a[k][k], a[k][k + 1 :]
+        for i in range(k + 1, n):
+            row, f = a[i], a[i][k]
+            # exact division: every Bareiss minor is an integer
+            row[k + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1 :], top)]
+            row[k] = 0
+        prev = pivot
+    return sign
+
+
+def fraction_free_solve(matrix: IntegerMatrix, target: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(delta, y) with delta = +-det M and M @ y == delta * target.
+
+    One Bareiss elimination of [M | target], the one determinant() runs,
+    then back-substitution, in which every division is exact: y is delta
+    times the rational solution, an integer vector by Cramer's rule.  A
+    singular M gives (0, ()).
+
+    >>> fraction_free_solve(IntegerMatrix.from_rows([[2, 0], [0, 3]]), (1, 1))
+    (6, (3, 2))
+    """
+    n = matrix.rows
+    if matrix.cols != n or len(target) != n:
+        raise ValueError(f"cannot solve a {matrix.rows}x{matrix.cols} system for {len(target)} entries")
+    if n == 0:
+        return 1, ()
+    a = [row + [t] for row, t in zip(matrix.to_rows(), target)]
+    delta = a[-1][n - 1] if _bareiss(a) else 0
+    if delta == 0:
+        return 0, ()
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        y[i] = (delta * row[n] - sum([row[j] * y[j] for j in range(i + 1, n)])) // row[i]
+    return delta, tuple(y)
 
 
 class SmithDecomposition(_Record):
@@ -390,3 +432,72 @@ def invariant_factors(smith: SmithDecomposition) -> tuple[int, ...]:
     """
     diagonal = list(smith.diagonal())
     return tuple(diagonal + [0] * (smith.D.rows - len(diagonal)))
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s * a + t * b, for a, b >= 0."""
+    s, s1, t, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s, s1, t, t1 = b, r, s1, s - q * s1, t1, t - q * t1
+    return a, s, t
+
+
+def invariant_factors_modulo(matrix: IntegerMatrix, modulus: int) -> list[int]:
+    """Invariant factors of the cokernel of [M | modulus * I], one per row
+    of M, each dividing the next.
+
+    When the column span of M holds modulus * Z^rows, as it holds
+    |det M| * Z^n for a nonsingular n x n M, that cokernel is M's own.
+    No transform is kept: entries stay in [0, modulus), and unimodular
+    2 x 2 gcd steps on rows, then on columns, clear each pivot's column
+    and row; a gcd step on a pivot of 0 is a swap.  Once the column is
+    clear the pivot p becomes gcd(p, modulus), since modulus * e_t is a
+    relation, so each diagonal entry is the order of a cyclic summand and
+    a row beyond the diagonal one of order modulus.  The orders are then
+    normalized to a divisibility chain.
+
+    >>> invariant_factors_modulo(IntegerMatrix.from_rows([[2, 4], [6, 3]]), 18)
+    [1, 18]
+    """
+    m, n_rows, n_cols = modulus, matrix.rows, matrix.cols
+    w = [[e % m for e in row] for row in matrix.to_rows()]
+    orders = [m] * n_rows
+    for t in range(min(n_rows, n_cols)):
+        while True:
+            top = w[t]
+            for row in w[t + 1 :]:
+                a, b = top[t], row[t]
+                if not b:
+                    continue
+                if a and b % a == 0:
+                    q = b // a
+                    row[t:] = [(y - q * x) % m for x, y in zip(top[t:], row[t:])]
+                else:
+                    g, s, u = _xgcd(a, b)
+                    a, b = a // g, b // g
+                    tail = [(s * x + u * y) % m for x, y in zip(top[t:], row[t:])]
+                    row[t:] = [(a * y - b * x) % m for x, y in zip(top[t:], row[t:])]
+                    top[t:] = tail
+            # the column is p * e_t, and with modulus * e_t it spans gcd(p, modulus) * e_t
+            p = top[t] = gcd(top[t], m)
+            for j in range(t + 1, n_cols):
+                b = top[j]
+                if b % p:
+                    # a column gcd step: the pivot falls strictly, and column t fills again
+                    g, s, u = _xgcd(p, b)
+                    for r in w[t:]:
+                        x, y = r[t], r[j]
+                        r[t], r[j] = (s * x + u * y) % m, (p // g * y - b // g * x) % m
+                    break
+                # subtracting b / p times column t, which is p * e_t, clears this entry alone
+                top[j] = 0
+            else:
+                break
+        orders[t] = p
+    for i in range(len(orders)):
+        # Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b)
+        for j in range(i + 1, len(orders)):
+            g = gcd(orders[i], orders[j])
+            orders[i], orders[j] = g, orders[i] // g * orders[j]
+    return orders

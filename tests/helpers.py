@@ -171,3 +171,20 @@ def random_nullhomologous_heegaard(
     certificate = random_vector(rng, genus, bound)
     knot_relations = (0,) * genus if rng.random() < 0.25 else random_vector(rng, genus, bound)
     return HeegaardData(genus, relations, relations @ certificate, knot_relations)
+
+
+def random_large_determinant(rng: random.Random, size: int) -> IntegerMatrix:
+    """A size x size matrix whose determinant has 64 bits or more.
+
+    It is P @ T @ Q with P and Q unimodular and T upper triangular: a
+    diagonal of small orders that share factors, the last one times 2^64,
+    under entries of 0, of at most 3 or of at most 20 bits.
+    """
+    diagonal = [rng.choice((1, 2, 6, 12, rng.randint(1, 2**12))) for _ in range(size)]
+    diagonal[-1] *= 2**64
+    bound = rng.choice((0, 3, 2**20))
+    rows = [
+        [diagonal[i] if i == j else rng.randint(-bound, bound) if j > i else 0 for j in range(size)]
+        for i in range(size)
+    ]
+    return random_unimodular(rng, size) @ IntegerMatrix.from_rows(rows) @ random_unimodular(rng, size)

@@ -338,11 +338,13 @@ class TestHomology:
         assert payload["complement_lemma"] is None
 
 
-# the open books with a knot, among the fixtures and the test documents
+# the open books with a knot, among the fixtures and the test documents,
+# but for nonsingular-44: its tb runs the Smith route at n = 44, which takes
+# minutes, and only its homology is pinned (test_robustness.py)
 STABILIZABLE = [
     name
     for name in conftest.FIXTURE_NAMES + sorted(path.stem for path in conftest.DATA.glob("*.json"))
-    if load_document(conftest.document_path(name)).knot is not None
+    if name != "nonsingular-44" and load_document(conftest.document_path(name)).knot is not None
 ]
 
 

@@ -22,7 +22,7 @@ import pytest
 import conftest
 from tbcalc.cli import main
 
-sys.path.insert(0, str(conftest.FIXTURES.parent / "perfbench"))
+sys.path.append(str(conftest.FIXTURES.parent / "perfbench"))
 import gen  # noqa: E402
 
 GOLDEN = conftest.DATA / "golden" / "generated.json"

@@ -199,13 +199,17 @@ def integer_matrices(rows, cols, bound):
 
 @st.composite
 def nullhomologous_data(draw, max_genus=5, bound=3):
-    """Heegaard data whose knot bounds, with C of any rank: A = C @ E."""
-    genus = draw(st.integers(0, max_genus))
-    if draw(st.booleans()):
+    """Heegaard data whose knot bounds, A = C @ E, with C of any rank up
+    to max_genus, or nonsingular up to 12x12 with det C of 64 bits or more."""
+    kind = draw(st.sampled_from(("square", "low rank", "large determinant")))
+    genus = draw(st.integers(1, 12) if kind == "large determinant" else st.integers(0, max_genus))
+    if kind == "square":
         relations = draw(integer_matrices(genus, genus, bound))
-    else:
+    elif kind == "low rank":
         rank = draw(st.integers(0, genus))
         relations = draw(integer_matrices(genus, rank, 2)) @ draw(integer_matrices(rank, genus, 2))
+    else:
+        relations = helpers.random_large_determinant(draw(st.randoms(use_true_random=False)), genus)
     vectors = st.lists(st.integers(-bound, bound), min_size=genus, max_size=genus)
     certificate, knot_relations = draw(vectors), draw(vectors)
     return HeegaardData(genus, relations, relations @ certificate, tuple(knot_relations))
@@ -215,14 +219,17 @@ class TestExteriorRoute:
     @given(nullhomologous_data())
     @settings(deadline=None, max_examples=300)
     def test_matches_factoring_the_extended_matrix(self, sample):
-        # the route h1_groups replaced: one Smith form of [C; -I^T]
-        rows = sample.relations.to_rows() + [[-value for value in sample.knot_relations]]
-        assert h1_groups(sample).exterior == cokernel(rows)
+        # one Smith form of C and one of [C; -I^T], whatever route h1_groups takes
+        rows = sample.relations.to_rows()
+        groups = h1_groups(sample)
+        assert groups.manifold == cokernel(rows)
+        assert groups.exterior == cokernel(rows + [[-value for value in sample.knot_relations]])
 
     def test_factorization_count(self, monkeypatch):
-        """One Smith form of C per query, and for a nullhomologous knot at
-        most one more, of a matrix no larger than (k+1) x k, where k counts
-        the non-unit invariant factors of C."""
+        """No Smith form when det C != 0.  Otherwise one Smith form of C per
+        query, and for a nullhomologous knot at most one more, of a matrix
+        no larger than (k+1) x k, where k counts the non-unit invariant
+        factors of C."""
         calls = []
 
         def recording(matrix):
@@ -231,7 +238,7 @@ class TestExteriorRoute:
 
         monkeypatch.setattr(tbcalc.homology, "smith_normal_form", recording)
         rng = random.Random(4242)
-        seen = {"knotless": 0, "not nullhomologous": 0, "nullhomologous": 0}
+        seen = {"knotless": 0, "not nullhomologous": 0, "nullhomologous": 0, "singular": 0, "nonsingular": 0}
         for index in range(240):
             if index % 2:
                 kind = helpers.NULLHOMOLOGOUS_KINDS[index // 2 % len(helpers.NULLHOMOLOGOUS_KINDS)]
@@ -252,6 +259,12 @@ class TestExteriorRoute:
 
             calls.clear()
             groups = h1_groups(sample)
+            assert (groups.exterior is not None) == (case == "nullhomologous")
+            if sample.relations.determinant() != 0:
+                seen["nonsingular"] += 1
+                assert calls == []
+                continue
+            seen["singular"] += 1
             assert calls[0] == sample.relations
             if case != "nullhomologous":
                 assert len(calls) == 1
@@ -262,3 +275,44 @@ class TestExteriorRoute:
             for extra in calls[1:]:
                 assert extra.rows <= k + 1 and extra.cols <= k
         assert min(seen.values()) >= 40, seen
+
+
+class TestNonsingularChecks:
+    """Each check of the route for det C != 0 refuses a wrong answer."""
+
+    # det C = 5, and A = C @ (1, 1) bounds
+    SAMPLE = data([[2, 1], [1, 3]], [3, 4], [1, 2])
+
+    def test_the_sample_passes(self):
+        assert h1_groups(self.SAMPLE) == Homology(AbelianGroup((5,), 0), AbelianGroup((), 1), False)
+
+    def test_a_wrong_solution_is_refused(self, monkeypatch):
+        solve = tbcalc.homology.fraction_free_solve
+
+        def shifted(matrix, target):
+            # still a multiple of delta, so the knot seems to bound, by x + e_0
+            delta, y = solve(matrix, target)
+            return delta, (y[0] + delta,) + y[1:]
+
+        monkeypatch.setattr(tbcalc.homology, "fraction_free_solve", shifted)
+        with pytest.raises(AssertionError, match="C @ x == A"):
+            h1_groups(self.SAMPLE)
+
+    def test_a_wrong_manifold_chain_is_refused(self, monkeypatch):
+        factors = tbcalc.homology.invariant_factors_modulo
+        monkeypatch.setattr(
+            tbcalc.homology, "invariant_factors_modulo", lambda matrix, modulus: factors(matrix, modulus)[:-1] + [1]
+        )
+        with pytest.raises(AssertionError, match="H1[(]M[)] failed"):
+            h1_groups(data([[2, 1], [1, 3]]))
+
+    def test_a_wrong_exterior_is_refused(self, monkeypatch):
+        factors = tbcalc.homology.invariant_factors_modulo
+
+        def wrong_exterior(matrix, modulus):
+            chain = factors(matrix, modulus)
+            return [5 * chain[0]] + chain[1:] if matrix.rows > matrix.cols else chain
+
+        monkeypatch.setattr(tbcalc.homology, "invariant_factors_modulo", wrong_exterior)
+        with pytest.raises(AssertionError, match="exterior failed"):
+            h1_groups(self.SAMPLE)

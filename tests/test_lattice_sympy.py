@@ -15,13 +15,17 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 from sympy.matrices.normalforms import smith_normal_decomp  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 
+import conftest  # noqa: E402
 import helpers  # noqa: E402
 from tbcalc import (  # noqa: E402
     AbelianGroup,
+    HeegaardData,
     IntegerMatrix,
     h1_groups,
     invariant_factors,
+    load_document,
     minimal_order,
+    monodromy_matrix,
     smith_normal_form,
 )
 
@@ -131,3 +135,45 @@ def test_exterior_matches_sympy():
         seen["torsion and free"] += bool(exterior.torsion) and exterior.free_rank > 1
         seen["I = 0"] += not any(sample.knot_relations)
     assert min(seen.values()) >= 30, seen
+
+
+def test_large_determinants_match_sympy():
+    """Nonsingular C up to 12x12 with det C of 64 bits or more, where
+    h1_groups works modulo |det C|: H1(M) and, for the knots that bound,
+    the exterior against sympy's factors of C and of [C; -I^T]."""
+    rng = random.Random("large determinants")
+    exteriors = torsion_factors = 0
+    for _ in range(120):
+        genus = rng.randint(1, 12)
+        relations = helpers.random_large_determinant(rng, genus)
+        certificate = helpers.random_vector(rng, genus, 3)
+        generators = relations @ certificate if rng.random() < 0.75 else helpers.random_vector(rng, genus, 3)
+        sample = HeegaardData(genus, relations, generators, helpers.random_vector(rng, genus, 3))
+        groups = h1_groups(sample)
+        rows = relations.to_rows()
+        assert groups.manifold == sympy_group(rows)
+        torsion_factors += len(groups.manifold.torsion) > 1
+        if groups.exterior is not None:
+            assert groups.exterior == sympy_group(rows + [[-value for value in sample.knot_relations]])
+            exteriors += 1
+    assert exteriors >= 80 and torsion_factors >= 30, (exteriors, torsion_factors)
+
+
+def sympy_group(rows):
+    """The cokernel of the matrix with these rows, from sympy's invariant factors."""
+    factors = [int(abs(f)) for f in sympy_invariant_factors(sympy.Matrix(rows), domain=ZZ)]
+    return AbelianGroup.from_invariant_factors(factors + [0] * (len(rows) - len(factors)))
+
+
+def test_dense_44_arc_book_matches_sympy():
+    """The view (C, A, -A) of nonsingular-44.json, whose homology the CLI
+    prints: H1(M) against sympy's factors of C, the exterior against
+    those of [C; -I^T] = [C; A^T]."""
+    document = load_document(conftest.DATA / "nonsingular-44.json")
+    relations = monodromy_matrix(document.open_book)
+    pairings = document.knot.arc_pairings
+    groups = h1_groups(HeegaardData(relations.rows, relations, pairings, tuple([-a for a in pairings])))
+    rows = relations.to_rows()
+    assert relations.determinant().bit_length() == 274
+    assert groups.manifold == sympy_group(rows)
+    assert groups.exterior == sympy_group(rows + [list(pairings)])

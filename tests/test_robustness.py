@@ -3,7 +3,8 @@
 Inputs are arbitrary bytes and small, loosely shaped JSON documents
 (genus at most 3, at most 6 twists) that are often close to valid, so
 that they reach the lattice and homology layers as well as the parser,
-and a large page with an empty word, which must end in time.
+a large page with an empty word and a dense 44-arc book, which must end
+in time.
 """
 
 import contextlib
@@ -175,4 +176,19 @@ def test_empty_word_on_a_genus_300_page(command, stdout):
         text=True,
         timeout=60,
     )
+    assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
+
+
+def test_homology_of_a_dense_44_arc_book():
+    """C is 44x44, dense, with entries of up to 46 bits and a determinant
+    of 274 bits: homology reads its groups modulo |det C| and makes no
+    Smith form, so the command ends well within 60 s."""
+    result = subprocess.run(
+        [sys.executable, "-m", "tbcalc", "homology", str(conftest.DATA / "nonsingular-44.json")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    order = 26576303558999714226682476320155293176042705432171024367779212073708605601009394199
+    stdout = f"H1(M) = Z/{order}\nH1(M \\ nu K) = Z\ncomplement lemma: FAILS\n"
     assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
