@@ -21,15 +21,7 @@ from .documents import (
 )
 from .heegaard import HeegaardData, TbResult, tb_heegaard
 from .homology import AbelianGroup, Homology, h1_groups
-from .lattice import (
-    IntegerMatrix,
-    OrderCertificate,
-    SmithDecomposition,
-    invariant_factors,
-    kernel_basis,
-    minimal_order,
-    smith_normal_form,
-)
+from .lattice import IntegerMatrix
 from .openbook import (
     DehnTwist,
     OpenBookPresentation,
@@ -53,22 +45,16 @@ __all__ = [
     "InputDocument",
     "IntegerMatrix",
     "OpenBookPresentation",
-    "OrderCertificate",
     "PageKnot",
     "PageSurface",
     "ParseError",
-    "SmithDecomposition",
     "TbResult",
     "ValidationError",
     "dumps_document",
     "h1_groups",
-    "invariant_factors",
-    "kernel_basis",
     "load_document",
-    "minimal_order",
     "monodromy_matrix",
     "parse_document",
-    "smith_normal_form",
     "stabilize",
     "tb_heegaard",
     "tb_open_book",

@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--stdin",
             action="store_true",
-            help="read the document from standard input",
+            help="read the document from standard input; give no path with it",
         )
         sub.add_argument(
             "--json",
@@ -114,7 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> InputDocument:
-    if args.stdin or args.input == "-":
+    if args.stdin and args.input != "-":
+        raise UsageError(f"two inputs given, --stdin and {args.input}; give one")
+    if args.input == "-":
         return load_document(sys.stdin)
     return load_document(args.input)
 

@@ -13,17 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import (
-    IntegerMatrix,
-    _Record,
-    _check_int,
-    _check_ints,
-    _set,
-    dot,
-    kernel_basis,
-    minimal_order,
-    smith_normal_form,
-)
+from .lattice import IntegerMatrix, _Record, _check_int, _check_ints, _set, dot, order_certificate
 
 
 class TbResult(_Record):
@@ -110,29 +100,14 @@ def tb_heegaard(data: HeegaardData) -> TbResult | None:
     tb = -(dividing crossings)/2 + <E, I>/d for the least d >= 1 with
     C @ E == d * A.  Returns None when no such d exists (the knot is not
     rationally nullhomologous and tb is undefined), and raises ValueError
-    for data without a knot.  C is factored once, for both the order and
-    the kernel.  The certificate is checked, C @ E == d * A, before it is
-    used; a failure raises AssertionError.
+    for data without a knot.  d, the checked certificate E and the
+    kernel verdict come from lattice.order_certificate.
     """
     if data.knot_generators is None:
         raise ValueError("the data has no knot, so it has no tb")
-    smith = smith_normal_form(data.relations)
-    certificate = minimal_order(smith, data.knot_generators)
-    if certificate is None:
+    found = order_certificate(data.relations, data.knot_generators, data.knot_relations)
+    if found is None:
         return None
-    order = certificate.order
-    if data.relations @ certificate.solution != tuple([order * a for a in data.knot_generators]):
-        raise AssertionError("the tb certificate failed its check C @ E == d * A")
-    value = Fraction(-data.dividing_intersections, 2) + Fraction(
-        dot(certificate.solution, data.knot_relations), order
-    )
-    orthogonal = all(
-        dot(vector, data.knot_relations) == 0
-        for vector in kernel_basis(smith)
-    )
-    return TbResult(
-        order=order,
-        tb=value,
-        certificate=certificate.solution,
-        kernel_orthogonal=orthogonal,
-    )
+    order, certificate, orthogonal = found
+    tb = Fraction(-data.dividing_intersections, 2) + Fraction(dot(certificate, data.knot_relations), order)
+    return TbResult(order, tb, certificate, orthogonal)

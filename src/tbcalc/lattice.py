@@ -1,15 +1,22 @@
-"""Exact linear algebra over the integers.
+"""Exact linear algebra over the integers, and the two questions tbcalc
+asks of it.
 
 Everything in this module runs on Python's arbitrary-precision ints, so
-results are exact and nothing can overflow silently.  The central tool is
-the Smith normal form D = U @ M @ V with unimodular transforms U and V,
-which one working matrix builds along with D.  A matrix is factored once,
-and everything else is read off that one decomposition: orders of
-cokernel classes with integer witnesses (order 1 solves the system
-itself), kernels, and cokernel invariant factors.  For a nonsingular
-square matrix two tools need no transform: a fraction-free solve, which
-also gives the determinant, and invariant factors by elimination modulo
-|det|.
+results are exact and nothing can overflow silently.  tbcalc asks two
+questions of a square pairing matrix C and a knot's vectors A and I, and
+each is one function here that factors C once:
+
+* order_certificate: the least d >= 1 with C @ E == d * A, a checked
+  certificate E, and whether I is orthogonal to ker C;
+* cokernel_factors: the invariant factors of coker C and, for a knot
+  that bounds, of coker [C; -I^T], by the route det C picks.
+
+The tools below them: the Smith normal form D = U @ M @ V with
+unimodular U and V, which one working matrix builds along with D, and
+minimal_order, which reads an order and its witness off it; and, for a
+nonsingular square matrix, a fraction-free solve, which also gives the
+determinant, and invariant factors by elimination modulo |det|, neither
+of which keeps a transform.
 
 Tuples throughout tbcalc are built from a list, a tuple or a slice, never
 from a generator or a lazy iterator such as map, zip or chain.  CPython
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 def _check_int(value: object) -> int:
@@ -265,17 +272,6 @@ class SmithDecomposition(_Record):
         return tuple([self.D[i, i] for i in range(min(self.D.rows, self.D.cols))])
 
 
-class OrderCertificate(_Record):
-    """Witness that order is the least d >= 1 with matrix @ solution == d * target;
-    an order or entry that is not a plain int, a bool included, raises TypeError."""
-
-    def __init__(self, order: int, solution: tuple[int, ...]) -> None:
-        if _check_int(order) < 1:
-            raise ValueError("order must be positive")
-        _set(self, "order", order)
-        _set(self, "solution", _check_ints(solution))
-
-
 def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     """Diagonalize over the integers, returning D = U @ M @ V.
 
@@ -369,37 +365,24 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     return result
 
 
-def kernel_basis(smith: SmithDecomposition) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {x : M @ x == 0} of the factored M.
-
-    The trailing cols - rank columns of V; independent by unimodularity.
-    An injective matrix yields the empty list.
-
-    >>> kernel_basis(smith_normal_form(IntegerMatrix.from_rows([[4, 2], [2, 1]])))
-    [(1, -2)]
-    """
-    return [smith.V.column(j) for j in range(smith.rank, smith.D.cols)]
-
-
 def minimal_order(
     smith: SmithDecomposition, target: Sequence[int]
-) -> OrderCertificate | None:
-    """Least d >= 1 making M @ x == d * target solvable over the integers.
+) -> tuple[int, tuple[int, ...]] | None:
+    """(d, x) for the least d >= 1 with M @ x == d * target over the integers.
 
-    M is the matrix that smith factors.  Returns that order with a
-    witness solution, or None when no positive multiple of the target
-    lies in the column span (the target's class in the cokernel has
-    infinite order).  Order 1 means M @ x == target itself is solvable,
-    and the witness is then the solution whose kernel component vanishes
-    in the Smith-transformed coordinates.
+    M is the matrix that smith factors.  Returns None when no positive
+    multiple of the target lies in the column span (the target's class
+    in the cokernel has infinite order).  Order 1 means M @ x == target
+    itself is solvable, and x is then the solution whose kernel
+    component vanishes in the Smith-transformed coordinates.
 
     >>> minimal_order(smith_normal_form(IntegerMatrix.from_rows([[2]])), (1,))
-    OrderCertificate(order=2, solution=(1,))
+    (2, (1,))
     >>> minimal_order(smith_normal_form(IntegerMatrix.from_rows([[0]])), (1,)) is None
     True
     >>> m = IntegerMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 1]])
     >>> minimal_order(smith_normal_form(m), (2, 1, 1))
-    OrderCertificate(order=1, solution=(2, 0, 1))
+    (1, (2, 0, 1))
     """
     target = tuple([_check_int(b) for b in target])
     rows, cols = smith.D.rows, smith.D.cols
@@ -416,22 +399,7 @@ def minimal_order(
     y = [0] * cols
     for i in range(smith.rank):
         y[i] = order * transformed[i] // smith.D[i, i]
-    return OrderCertificate(order=order, solution=smith.V @ y)
-
-
-def invariant_factors(smith: SmithDecomposition) -> tuple[int, ...]:
-    """Smith diagonal padded with zeros to one entry per row of M.
-
-    Read the columns of the factored M as relations among row-indexed
-    generators: the entries are the invariant factors of the cokernel,
-    with 1 marking trivial summands and 0 marking free ones.  Leading
-    units are kept; callers normalize.
-
-    >>> invariant_factors(smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 3]])))
-    (1, 6)
-    """
-    diagonal = list(smith.diagonal())
-    return tuple(diagonal + [0] * (smith.D.rows - len(diagonal)))
+    return order, smith.V @ y
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -501,3 +469,108 @@ def invariant_factors_modulo(matrix: IntegerMatrix, modulus: int) -> list[int]:
             g = gcd(orders[i], orders[j])
             orders[i], orders[j] = g, orders[i] // g * orders[j]
     return orders
+
+
+def _smith_factors(smith: SmithDecomposition) -> list[int]:
+    """The Smith diagonal padded with zeros to one entry per row of M:
+    the invariant factors of M's cokernel, 1 for a trivial summand and 0
+    for a free one."""
+    diagonal = list(smith.diagonal())
+    return diagonal + [0] * (smith.D.rows - len(diagonal))
+
+
+def order_certificate(
+    relations: IntegerMatrix, generators: Sequence[int], pairing: Sequence[int]
+) -> tuple[int, tuple[int, ...], bool] | None:
+    """(d, E, kernel_orthogonal) for the least d >= 1 with C @ E == d * A,
+    or None when no such d exists.
+
+    C is relations, A generators and I pairing.  One Smith form of C
+    gives d and E (minimal_order) and a basis of ker C, the trailing
+    columns of V; kernel_orthogonal says whether I has inner product 0
+    with each of them.  E is checked, C @ E == d * A, before it is returned; a
+    failure raises AssertionError.
+
+    >>> order_certificate(IntegerMatrix.from_rows([[4, 2], [2, 1]]), (2, 1), (1, -2))
+    (1, (0, 1), False)
+    """
+    smith = smith_normal_form(relations)
+    found = minimal_order(smith, generators)
+    if found is None:
+        return None
+    order, solution = found
+    if relations @ solution != tuple([order * a for a in generators]):
+        raise AssertionError("the tb certificate failed its check C @ E == d * A")
+    kernel = range(smith.rank, smith.D.cols)
+    return order, solution, all(dot(smith.V.column(j), pairing) == 0 for j in kernel)
+
+
+def cokernel_factors(
+    relations: IntegerMatrix, generators: tuple[int, ...] | None, pairing: tuple[int, ...] | None
+) -> tuple[list[int], list[int] | None]:
+    """Invariant factors of coker C and, for a knot that bounds, of
+    coker [C; -I^T]; None in place of the second for a knot that does not
+    bound and for no knot (generators and pairing None).
+
+    C is the square relations, A generators and I pairing.  In [C; -I^T]
+    a meridian generator joins those of C, and relation j reads as column
+    j of C together with coefficient -I_j on the meridian.  In each list
+    1 stands for a trivial summand and 0 for a free one; the list of C
+    has one factor per generator.  One fraction-free solve gives
+    delta = +-det C and y = delta * C^-1 @ A, and picks the route; no
+    knot solves for A = 0.
+
+    When det C != 0 no Smith form is made.  The knot bounds (order 1)
+    when delta divides every y_i, and then x = y / delta is checked,
+    C @ x == A.  The factors of C are invariant_factors_modulo(C, |det C|),
+    checked to multiply to |det C|.  Those of [C; -I^T], for a bounding
+    knot, are invariant_factors_modulo([C; -I^T], |det C|), whose last
+    entry |det C| stands for the free summand and becomes 0; their
+    product is checked to be gcd(|det C|, z_1, ..., z_n), the gcd of the
+    n x n minors of [C; -I^T], with C^T @ z == delta' * I from a second
+    solve.  Each failed check raises AssertionError.  They certify the
+    group orders, not each invariant factor.
+
+    When det C == 0, one Smith form U @ C @ V == D, re-multiplied whole,
+    gives the factors of C and the verdict (order 1), and for a bounding
+    knot those of the extended matrix: diag(U, 1) @ [C; -I^T] @ V ==
+    [D; w] with w = -I^T @ V, and each unit d_j of D clears w_j by one
+    row operation and splits off a trivial summand.  What is left is the
+    block [diag(d_j); w_j] over the k columns with d_j != 1, at most
+    (k+1) x k, and only that block is factored; its factors, without
+    the trivial summands split off, are those of the extended matrix.
+
+    >>> cokernel_factors(IntegerMatrix.from_rows([[2, 1], [1, 3]]), (3, 4), (1, 2))
+    ([1, 5], [1, 1, 0])
+    >>> cokernel_factors(IntegerMatrix.from_rows([[2, 0], [0, 0]]), (2, 0), (2, 0))
+    ([2, 0], [2, 0, 0])
+    """
+    n = relations.rows
+    delta, y = fraction_free_solve(relations, (0,) * n if generators is None else generators)
+    if delta == 0:
+        smith = smith_normal_form(relations)
+        factors = _smith_factors(smith)
+        found = None if generators is None else minimal_order(smith, generators)
+        if found is None or found[0] != 1:
+            return factors, None
+        kept = [j for j, d in enumerate(factors) if d != 1]
+        block = [[factors[i] if i == j else 0 for j in kept] for i in kept]
+        block.append([-dot(pairing, smith.V.column(j)) for j in kept])
+        return factors, _smith_factors(smith_normal_form(IntegerMatrix.from_rows(block)))
+    modulus = abs(delta)
+    factors = invariant_factors_modulo(relations, modulus)
+    if prod(factors) != modulus:
+        raise AssertionError("H1(M) failed its check: its order is not |det C|")
+    if generators is None or any([e % delta for e in y]):
+        return factors, None
+    if relations @ [e // delta for e in y] != generators:
+        raise AssertionError("the nullhomology verdict failed its check C @ x == A")
+    extended = IntegerMatrix(n + 1, n, relations.entries + tuple([-e for e in pairing]))
+    torsion = invariant_factors_modulo(extended, modulus)[:-1]
+    transposed = IntegerMatrix(n, n, tuple([e for j in range(n) for e in relations.column(j)]))
+    _, minors = fraction_free_solve(transposed, pairing)
+    if prod(torsion) != gcd(modulus, *minors):
+        raise AssertionError(
+            "H1 of the exterior failed its check: its torsion order is not the gcd of the n x n minors of [C; -I^T]"
+        )
+    return factors, torsion + [0]

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 
 import conftest
 import helpers
-import tbcalc.heegaard
+import tbcalc.lattice
 import tbcalc.openbook
 from tbcalc import (
     InputDocument,
@@ -23,13 +23,13 @@ from tbcalc import (
     cli,
     load_document,
     monodromy_matrix,
-    smith_normal_form,
     tb_heegaard,
     tb_open_book,
     write_document,
 )
 from tbcalc.cli import _exact_int_output as unlimited_int_digits
 from tbcalc.cli import main
+from tbcalc.lattice import smith_normal_form
 
 # an open book whose certificate entries run past 10000 digits
 BIG_CERTIFICATE = pathlib.Path(__file__).resolve().parent / "data" / "big-certificate.json"
@@ -145,6 +145,17 @@ class TestTb:
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code, out, _ = run(capsys, "tb", "--stdin")
         assert code == 0 and "tb = 1" in out
+
+    @pytest.mark.parametrize("command", ["tb", "homology"])
+    def test_stdin_flag_with_a_path_is_a_usage_error(self, capsys, monkeypatch, command):
+        # two inputs: neither is read, and the error names both
+        stdin = io.StringIO('{"mode": "heegaard", "genus": 1, "C": [[2]]}')
+        monkeypatch.setattr(sys, "stdin", stdin)
+        path = str(conftest.fixture_path("standard-unknot"))
+        code, out, err = run(capsys, command, "--stdin", "-v", path)
+        assert (code, out) == (1, "")
+        assert err == f"tbcalc: error: two inputs given, --stdin and {path}; give one\n"
+        assert stdin.tell() == 0
 
     def test_bad_json_on_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("{not json"))
@@ -509,7 +520,7 @@ class TestStabilize:
             calls.append(matrix)
             return smith_normal_form(matrix)
 
-        monkeypatch.setattr(tbcalc.heegaard, "smith_normal_form", recording)
+        monkeypatch.setattr(tbcalc.lattice, "smith_normal_form", recording)
         out_path = str(tmp_path / "stab.json")
         for argv in (
             ["stabilize", "--sign", "+1", "-o", out_path, path],

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
-import tbcalc.heegaard
+import tbcalc.lattice
 from tbcalc import HeegaardData, IntegerMatrix, TbResult, h1_groups, tb_heegaard
-from tbcalc.lattice import OrderCertificate
 
 S1XS2 = IntegerMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 1]])
 
@@ -153,14 +152,13 @@ class TestTbHeegaard:
         ids=["E", "d + 1", "2d"],
     )
     def test_a_wrong_certificate_fails_its_check(self, monkeypatch, wrong):
-        """tb_heegaard checks C @ E == d * A before it uses E and d."""
-        found = tbcalc.heegaard.minimal_order
+        """order_certificate checks C @ E == d * A before tb_heegaard uses E and d."""
+        found = tbcalc.lattice.minimal_order
 
         def wrong_order(smith, target):
-            certificate = found(smith, target)
-            return OrderCertificate(*wrong(certificate.order, certificate.solution))
+            return wrong(*found(smith, target))
 
-        monkeypatch.setattr(tbcalc.heegaard, "minimal_order", wrong_order)
+        monkeypatch.setattr(tbcalc.lattice, "minimal_order", wrong_order)
         with pytest.raises(AssertionError, match="C @ E == d \\* A"):
             tb_heegaard(data([[1, 1, 0], [0, 0, 1], [0, 0, 1]], [2, 1, 1], [1, 1, 2]))
         with pytest.raises(AssertionError, match="C @ E == d \\* A"):

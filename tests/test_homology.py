@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
-import tbcalc.homology
+import tbcalc.lattice
 from tbcalc import (
     AbelianGroup,
     HeegaardData,
@@ -15,11 +15,9 @@ from tbcalc import (
     IntegerMatrix,
     PageKnot,
     h1_groups,
-    invariant_factors,
-    minimal_order,
-    smith_normal_form,
     to_heegaard,
 )
+from tbcalc.lattice import _smith_factors, minimal_order, smith_normal_form
 
 
 def data(relations, generators=None, knot_relations=None, dividing=0):
@@ -65,7 +63,7 @@ def h1_manifold(sample):
 
 def cokernel(rows):
     matrix = IntegerMatrix.from_rows(rows)
-    return AbelianGroup.from_invariant_factors(invariant_factors(smith_normal_form(matrix)))
+    return AbelianGroup.from_invariant_factors(_smith_factors(smith_normal_form(matrix)))
 
 
 class TestRecord:
@@ -177,8 +175,8 @@ class TestComplementLemma:
             rows = sample.relations.to_rows()
             manifold = cokernel(rows)
             assert groups.manifold == manifold
-            certificate = minimal_order(smith_normal_form(sample.relations), sample.knot_generators)
-            if certificate is None or certificate.order != 1:
+            found = minimal_order(smith_normal_form(sample.relations), sample.knot_generators)
+            if found is None or found[0] != 1:
                 assert groups.exterior is None and groups.complement_lemma is None
                 continue
             exterior = cokernel(rows + [[-value for value in sample.knot_relations]])
@@ -236,7 +234,7 @@ class TestExteriorRoute:
             calls.append(matrix)
             return smith_normal_form(matrix)
 
-        monkeypatch.setattr(tbcalc.homology, "smith_normal_form", recording)
+        monkeypatch.setattr(tbcalc.lattice, "smith_normal_form", recording)
         rng = random.Random(4242)
         seen = {"knotless": 0, "not nullhomologous": 0, "nullhomologous": 0, "singular": 0, "nonsingular": 0}
         for index in range(240):
@@ -252,8 +250,8 @@ class TestExteriorRoute:
             if sample.knot_generators is None:
                 case = "knotless"
             else:
-                certificate = minimal_order(smith, sample.knot_generators)
-                bounds = certificate is not None and certificate.order == 1
+                found = minimal_order(smith, sample.knot_generators)
+                bounds = found is not None and found[0] == 1
                 case = "nullhomologous" if bounds else "not nullhomologous"
             seen[case] += 1
 
@@ -287,32 +285,32 @@ class TestNonsingularChecks:
         assert h1_groups(self.SAMPLE) == Homology(AbelianGroup((5,), 0), AbelianGroup((), 1), False)
 
     def test_a_wrong_solution_is_refused(self, monkeypatch):
-        solve = tbcalc.homology.fraction_free_solve
+        solve = tbcalc.lattice.fraction_free_solve
 
         def shifted(matrix, target):
             # still a multiple of delta, so the knot seems to bound, by x + e_0
             delta, y = solve(matrix, target)
             return delta, (y[0] + delta,) + y[1:]
 
-        monkeypatch.setattr(tbcalc.homology, "fraction_free_solve", shifted)
+        monkeypatch.setattr(tbcalc.lattice, "fraction_free_solve", shifted)
         with pytest.raises(AssertionError, match="C @ x == A"):
             h1_groups(self.SAMPLE)
 
     def test_a_wrong_manifold_chain_is_refused(self, monkeypatch):
-        factors = tbcalc.homology.invariant_factors_modulo
+        factors = tbcalc.lattice.invariant_factors_modulo
         monkeypatch.setattr(
-            tbcalc.homology, "invariant_factors_modulo", lambda matrix, modulus: factors(matrix, modulus)[:-1] + [1]
+            tbcalc.lattice, "invariant_factors_modulo", lambda matrix, modulus: factors(matrix, modulus)[:-1] + [1]
         )
         with pytest.raises(AssertionError, match="H1[(]M[)] failed"):
             h1_groups(data([[2, 1], [1, 3]]))
 
     def test_a_wrong_exterior_is_refused(self, monkeypatch):
-        factors = tbcalc.homology.invariant_factors_modulo
+        factors = tbcalc.lattice.invariant_factors_modulo
 
         def wrong_exterior(matrix, modulus):
             chain = factors(matrix, modulus)
             return [5 * chain[0]] + chain[1:] if matrix.rows > matrix.cols else chain
 
-        monkeypatch.setattr(tbcalc.homology, "invariant_factors_modulo", wrong_exterior)
+        monkeypatch.setattr(tbcalc.lattice, "invariant_factors_modulo", wrong_exterior)
         with pytest.raises(AssertionError, match="exterior failed"):
             h1_groups(self.SAMPLE)

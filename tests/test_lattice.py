@@ -9,12 +9,12 @@ from hypothesis import assume, given, settings
 
 import helpers
 import oracles
-from tbcalc import (
+from tbcalc.lattice import (
     IntegerMatrix,
-    OrderCertificate,
-    invariant_factors,
-    kernel_basis,
+    _smith_factors,
+    cokernel_factors,
     minimal_order,
+    order_certificate,
     smith_normal_form,
 )
 
@@ -236,10 +236,10 @@ class TestSkippedWork:
 def integer_solution(matrix, target):
     """The witness of minimal_order when the order is 1, else None: the
     integer solution of matrix @ x == target, if there is one."""
-    certificate = minimal_order(smith_normal_form(matrix), target)
-    if certificate is None or certificate.order != 1:
+    found = minimal_order(smith_normal_form(matrix), target)
+    if found is None or found[0] != 1:
         return None
-    return certificate.solution
+    return found[1]
 
 
 class TestSolveInteger:
@@ -271,16 +271,23 @@ class TestSolveInteger:
         assert (witness is None) == (oracle is None)
 
 
+def kernel_basis(matrix):
+    """The trailing cols - rank columns of V, which order_certificate
+    pairs with I for its kernel verdict."""
+    smith = smith_normal_form(matrix)
+    return [smith.V.column(j) for j in range(smith.rank, matrix.cols)]
+
+
 class TestKernel:
     def test_frozen(self):
-        assert kernel_basis(smith_normal_form(OUTER)) == [(1, -2)]
-        assert kernel_basis(smith_normal_form(helpers.identity(3))) == []
-        assert kernel_basis(smith_normal_form(helpers.zeros(2, 2))) == [(1, 0), (0, 1)]
+        assert kernel_basis(OUTER) == [(1, -2)]
+        assert kernel_basis(helpers.identity(3)) == []
+        assert kernel_basis(helpers.zeros(2, 2)) == [(1, 0), (0, 1)]
 
     @given(matrices())
     def test_kernel_properties(self, matrix):
         smith = smith_normal_form(matrix)
-        vectors = kernel_basis(smith)
+        vectors = kernel_basis(matrix)
         zero = (0,) * matrix.rows
         for vector in vectors:
             assert matrix @ vector == zero
@@ -289,31 +296,67 @@ class TestKernel:
             assert oracles.rational_rank([list(v) for v in vectors]) == len(vectors)
 
 
+class TestOrderCertificate:
+    def test_frozen(self):
+        assert order_certificate(OUTER, (2, 1), (1, -2)) == (1, (0, 1), False)
+        assert order_certificate(OUTER, (2, 1), (2, 1)) == (1, (0, 1), True)
+        assert order_certificate(IntegerMatrix.from_rows([[-2]]), (-1,), (3,)) == (2, (1,), True)
+        assert order_certificate(S1XS2, (0, 2, 1), (1, 1, 1)) is None
+
+    @given(systems(), st.data())
+    @settings(deadline=None)
+    def test_matches_minimal_order_and_the_rank_test(self, system, data):
+        # pairing is orthogonal to ker M exactly when it lies in the rational
+        # row space of M, when appending it as a row keeps the rank
+        matrix, target = system
+        pairing = data.draw(st.lists(st.integers(-3, 3), min_size=matrix.cols, max_size=matrix.cols))
+        found = order_certificate(matrix, target, pairing)
+        expected = minimal_order(smith_normal_form(matrix), target)
+        if expected is None:
+            assert found is None
+            return
+        assert found[:2] == expected
+        rows = matrix.to_rows()
+        orthogonal = not any(pairing) or oracles.rational_rank(rows + [pairing]) == oracles.rational_rank(rows)
+        assert found[2] is orthogonal
+
+
+class TestCokernelFactors:
+    def test_frozen(self):
+        # det C = 5, the route modulo |det C|; (3, 4) = C @ (1, 1) bounds
+        nonsingular = IntegerMatrix.from_rows([[2, 1], [1, 3]])
+        assert cokernel_factors(nonsingular, (3, 4), (1, 2)) == ([1, 5], [1, 1, 0])
+        assert cokernel_factors(nonsingular, (1, 0), (1, 2)) == ([1, 5], None)
+        # det C = 0, the Smith route with its block over the non-unit factors
+        singular = IntegerMatrix.from_rows([[2, 0], [0, 0]])
+        assert cokernel_factors(singular, (2, 0), (2, 0)) == ([2, 0], [2, 0, 0])
+        assert cokernel_factors(singular, (1, 0), (2, 0)) == ([2, 0], None)
+        assert cokernel_factors(singular, None, None) == ([2, 0], None)
+
+
 class TestMinimalOrder:
     def test_frozen(self):
-        assert minimal_order(smith_normal_form(IntegerMatrix.from_rows([[2]])), (1,)) == OrderCertificate(2, (1,))
-        assert minimal_order(smith_normal_form(IntegerMatrix.from_rows([[-2]])), (-1,)) == OrderCertificate(2, (1,))
+        assert minimal_order(smith_normal_form(IntegerMatrix.from_rows([[2]])), (1,)) == (2, (1,))
+        assert minimal_order(smith_normal_form(IntegerMatrix.from_rows([[-2]])), (-1,)) == (2, (1,))
         assert minimal_order(smith_normal_form(IntegerMatrix.from_rows([[0]])), (1,)) is None
         assert minimal_order(smith_normal_form(S1XS2), (0, 2, 1)) is None
-        assert minimal_order(smith_normal_form(S1XS2), (2, 1, 1)) == OrderCertificate(1, (2, 0, 1))
+        assert minimal_order(smith_normal_form(S1XS2), (2, 1, 1)) == (1, (2, 0, 1))
 
     @given(systems(max_dim=2, bound=3))
     @settings(deadline=None)
     def test_order_matches_bounded_search(self, system):
         matrix, target = system
-        certificate = minimal_order(smith_normal_form(matrix), target)
-        if certificate is None:
+        found = minimal_order(smith_normal_form(matrix), target)
+        if found is None:
             assert oracles.rational_solution(matrix.to_rows(), list(target)) is None
             return
-        scaled = tuple(certificate.order * t for t in target)
-        assert matrix @ certificate.solution == scaled
+        order, solution = found
+        assert matrix @ solution == tuple(order * t for t in target)
         try:
-            oracle = oracles.brute_force_min_order(
-                matrix.to_rows(), list(target), limit=certificate.order
-            )
+            oracle = oracles.brute_force_min_order(matrix.to_rows(), list(target), limit=order)
         except oracles.SearchBudgetExceeded:
             assume(False)
-        assert oracle is not None and oracle[0] == certificate.order
+        assert oracle is not None and oracle[0] == order
 
     @given(systems())
     @settings(deadline=None)
@@ -326,24 +369,32 @@ class TestMinimalOrder:
             assert minus is None
         else:
             assert minus is not None
-            assert minus.order == plus.order
-            assert minus.solution == tuple(-x for x in plus.solution)
+            assert minus[0] == plus[0]
+            assert minus[1] == tuple(-x for x in plus[1])
 
 
 class TestInvariantFactors:
     def test_frozen(self):
-        assert invariant_factors(smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 3]]))) == (1, 6)
-        assert invariant_factors(smith_normal_form(OUTER)) == (1, 0)
-        assert invariant_factors(smith_normal_form(helpers.identity(3))) == (1, 1, 1)
-        assert invariant_factors(smith_normal_form(helpers.zeros(2, 2))) == (0, 0)
-        assert invariant_factors(smith_normal_form(IntegerMatrix.from_rows([[0]]))) == (0,)
-        assert invariant_factors(smith_normal_form(helpers.zeros(0, 0))) == ()
+        # the padded Smith diagonal, and the factors cokernel_factors gives
+        # C, by elimination modulo |det C| when det C != 0
+        cases = [
+            ([[2, 0], [0, 3]], [1, 6]),
+            ([[4, 2], [2, 1]], [1, 0]),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1]),
+            ([[0, 0], [0, 0]], [0, 0]),
+            ([[0]], [0]),
+            ([], []),
+        ]
+        for rows, factors in cases:
+            matrix = IntegerMatrix.from_rows(rows)
+            assert _smith_factors(smith_normal_form(matrix)) == factors
+            assert cokernel_factors(matrix, None, None) == (factors, None)
 
     @given(square_matrices(max_dim=4, bound=5))
     def test_nonsingular_product_is_determinant(self, matrix):
         det = oracles.cofactor_det(matrix.to_rows())
         assume(det != 0)
-        product = math.prod(invariant_factors(smith_normal_form(matrix)))
+        product = math.prod(_smith_factors(smith_normal_form(matrix)))
         assert product == abs(det)
 
     @given(matrices(max_dim=3, bound=3), st.randoms(use_true_random=False))
@@ -355,4 +406,4 @@ class TestInvariantFactors:
         back = [list(col) for col in zip(*permuted)] if permuted else [[] for _ in rows]
         shuffled = IntegerMatrix.from_rows(back if rows else [])
         assume(shuffled.rows == matrix.rows and shuffled.cols == matrix.cols)
-        assert invariant_factors(smith_normal_form(shuffled)) == invariant_factors(smith_normal_form(matrix))
+        assert _smith_factors(smith_normal_form(shuffled)) == _smith_factors(smith_normal_form(matrix))

@@ -17,6 +17,11 @@ from fractions import Fraction
 import pytest
 
 import tbcalc
+import tbcalc.documents
+import tbcalc.heegaard
+import tbcalc.homology
+import tbcalc.lattice
+import tbcalc.openbook
 from tbcalc import (
     AbelianGroup,
     DehnTwist,
@@ -25,13 +30,11 @@ from tbcalc import (
     InputDocument,
     IntegerMatrix,
     OpenBookPresentation,
-    OrderCertificate,
     PageKnot,
     PageSurface,
-    SmithDecomposition,
     TbResult,
-    smith_normal_form,
 )
+from tbcalc.lattice import SmithDecomposition, _Record, minimal_order, order_certificate, smith_normal_form
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -66,6 +69,7 @@ def test_importing_the_cli_loads_no_heavy_module():
 def _samples():
     """(record class, its documented fields, a factory of equal records)."""
     matrix = IntegerMatrix.from_rows([[2, 1], [0, 3]])
+    wide = IntegerMatrix.from_rows([[2, 4, 0], [1, 2, 0]])
     page = PageSurface(0, 2)
     twist = DehnTwist(1, (-1,))
     book = OpenBookPresentation(page, (twist,), IntegerMatrix.from_rows([[0]]))
@@ -74,7 +78,7 @@ def _samples():
     return [
         (IntegerMatrix, ("rows", "cols", "entries"), lambda: IntegerMatrix(2, 2, (2, 1, 0, 3))),
         (SmithDecomposition, ("U", "D", "V", "rank"), lambda: smith_normal_form(matrix)),
-        (OrderCertificate, ("order", "solution"), lambda: OrderCertificate(2, (1, -1))),
+        (SmithDecomposition, ("U", "D", "V", "rank"), lambda: smith_normal_form(wide)),
         (
             TbResult,
             ("order", "tb", "certificate", "kernel_orthogonal"),
@@ -116,10 +120,22 @@ SAMPLES = _samples()
 IDS = [f"{cls.__name__}-{index}" for index, (cls, _, _) in enumerate(SAMPLES)]
 
 
+# the exported names and SmithDecomposition, which only tbcalc.lattice exports
+NAMESPACE = {**{name: getattr(tbcalc, name) for name in tbcalc.__all__}, "SmithDecomposition": SmithDecomposition}
+
+
 def test_every_record_is_sampled():
     records = {cls for cls, _, _ in SAMPLES}
-    assert len(records) == 12
-    assert records <= {getattr(tbcalc, name) for name in tbcalc.__all__}
+    assert len(records) == 11
+    modules = (tbcalc.documents, tbcalc.heegaard, tbcalc.homology, tbcalc.lattice, tbcalc.openbook)
+    defined = {
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and issubclass(value, _Record) and value is not _Record
+    }
+    assert records == defined
+    assert records <= set(NAMESPACE.values())
 
 
 @pytest.mark.parametrize("cls,fields,make", SAMPLES, ids=IDS)
@@ -163,8 +179,7 @@ class TestRecordContract:
         record = make()
         shown = ", ".join([f"{name}={getattr(record, name)!r}" for name in fields])
         assert repr(record) == f"{cls.__name__}({shown})"
-        namespace = {name: getattr(tbcalc, name) for name in tbcalc.__all__}
-        assert eval(repr(record), {"Fraction": Fraction, **namespace}) == record
+        assert eval(repr(record), {"Fraction": Fraction, **NAMESPACE}) == record
 
 
 def test_a_different_field_breaks_equality():
@@ -176,10 +191,10 @@ def test_a_different_field_breaks_equality():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: OrderCertificate(2.0, (1,)),
-        lambda: OrderCertificate(True, (1,)),
-        lambda: OrderCertificate(2, (1.5,)),
-        lambda: OrderCertificate(2, (1, True)),
+        lambda: order_certificate(IntegerMatrix.from_rows([[2]]), (True,), (1,)),
+        lambda: order_certificate(IntegerMatrix.from_rows([[2]]), (1.0,), (1,)),
+        lambda: minimal_order(smith_normal_form(IntegerMatrix.from_rows([[2]])), ("1",)),
+        lambda: minimal_order(smith_normal_form(IntegerMatrix.from_rows([[2]])), (None,)),
         lambda: TbResult(2, -1, (1,), True),
         lambda: TbResult(2, -0.5, (1,), True),
         lambda: TbResult(True, Fraction(-1), (1,), True),
@@ -193,8 +208,9 @@ def test_a_different_field_breaks_equality():
     ],
 )
 def test_certificates_and_decompositions_refuse_wrong_types(build):
-    # every exported record with an int, a Fraction or a bool field
-    # refuses any other type, as the parser's records do
+    # every record with an int, a Fraction or a bool field refuses any
+    # other type, as the parser's records do, and so does the target of
+    # an order certificate
     with pytest.raises(TypeError):
         build()
 

@@ -19,7 +19,7 @@ import random
 
 import conftest
 import oracles
-from tbcalc import IntegerMatrix, smith_normal_form
+from tbcalc.lattice import IntegerMatrix, smith_normal_form
 
 GOLDEN = conftest.DATA / "golden" / "smith.json"
 MAX_DIM = 7

@@ -101,7 +101,7 @@ def test_no_tuple_is_built_lazily():
 QUERIES = textwrap.dedent(
     """
     import random
-    from tbcalc import IntegerMatrix, minimal_order, smith_normal_form
+    from tbcalc.lattice import IntegerMatrix, minimal_order, smith_normal_form
 
     def rss_kb():
         with open("/proc/self/status") as status:
