@@ -4,19 +4,22 @@ asks of it.
 Everything in this module runs on Python's arbitrary-precision ints, so
 results are exact and nothing can overflow silently.  tbcalc asks two
 questions of a square pairing matrix C and a knot's vectors A and I, and
-each is one function here that factors C once:
+each is one function here that factors C at most once:
 
 * order_certificate: the least d >= 1 with C @ E == d * A, a checked
-  certificate E, and whether I is orthogonal to ker C;
+  certificate E, and whether I is orthogonal to ker C; or, with no
+  factorization, a checked witness that no such d exists;
 * cokernel_factors: the invariant factors of coker C and, for a knot
   that bounds, of coker [C; -I^T], by the route det C picks.
 
 The tools below them: the Smith normal form D = U @ M @ V with
 unimodular U and V, which one working matrix builds along with D, and
-minimal_order, which reads an order and its witness off it; and, for a
-nonsingular square matrix, a fraction-free solve, which also gives the
-determinant, and invariant factors by elimination modulo |det|, neither
-of which keeps a transform.
+minimal_order, which reads an order and its witness off it; one
+fraction-free (Bareiss) elimination, which gives the determinant, solves
+a nonsingular square system, and, carried on past the columns with no
+pivot and with its row transform kept, finds a left-kernel witness of
+infinite order; and, for a nonsingular square matrix, invariant factors
+by elimination modulo |det|, which keeps no transform.
 
 Tuples throughout tbcalc are built from a list, a tuple or a slice, never
 from a generator or a lazy iterator such as map, zip or chain.  CPython
@@ -193,37 +196,49 @@ class IntegerMatrix(_Record):
         if self.rows == 0:
             return 1
         a = self.to_rows()
-        return _bareiss(a) * a[-1][-1]
+        return _bareiss(a, self.cols)[0] * a[-1][-1]
 
 
-def _bareiss(a: list[list[int]]) -> int:
+def _bareiss(a: list[list[int]], width: int, carry_on: bool = False) -> tuple[int, int]:
     """Fraction-free (Bareiss) forward elimination, in place, of the rows a
-    of a square matrix, each row possibly extended by right-hand sides.
+    of a matrix M with width columns, each row possibly extended by
+    right-hand sides or by a row transform.
 
-    Afterwards a is upper triangular on the square part, with a[k][k] the
-    leading (k+1) x (k+1) minor of the row-permuted matrix, so a[-1][n - 1]
-    is sign * det.  Returns that sign of the row permutation, or 0 when a
-    column has no pivot and the matrix is singular.
+    Column by column, a row with a nonzero entry becomes the next pivot
+    row and the rows below it are cleared; every entry stays a minor of
+    the extended matrix, so each division is exact.  Returns (sign, rank):
+    rank counts the pivot rows, which lead, and sign is that of the row
+    permutation, or 0 once a column has no pivot.  The elimination stops
+    at such a column, or with carry_on goes on to the next column with the
+    same pivot row, and then every row from rank on is 0 on M.  For a
+    square M with sign != 0, a[k][k] is the leading (k+1) x (k+1) minor of
+    the row-permuted matrix, so a[-1][n - 1] is sign * det.
     """
     n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
+    sign, prev, r = 1, 1, 0
+    for k in range(width):
+        if r == n:
+            break
+        if a[r][k] == 0:
+            for i in range(r + 1, n):
                 if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
+                    a[r], a[i] = a[i], a[r]
                     sign = -sign
                     break
             else:
-                return 0
-        pivot, top = a[k][k], a[k][k + 1 :]
-        for i in range(k + 1, n):
+                if not carry_on:
+                    return 0, r
+                sign = 0
+                continue
+        pivot, top = a[r][k], a[r][k + 1 :]
+        for i in range(r + 1, n):
             row, f = a[i], a[i][k]
             # exact division: every Bareiss minor is an integer
             row[k + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1 :], top)]
             row[k] = 0
         prev = pivot
-    return sign
+        r += 1
+    return sign, r
 
 
 def fraction_free_solve(matrix: IntegerMatrix, target: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -243,7 +258,7 @@ def fraction_free_solve(matrix: IntegerMatrix, target: Sequence[int]) -> tuple[i
     if n == 0:
         return 1, ()
     a = [row + [t] for row, t in zip(matrix.to_rows(), target)]
-    delta = a[-1][n - 1] if _bareiss(a) else 0
+    delta = a[-1][n - 1] if _bareiss(a, n)[0] else 0
     if delta == 0:
         return 0, ()
     y = [0] * n
@@ -251,6 +266,30 @@ def fraction_free_solve(matrix: IntegerMatrix, target: Sequence[int]) -> tuple[i
         row = a[i]
         y[i] = (delta * row[n] - sum([row[j] * y[j] for j in range(i + 1, n)])) // row[i]
     return delta, tuple(y)
+
+
+def _infinite_order_witness(matrix: IntegerMatrix, target: Sequence[int]) -> tuple[int, ...] | None:
+    """A row u with u @ M == 0 and u . target != 0, or None when target
+    lies in the rational column span of M.
+
+    One Bareiss elimination of [M | target | I] that carries on past the
+    columns with no pivot: each row from the rank on is 0 on M, and its
+    I part is the combination u of the rows of M that gives it, so a
+    nonzero target entry there makes that row's u a witness.
+
+    >>> _infinite_order_witness(IntegerMatrix.from_rows([[1, 2], [2, 4]]), (1, 0))
+    (-2, 1)
+    """
+    rows, cols = matrix.rows, matrix.cols
+    a = [
+        row + [t] + [int(i == k) for k in range(rows)]
+        for i, (row, t) in enumerate(zip(matrix.to_rows(), target))
+    ]
+    _, rank = _bareiss(a, cols, carry_on=True)
+    for row in a[rank:]:
+        if row[cols]:
+            return tuple(row[cols + 1 :])
+    return None
 
 
 class SmithDecomposition(_Record):
@@ -485,22 +524,52 @@ def order_certificate(
     """(d, E, kernel_orthogonal) for the least d >= 1 with C @ E == d * A,
     or None when no such d exists.
 
-    C is relations, A generators and I pairing.  One Smith form of C
-    gives d and E (minimal_order) and a basis of ker C, the trailing
-    columns of V; kernel_orthogonal says whether I has inner product 0
-    with each of them.  E is checked, C @ E == d * A, before it is returned; a
-    failure raises AssertionError.
+    C is relations, A generators and I pairing.  For a square C one
+    fraction-free solve gives delta = +-det C and y = delta * C^-1 @ A.
+    When C is singular or not square, one rank-revealing elimination
+    looks for a witness of infinite order, a row u with u @ C == 0 and
+    u . A != 0; one exists exactly when A lies outside the rational
+    column span of C.  Both facts are checked and None is returned, with
+    no Smith form.
+
+    Otherwise one Smith form of C gives d and E (minimal_order) and a
+    basis of ker C, the trailing columns of V; kernel_orthogonal says
+    whether I has inner product 0 with each of them.  E is checked,
+    C @ E == d * A, and when delta != 0 so is the Smith answer against
+    Cramer's rule: d == |delta| / gcd(delta, y_1, ..., y_n), the least
+    d that makes d * y / delta integral, and E == d * y / delta.  Each
+    failed check raises AssertionError.
 
     >>> order_certificate(IntegerMatrix.from_rows([[4, 2], [2, 1]]), (2, 1), (1, -2))
     (1, (0, 1), False)
+    >>> order_certificate(IntegerMatrix.from_rows([[4, 2], [2, 1]]), (1, 0), (1, 0)) is None
+    True
     """
+    generators = _check_ints(generators)
+    if len(generators) != relations.rows:
+        raise ValueError(f"target length {len(generators)} != row count {relations.rows}")
+    square = relations.rows == relations.cols
+    delta, y = fraction_free_solve(relations, generators) if square else (0, ())
+    if delta == 0:
+        witness = _infinite_order_witness(relations, generators)
+        if witness is not None:
+            image = [dot(witness, relations.column(j)) for j in range(relations.cols)]
+            if any(image) or dot(witness, generators) == 0:
+                raise AssertionError("the infinite-order witness failed its check u @ C == 0, u . A != 0")
+            return None
     smith = smith_normal_form(relations)
     found = minimal_order(smith, generators)
     if found is None:
-        return None
+        raise AssertionError("the Smith form found infinite order where the elimination found none")
     order, solution = found
     if relations @ solution != tuple([order * a for a in generators]):
         raise AssertionError("the tb certificate failed its check C @ E == d * A")
+    if delta and (
+        order != abs(delta) // gcd(delta, *y) or [order * e for e in y] != [delta * e for e in solution]
+    ):
+        raise AssertionError(
+            "the tb certificate failed its Cramer check d == |det C| / gcd(det C, y), E == d * y / det C"
+        )
     kernel = range(smith.rank, smith.D.cols)
     return order, solution, all(dot(smith.V.column(j), pairing) == 0 for j in kernel)
 

@@ -100,6 +100,28 @@ class TestTb:
             "kernel_orthogonal": True,
         }
 
+    @pytest.mark.parametrize(
+        "name, factorizations", [("standard-unknot", 1), ("long-word", 1), ("infinite-order", 0)]
+    )
+    def test_one_factorization_for_a_finite_order(self, capsys, monkeypatch, tmp_path, name, factorizations):
+        """tb factors C once for a knot of finite order, and not at all for
+        one of infinite order, whose verdict a left-kernel witness proves."""
+        if name == "infinite-order":
+            path = write_obj(tmp_path, INFINITE_OPENBOOK)
+        else:
+            path = str(conftest.document_path(name))
+        calls = []
+
+        def recording(matrix):
+            calls.append(matrix)
+            return smith_normal_form(matrix)
+
+        monkeypatch.setattr(tbcalc.lattice, "smith_normal_form", recording)
+        for mode in ([], ["--json"]):
+            calls.clear()
+            code, _, _ = run(capsys, "tb", *mode, path)
+            assert (code, len(calls)) == (2 if name == "infinite-order" else 0, factorizations), mode
+
     def test_json_infinite(self, capsys):
         code, out, _ = run(
             capsys, "tb", "--json", str(conftest.fixture_path("heegaard-obstructed"))
@@ -350,12 +372,15 @@ class TestHomology:
 
 
 # the open books with a knot, among the fixtures and the test documents,
-# but for nonsingular-44: its tb runs the Smith route at n = 44, which takes
-# minutes, and only its homology is pinned (test_robustness.py)
+# but for two whose commands test_robustness.py runs on their own: the tb of
+# nonsingular-44 runs the Smith route at n = 44, which takes minutes, and
+# the homology of singular-infinite-64 runs the Smith route of a singular C
+# at n = 64, over 120 s
 STABILIZABLE = [
     name
     for name in conftest.FIXTURE_NAMES + sorted(path.stem for path in conftest.DATA.glob("*.json"))
-    if name != "nonsingular-44" and load_document(conftest.document_path(name)).knot is not None
+    if name not in ("nonsingular-44", "singular-infinite-64")
+    and load_document(conftest.document_path(name)).knot is not None
 ]
 
 
@@ -499,7 +524,7 @@ class TestStabilize:
         [
             ("standard-unknot", 1),
             ("long-word", 1),
-            ("infinite-order", 1),
+            ("infinite-order", 0),
             ("stabilize-not-orthogonal", 2),
         ],
     )
@@ -508,8 +533,9 @@ class TestStabilize:
     ):
         """stabilize factors C once and reads tb after off tb before when
         the knot is orthogonal to ker C (standard-unknot, and long-word
-        of order 81) or of infinite order; only a knot that meets ker C has
-        diag(C, sign) factored as well."""
+        of order 81); only a knot that meets ker C has diag(C, sign)
+        factored as well.  A knot of infinite order is proved so by a
+        left-kernel witness, with no factorization."""
         if name == "infinite-order":
             path = write_obj(tmp_path, INFINITE_OPENBOOK)
         else:

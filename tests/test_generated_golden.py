@@ -8,6 +8,11 @@ command reads its document on stdin; its exit code and the digests of
 its stdout and stderr must match `tests/data/golden/generated.json`.
 After an intended change of the outputs, rewrite that file with
 `PYTHONPATH=src python tests/test_generated_golden.py`.
+
+Each `tb` run is also checked by `perfbench/oracle.py`, which shares no
+code with tbcalc: exit 2 exactly for a knot of infinite order, and
+otherwise the printed order, the certificate `C @ E == d * A` and
+`tb = -dividing/2 + <E, I>/d`, with an open book's `C` swept afresh.
 """
 
 import contextlib
@@ -16,6 +21,7 @@ import hashlib
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +30,7 @@ from tbcalc.cli import main
 
 sys.path.append(str(conftest.FIXTURES.parent / "perfbench"))
 import gen  # noqa: E402
+import oracle  # noqa: E402
 
 GOLDEN = conftest.DATA / "golden" / "generated.json"
 # rounds per workload: 10 of 13 documents and 16 of 5
@@ -38,6 +45,7 @@ def digest(text):
 
 
 def run(text, command):
+    """(exit code, stdout, stderr) of one command on text."""
     stdout, stderr = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(text)
@@ -46,16 +54,47 @@ def run(text, command):
             code = main([*command, "-"])
     finally:
         sys.stdin = saved
-    return {"exit_code": code, "stdout": digest(stdout.getvalue()), "stderr": digest(stderr.getvalue())}
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
+@functools.cache
 def outputs(workload, seed):
-    """Each run of the pool, keyed by workload, seed, document and command."""
-    table = {}
+    """Each run of the pool, keyed by workload, seed, document and command,
+    and each document with the exit code and stdout of its tb run."""
+    table, tb_runs = {}, []
     for case in gen.generate(workload, seed, ROUNDS[workload]):
         for command in COMMANDS:
-            table[f"{workload}/{seed}/{case.name} {' '.join(command)}"] = run(case.text(), command)
-    return table
+            code, stdout, stderr = run(case.text(), command)
+            table[f"{workload}/{seed}/{case.name} {' '.join(command)}"] = {
+                "exit_code": code,
+                "stdout": digest(stdout),
+                "stderr": digest(stderr),
+            }
+            if command[0] == "tb":
+                tb_runs.append((case, code, stdout))
+    return table, tb_runs
+
+
+def check_tb(case, code, stdout):
+    """One tb --json run against perfbench/oracle."""
+    doc = case.doc
+    if doc["mode"] == "openbook":
+        twists, a = doc["twists"], doc["knot"]["arcs"]
+        signs, arcs = [t["sign"] for t in twists], [t["arcs"] for t in twists]
+        c = oracle.monodromy(len(a), signs, arcs, doc["twist_pairings"])
+        pairing, dividing = [-x for x in a], 0
+    else:
+        c, a, pairing, dividing = doc["C"], doc["A"], doc["I"], doc["dividing"]
+    order = oracle.order(c, a)
+    assert code == (2 if order is None else 0), case.name
+    if order is None:
+        return
+    payload = json.loads(stdout)
+    d, certificate = payload["order"], payload["certificate"]
+    assert d == order, case.name
+    assert oracle.matvec(c, certificate) == [d * x for x in a], case.name
+    tb = Fraction(-dividing, 2) + Fraction(oracle.dot(certificate, pairing), d)
+    assert (payload["tb_numerator"], payload["tb_denominator"]) == (tb.numerator, tb.denominator), case.name
 
 
 @functools.cache
@@ -71,17 +110,25 @@ def test_golden_covers_420_documents_of_both_pools():
 
 @pytest.mark.parametrize("workload, seed", POOLS)
 def test_matches_golden(workload, seed):
-    table = outputs(workload, seed)
+    table, _ = outputs(workload, seed)
     expected = {key: value for key, value in golden().items() if key.startswith(f"{workload}/{seed}/")}
     assert sorted(table) == sorted(expected)
     changed = [key for key in table if table[key] != expected[key]]
     assert not changed, f"{len(changed)} changed outputs, first {changed[:5]}"
 
 
+@pytest.mark.parametrize("workload, seed", POOLS)
+def test_tb_runs_pass_the_independent_checks(workload, seed):
+    # the oracle's order of a singular C comes from sympy's invariant factors
+    pytest.importorskip("sympy")
+    for case, code, stdout in outputs(workload, seed)[1]:
+        check_tb(case, code, stdout)
+
+
 def write_golden_file():
     table = {}
     for workload, seed in POOLS:
-        table.update(outputs(workload, seed))
+        table.update(outputs(workload, seed)[0])
     lines = [f"{json.dumps(name)}: {json.dumps(result)}" for name, result in table.items()]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 
 import helpers
 import oracles
+import tbcalc.lattice
 from tbcalc.lattice import (
     IntegerMatrix,
     _smith_factors,
@@ -256,6 +257,11 @@ class TestSolveInteger:
     def test_rejects_wrong_target_length(self):
         with pytest.raises(ValueError):
             minimal_order(smith_normal_form(S1XS2), (1, 2))
+        # before its elimination: the witness would read a shorter target
+        # against the leading rows of a matrix that is not square
+        for matrix, target in ((S1XS2, (1, 2)), (helpers.zeros(2, 1), (1,))):
+            with pytest.raises(ValueError, match="target length"):
+                order_certificate(matrix, target, (0,) * matrix.cols)
 
     @given(systems())
     @settings(deadline=None)
@@ -307,11 +313,21 @@ class TestOrderCertificate:
     @settings(deadline=None)
     def test_matches_minimal_order_and_the_rank_test(self, system, data):
         # pairing is orthogonal to ker M exactly when it lies in the rational
-        # row space of M, when appending it as a row keeps the rank
+        # row space of M, when appending it as a row keeps the rank; a
+        # verdict of infinite order, on any shape, is reached with no Smith form
         matrix, target = system
         pairing = data.draw(st.lists(st.integers(-3, 3), min_size=matrix.cols, max_size=matrix.cols))
-        found = order_certificate(matrix, target, pairing)
+        calls = []
+
+        def recording(matrix):
+            calls.append(matrix)
+            return smith_normal_form(matrix)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tbcalc.lattice, "smith_normal_form", recording)
+            found = order_certificate(matrix, target, pairing)
         expected = minimal_order(smith_normal_form(matrix), target)
+        assert len(calls) == (expected is not None)
         if expected is None:
             assert found is None
             return
@@ -319,6 +335,35 @@ class TestOrderCertificate:
         rows = matrix.to_rows()
         orthogonal = not any(pairing) or oracles.rational_rank(rows + [pairing]) == oracles.rational_rank(rows)
         assert found[2] is orthogonal
+
+    @pytest.mark.parametrize(
+        "wrong", [lambda u: (u[0] + 1,) + u[1:], lambda u: (0, 1, -1)], ids=["one entry", "u.A=0"]
+    )
+    def test_a_wrong_witness_fails_its_check(self, monkeypatch, wrong):
+        """The witness of infinite order is checked, u @ C == 0 and
+        u . A != 0, before None is returned."""
+        found = tbcalc.lattice._infinite_order_witness
+        monkeypatch.setattr(tbcalc.lattice, "_infinite_order_witness", lambda m, t: wrong(found(m, t)))
+        matrix = IntegerMatrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+        with pytest.raises(AssertionError, match="u @ C == 0, u . A != 0"):
+            order_certificate(matrix, (0, 1, 1), (1, 1, 1))
+
+    @pytest.mark.parametrize("rows, target", [([[-2]], (-1,)), ([[2, 1], [1, 3]], (1, 0))])
+    def test_the_cramer_check_refuses_a_multiple_of_the_order(self, monkeypatch, rows, target):
+        """(2d, 2E) passes C @ E == d * A; on a nonsingular C, Cramer's rule
+        shows that d is not least."""
+        found = tbcalc.lattice.minimal_order
+
+        def doubled(smith, target):
+            order, solution = found(smith, target)
+            return 2 * order, tuple([2 * e for e in solution])
+
+        monkeypatch.setattr(tbcalc.lattice, "minimal_order", doubled)
+        matrix = IntegerMatrix.from_rows(rows)
+        order, solution = doubled(smith_normal_form(matrix), target)
+        assert matrix @ solution == tuple([order * a for a in target])
+        with pytest.raises(AssertionError, match="Cramer check"):
+            order_certificate(matrix, target, (1,) * matrix.cols)
 
 
 class TestCokernelFactors:

@@ -3,8 +3,8 @@
 Inputs are arbitrary bytes and small, loosely shaped JSON documents
 (genus at most 3, at most 6 twists) that are often close to valid, so
 that they reach the lattice and homology layers as well as the parser,
-a large page with an empty word and a dense 44-arc book, which must end
-in time.
+a large page with an empty word, a dense 44-arc book and a singular
+64-arc book with a knot of infinite order, which must end in time.
 """
 
 import contextlib
@@ -192,3 +192,23 @@ def test_homology_of_a_dense_44_arc_book():
     order = 26576303558999714226682476320155293176042705432171024367779212073708605601009394199
     stdout = f"H1(M) = Z/{order}\nH1(M \\ nu K) = Z\ncomplement lemma: FAILS\n"
     assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
+
+
+@pytest.mark.parametrize("command", ["tb", "stabilize"])
+def test_infinite_order_on_a_singular_64_arc_book(command, tmp_path):
+    """C is 64x64 of rank 40 and the knot lies outside its rational column
+    span: one elimination finds a row u with u @ C == 0 and u . A != 0,
+    with no Smith form, so the command ends well within 60 s."""
+    written = tmp_path / "out.json"
+    out = ["--sign", "+1", "-o", str(written)] if command == "stabilize" else []
+    result = subprocess.run(
+        [sys.executable, "-m", "tbcalc", command, *out, str(conftest.DATA / "singular-infinite-64.json")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    stdout = {
+        "tb": "verdict: infinite order\nno positive multiple of the knot class bounds; tb is undefined\n",
+        "stabilize": f"wrote {written}\ntb undefined before and after (knot class of infinite order)\n",
+    }[command]
+    assert (result.returncode, result.stdout, result.stderr) == (2, stdout, "")
