@@ -52,61 +52,54 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "input",
+        nargs="?",
+        default="-",
+        help="input document (JSON); '-' or omitted reads standard input",
+    )
+    common.add_argument(
+        "--stdin",
+        action="store_true",
+        help="read the document from standard input; give no path with it",
+    )
+    common.add_argument(
+        "--json",
+        action="store_true",
+        dest="machine",
+        help="machine-readable JSON on standard output",
+    )
+    common.add_argument(
+        "-v",
+        "--verbose",
+        action="count",
+        default=0,
+        help="print document context; repeat for the pairing matrix",
+    )
     parser = _Parser(
         prog="tbcalc",
         description="Exact Thurston-Bennequin invariants from page or surface data.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "input",
-            nargs="?",
-            default="-",
-            help="input document (JSON); '-' or omitted reads standard input",
-        )
-        sub.add_argument(
-            "--stdin",
-            action="store_true",
-            help="read the document from standard input; give no path with it",
-        )
-        sub.add_argument(
-            "--json",
-            action="store_true",
-            dest="machine",
-            help="machine-readable JSON on standard output",
-        )
-        sub.add_argument(
-            "-v",
-            "--verbose",
-            action="count",
-            default=0,
-            help="print document context; repeat for the pairing matrix",
-        )
-
-    tb = subparsers.add_parser("tb", help="compute the Thurston-Bennequin invariant")
-    add_common(tb)
-
-    homology = subparsers.add_parser(
-        "homology", help="first homology of the manifold and knot exterior"
+    subparsers.add_parser(
+        "tb", parents=[common], help="compute the Thurston-Bennequin invariant"
     )
-    add_common(homology)
-
+    subparsers.add_parser(
+        "homology", parents=[common], help="first homology of the manifold and knot exterior"
+    )
     stab = subparsers.add_parser(
-        "stabilize", help="stabilize an open book document once"
+        "stabilize", parents=[common], help="stabilize an open book document once"
     )
-    add_common(stab)
     stab.add_argument(
         "--sign", required=True, choices=["+1", "-1"], help="stabilization sign"
     )
     stab.add_argument(
         "-o", "--output", required=True, help="path for the stabilized document"
     )
-
     convert = subparsers.add_parser(
-        "convert", help="rewrite an open book as heegaard-mode data"
+        "convert", parents=[common], help="rewrite an open book as heegaard-mode data"
     )
-    add_common(convert)
     convert.add_argument(
         "-o", "--output", required=True, help="path for the converted document"
     )
@@ -204,23 +197,19 @@ def cmd_homology(document: InputDocument, view: HeegaardData, args: argparse.Nam
     return EXIT_OK, payload, lines
 
 
+def _write(document: InputDocument, args: argparse.Namespace, **records) -> None:
+    """Write records to the output path under the input's name and description."""
+    written = InputDocument(**records, name=document.name, description=document.description)
+    write_document(written, args.output)
+
+
 def cmd_stabilize(document: InputDocument, view: HeegaardData, args: argparse.Namespace) -> _Result:
-    if document.mode != "openbook":
-        raise UsageError("stabilize requires an openbook document")
     if document.knot is None:
         raise UsageError(NO_KNOT_BLOCK)
     sign = int(args.sign)
     stabilized, knot = stabilize(document.open_book, document.knot, sign)
     before, after = _tb_across_stabilization(view, sign)
-    write_document(
-        InputDocument(
-            open_book=stabilized,
-            knot=knot,
-            name=document.name,
-            description=document.description,
-        ),
-        args.output,
-    )
+    _write(document, args, open_book=stabilized, knot=knot)
     payload = {"output": str(args.output), "sign": sign}
     if before is None:
         payload.update(tb_before=None, tb_after=None, delta=None)
@@ -238,16 +227,7 @@ def cmd_stabilize(document: InputDocument, view: HeegaardData, args: argparse.Na
 
 
 def cmd_convert(document: InputDocument, view: HeegaardData, args: argparse.Namespace) -> _Result:
-    if document.mode != "openbook":
-        raise UsageError("convert requires an openbook document")
-    write_document(
-        InputDocument(
-            heegaard=_doubled(view),
-            name=document.name,
-            description=document.description,
-        ),
-        args.output,
-    )
+    _write(document, args, heegaard=_doubled(view))
     return EXIT_OK, {"output": str(args.output)}, [f"wrote {args.output}"]
 
 
@@ -292,6 +272,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         with _exact_int_output():
             if args.verbose and not args.machine:
                 _print_context(document, view, args.verbose)
+            if args.command in ("stabilize", "convert") and document.mode != "openbook":
+                raise UsageError(f"{args.command} requires an openbook document")
             code, payload, lines = _HANDLERS[args.command](document, view, args)
             print(json.dumps(payload, indent=2) if args.machine else "\n".join(lines))
         return code

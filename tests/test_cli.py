@@ -1,6 +1,5 @@
 """End-to-end command behavior: outputs, exit codes, files written."""
 
-import contextlib
 import io
 import json
 import pathlib
@@ -17,6 +16,7 @@ import conftest
 import helpers
 import tbcalc.lattice
 import tbcalc.openbook
+from conftest import record_calls, run_cli
 from tbcalc import (
     InputDocument,
     ParseError,
@@ -28,17 +28,9 @@ from tbcalc import (
     write_document,
 )
 from tbcalc.cli import _exact_int_output as unlimited_int_digits
-from tbcalc.cli import main
-from tbcalc.lattice import smith_normal_form
 
 # an open book whose certificate entries run past 10000 digits
 BIG_CERTIFICATE = pathlib.Path(__file__).resolve().parent / "data" / "big-certificate.json"
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def write_obj(tmp_path, obj, name="doc.json"):
@@ -64,8 +56,8 @@ INFINITE_OPENBOOK = {
 
 
 class TestTb:
-    def test_standard_unknot_human(self, capsys):
-        code, out, err = run(capsys, "tb", str(conftest.fixture_path("standard-unknot")))
+    def test_standard_unknot_human(self):
+        code, out, err = run_cli("tb", str(conftest.fixture_path("standard-unknot")))
         assert code == 0
         assert out.splitlines() == [
             "verdict: nullhomologous",
@@ -74,20 +66,20 @@ class TestTb:
         ]
         assert err == ""
 
-    def test_rational_fraction_format(self, capsys):
-        code, out, _ = run(capsys, "tb", str(conftest.fixture_path("rational-order-two")))
+    def test_rational_fraction_format(self):
+        code, out, _ = run_cli("tb", str(conftest.fixture_path("rational-order-two")))
         assert code == 0
         assert "order 2, tb = -1/2" in out
         assert "rationally nullhomologous of order 2" in out
 
-    def test_infinite_order_exit_code(self, capsys):
-        code, out, _ = run(capsys, "tb", str(conftest.fixture_path("heegaard-obstructed")))
+    def test_infinite_order_exit_code(self):
+        code, out, _ = run_cli("tb", str(conftest.fixture_path("heegaard-obstructed")))
         assert code == 2
         assert "infinite order" in out
 
-    def test_json_payload(self, capsys):
-        code, out, _ = run(
-            capsys, "tb", "--json", str(conftest.fixture_path("rational-order-two"))
+    def test_json_payload(self):
+        code, out, _ = run_cli(
+            "tb", "--json", str(conftest.fixture_path("rational-order-two"))
         )
         assert code == 0
         payload = json.loads(out)
@@ -103,102 +95,91 @@ class TestTb:
     @pytest.mark.parametrize(
         "name, factorizations", [("standard-unknot", 1), ("long-word", 1), ("infinite-order", 0)]
     )
-    def test_one_factorization_for_a_finite_order(self, capsys, monkeypatch, tmp_path, name, factorizations):
+    def test_one_factorization_for_a_finite_order(self, monkeypatch, tmp_path, name, factorizations):
         """tb factors C once for a knot of finite order, and not at all for
         one of infinite order, whose verdict a left-kernel witness proves."""
         if name == "infinite-order":
             path = write_obj(tmp_path, INFINITE_OPENBOOK)
         else:
             path = str(conftest.document_path(name))
-        calls = []
-
-        def recording(matrix):
-            calls.append(matrix)
-            return smith_normal_form(matrix)
-
-        monkeypatch.setattr(tbcalc.lattice, "smith_normal_form", recording)
+        calls = record_calls(monkeypatch, tbcalc.lattice, "smith_normal_form")
         for mode in ([], ["--json"]):
             calls.clear()
-            code, _, _ = run(capsys, "tb", *mode, path)
+            code, _, _ = run_cli("tb", *mode, path)
             assert (code, len(calls)) == (2 if name == "infinite-order" else 0, factorizations), mode
 
-    def test_json_infinite(self, capsys):
-        code, out, _ = run(
-            capsys, "tb", "--json", str(conftest.fixture_path("heegaard-obstructed"))
+    def test_json_infinite(self):
+        code, out, _ = run_cli(
+            "tb", "--json", str(conftest.fixture_path("heegaard-obstructed"))
         )
         assert code == 2
         assert json.loads(out) == {"verdict": "infinite order"}
 
-    def test_kernel_warning_on_stderr(self, capsys, tmp_path):
+    def test_kernel_warning_on_stderr(self, tmp_path):
         path = write_obj(
             tmp_path,
             {"mode": "heegaard", "genus": 1, "C": [[0]], "A": [0], "I": [1], "dividing": 0},
         )
-        code, out, err = run(capsys, "tb", path)
+        code, out, err = run_cli("tb", path)
         assert code == 0
         assert "order 1, tb = 0" in out
         assert "not orthogonal to the kernel" in err
 
-    def test_missing_knot_is_usage_error(self, capsys, tmp_path):
+    def test_missing_knot_is_usage_error(self, tmp_path):
         path = write_obj(tmp_path, KNOTLESS_OPENBOOK)
-        code, _, err = run(capsys, "tb", path)
+        code, _, err = run_cli("tb", path)
         assert code == 1
         assert "no knot block" in err
 
-    def test_missing_file(self, capsys, tmp_path):
-        code, _, err = run(capsys, "tb", str(tmp_path / "absent.json"))
+    def test_missing_file(self, tmp_path):
+        code, _, err = run_cli("tb", str(tmp_path / "absent.json"))
         assert code == 1
         assert "error" in err
 
-    def test_invalid_document(self, capsys, tmp_path):
+    def test_invalid_document(self, tmp_path):
         path = write_obj(tmp_path, {"mode": "heegaard", "genus": 1, "C": [[1]], "dividing": 3})
-        code, _, err = run(capsys, "tb", path)
+        code, _, err = run_cli("tb", path)
         assert code == 1
         assert "required alongside" in err
 
-    def test_stdin_dash(self, capsys, monkeypatch):
+    def test_stdin_dash(self):
         text = conftest.fixture_path("standard-unknot").read_text(encoding="utf-8")
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-        code, out, _ = run(capsys, "tb", "-")
+        code, out, _ = run_cli("tb", "-", stdin=text)
         assert code == 0 and "tb = -1" in out
 
-    def test_stdin_flag(self, capsys, monkeypatch):
+    def test_stdin_flag(self):
         text = conftest.fixture_path("overtwisted-unknot").read_text(encoding="utf-8")
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-        code, out, _ = run(capsys, "tb", "--stdin")
+        code, out, _ = run_cli("tb", "--stdin", stdin=text)
         assert code == 0 and "tb = 1" in out
 
     @pytest.mark.parametrize("command", ["tb", "homology"])
-    def test_stdin_flag_with_a_path_is_a_usage_error(self, capsys, monkeypatch, command):
+    def test_stdin_flag_with_a_path_is_a_usage_error(self, monkeypatch, command):
         # two inputs: neither is read, and the error names both
         stdin = io.StringIO('{"mode": "heegaard", "genus": 1, "C": [[2]]}')
         monkeypatch.setattr(sys, "stdin", stdin)
         path = str(conftest.fixture_path("standard-unknot"))
-        code, out, err = run(capsys, command, "--stdin", "-v", path)
+        code, out, err = run_cli(command, "--stdin", "-v", path)
         assert (code, out) == (1, "")
         assert err == f"tbcalc: error: two inputs given, --stdin and {path}; give one\n"
         assert stdin.tell() == 0
 
-    def test_bad_json_on_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("{not json"))
-        code, _, err = run(capsys, "tb", "-")
+    def test_bad_json_on_stdin(self):
+        code, _, err = run_cli("tb", "-", stdin="{not json")
         assert code == 1
         assert "line 1" in err
 
-    def test_verbose_context(self, capsys):
-        code, out, _ = run(capsys, "tb", "-v", str(conftest.fixture_path("standard-unknot")))
+    def test_verbose_context(self):
+        code, out, _ = run_cli("tb", "-v", str(conftest.fixture_path("standard-unknot")))
         assert code == 0
         assert out.startswith("standard-unknot: Core curve")
 
-    def test_double_verbose_prints_matrix(self, capsys):
-        code, out, _ = run(capsys, "tb", "-vv", str(conftest.fixture_path("standard-unknot")))
+    def test_double_verbose_prints_matrix(self):
+        code, out, _ = run_cli("tb", "-vv", str(conftest.fixture_path("standard-unknot")))
         assert code == 0
         assert "pairing matrix C = [[1]]" in out
 
-    def test_unknown_flag_exits_one(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["tb", "--bad-flag"])
-        assert info.value.code == 1
+    def test_unknown_flag_exits_one(self):
+        assert run_cli("tb", "--bad-flag")[0] == 1
 
 
 class TestParserReuse:
@@ -207,23 +188,21 @@ class TestParserReuse:
     def test_calls_share_no_state(self, capsys, tmp_path, monkeypatch):
         unknot = str(conftest.fixture_path("standard-unknot"))
         monkeypatch.setattr(cli, "build_parser", None)  # main must not rebuild it
-        first = run(capsys, "tb", unknot)
-        assert run(capsys, "tb", "-vv", "--json", unknot)[0] == 0
-        assert run(capsys, "stabilize", "--sign", "-1", "-o", str(tmp_path / "s.json"), unknot)[0] == 0
-        with pytest.raises(SystemExit) as info:
-            main(["stabilize", "-o", str(tmp_path / "t.json"), unknot])
-        assert info.value.code == 1
-        usage = capsys.readouterr()
-        assert run(capsys, "tb", unknot) == first
-        assert run(capsys, "tb", "-v", unknot) == run(capsys, "tb", "-v", unknot)
+        first = run_cli("tb", unknot)
+        assert run_cli("tb", "-vv", "--json", unknot)[0] == 0
+        assert run_cli("stabilize", "--sign", "-1", "-o", str(tmp_path / "s.json"), unknot)[0] == 0
+        code, *usage = run_cli("stabilize", "-o", str(tmp_path / "t.json"), unknot)
+        assert code == 1
+        assert run_cli("tb", unknot) == first
+        assert run_cli("tb", "-v", unknot) == run_cli("tb", "-v", unknot)
         assert not (tmp_path / "t.json").exists()
 
         monkeypatch.undo()
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["stabilize", "-o", str(tmp_path / "t.json"), unknot])
-        assert capsys.readouterr() == usage
-        assert usage.out == ""
-        assert "error: the following arguments are required: --sign" in usage.err
+        assert list(capsys.readouterr()) == usage
+        assert usage[0] == ""
+        assert "error: the following arguments are required: --sign" in usage[1]
 
 
 OVERLONG_LITERAL = json.dumps(KNOTLESS_OPENBOOK).replace("[-1]", "[" + "7" * 5000 + "]").encode()
@@ -248,18 +227,18 @@ class TestHostileInput:
         ],
         ids=["5000-digit-literal", "utf16-bom", "100k-nested-arrays"],
     )
-    def test_file_exits_one(self, capsys, tmp_path, data, cause):
+    def test_file_exits_one(self, tmp_path, data, cause):
         path = tmp_path / "doc.json"
         path.write_bytes(data)
-        code, out, err = run(capsys, "tb", str(path))
+        code, out, err = run_cli("tb", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("tbcalc: error: ")
         assert cause in err
 
-    def test_undecodable_stdin_exits_one(self, capsys, monkeypatch):
+    def test_undecodable_stdin_exits_one(self, monkeypatch):
         stream = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8")
         monkeypatch.setattr(sys, "stdin", stream)
-        code, _, err = run(capsys, "tb", "-")
+        code, _, err = run_cli("tb", "-")
         assert code == 1
         assert "cannot decode the document" in err
 
@@ -276,9 +255,9 @@ class TestHugeIntegers:
     def digit_limit(self):
         return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
 
-    def test_tb_prints_the_whole_certificate(self, capsys):
+    def test_tb_prints_the_whole_certificate(self):
         limit = self.digit_limit()
-        code, out, err = run(capsys, "tb", str(BIG_CERTIFICATE))
+        code, out, err = run_cli("tb", str(BIG_CERTIFICATE))
         assert (code, err) == (0, "")
         assert self.digit_limit() == limit
         verdict, value, certificate = out.splitlines()
@@ -287,9 +266,9 @@ class TestHugeIntegers:
             result = tb_open_book(*self.book_and_knot())
             assert certificate == f"certificate E = {list(result.certificate)}"
 
-    def test_tb_json(self, capsys):
+    def test_tb_json(self):
         limit = self.digit_limit()
-        code, out, err = run(capsys, "tb", "--json", str(BIG_CERTIFICATE))
+        code, out, err = run_cli("tb", "--json", str(BIG_CERTIFICATE))
         assert (code, err) == (0, "")
         assert self.digit_limit() == limit
         with unlimited_int_digits():
@@ -302,10 +281,10 @@ class TestHugeIntegers:
         assert monodromy_matrix(book) @ certificate == knot.arc_pairings
         assert payload["tb_numerator"] == -sum(e * a for e, a in zip(certificate, knot.arc_pairings))
 
-    def test_stabilize_json(self, capsys, tmp_path):
+    def test_stabilize_json(self, tmp_path):
         out_path = tmp_path / "stab.json"
-        code, out, err = run(
-            capsys, "stabilize", "--json", "--sign", "+1", "-o", str(out_path), str(BIG_CERTIFICATE)
+        code, out, err = run_cli(
+            "stabilize", "--json", "--sign", "+1", "-o", str(out_path), str(BIG_CERTIFICATE)
         )
         assert (code, err) == (0, "")
         payload = json.loads(out)
@@ -320,8 +299,8 @@ class TestHugeIntegers:
 
 
 class TestHomology:
-    def test_with_nullhomologous_knot(self, capsys):
-        code, out, _ = run(capsys, "homology", str(conftest.fixture_path("heegaard-solvable")))
+    def test_with_nullhomologous_knot(self):
+        code, out, _ = run_cli("homology", str(conftest.fixture_path("heegaard-solvable")))
         assert code == 0
         assert out.splitlines() == [
             "H1(M) = Z",
@@ -329,15 +308,15 @@ class TestHomology:
             "complement lemma: holds",
         ]
 
-    def test_knot_of_higher_order(self, capsys):
-        code, out, _ = run(capsys, "homology", str(conftest.fixture_path("rational-order-two")))
+    def test_knot_of_higher_order(self):
+        code, out, _ = run_cli("homology", str(conftest.fixture_path("rational-order-two")))
         assert code == 0
         assert "H1(M) = Z/2" in out
         assert "not nullhomologous" in out
         assert "complement lemma" not in out
 
-    def test_openbook_converts_automatically(self, capsys):
-        code, out, _ = run(capsys, "homology", str(conftest.fixture_path("standard-unknot")))
+    def test_openbook_converts_automatically(self):
+        code, out, _ = run_cli("homology", str(conftest.fixture_path("standard-unknot")))
         assert code == 0
         assert out.splitlines() == [
             "H1(M) = 0",
@@ -345,15 +324,15 @@ class TestHomology:
             "complement lemma: holds",
         ]
 
-    def test_knotless_document(self, capsys, tmp_path):
+    def test_knotless_document(self, tmp_path):
         path = write_obj(tmp_path, KNOTLESS_OPENBOOK)
-        code, out, _ = run(capsys, "homology", path)
+        code, out, _ = run_cli("homology", path)
         assert code == 0
         assert out.splitlines() == ["H1(M) = 0"]
 
-    def test_json_payload(self, capsys):
-        code, out, _ = run(
-            capsys, "homology", "--json", str(conftest.fixture_path("heegaard-solvable"))
+    def test_json_payload(self):
+        code, out, _ = run_cli(
+            "homology", "--json", str(conftest.fixture_path("heegaard-solvable"))
         )
         assert code == 0
         payload = json.loads(out)
@@ -361,9 +340,9 @@ class TestHomology:
         assert payload["h1_complement"] == {"torsion": [], "free_rank": 2, "text": "Z^2"}
         assert payload["complement_lemma"] is True
 
-    def test_json_not_applicable(self, capsys):
-        code, out, _ = run(
-            capsys, "homology", "--json", str(conftest.fixture_path("heegaard-obstructed"))
+    def test_json_not_applicable(self):
+        code, out, _ = run_cli(
+            "homology", "--json", str(conftest.fixture_path("heegaard-obstructed"))
         )
         assert code == 0
         payload = json.loads(out)
@@ -384,11 +363,19 @@ STABILIZABLE = [
 ]
 
 
+def drawn_document(seed, realizable, bounding):
+    """An open book, realizable or not, with a knot that bounds or any knot."""
+    rng = random.Random(seed)
+    draw_book = helpers.random_realizable_open_book if realizable else helpers.random_open_book
+    book = draw_book(rng)
+    knot = (helpers.random_bounding_knot if bounding else helpers.random_knot)(rng, book)
+    return InputDocument(open_book=book, knot=knot)
+
+
 class TestStabilize:
-    def test_writes_and_reports(self, capsys, tmp_path):
+    def test_writes_and_reports(self, tmp_path):
         out_path = tmp_path / "stab.json"
-        code, out, _ = run(
-            capsys,
+        code, out, _ = run_cli(
             "stabilize",
             "--sign",
             "+1",
@@ -403,10 +390,9 @@ class TestStabilize:
         result = tb_open_book(written.open_book, written.knot)
         assert result.tb == -2
 
-    def test_negative_sign(self, capsys, tmp_path):
+    def test_negative_sign(self, tmp_path):
         out_path = tmp_path / "stab.json"
-        code, out, _ = run(
-            capsys,
+        code, out, _ = run_cli(
             "stabilize",
             "--sign",
             "-1",
@@ -417,10 +403,9 @@ class TestStabilize:
         assert code == 0
         assert "tb before = -1, tb after = 0, delta = 1" in out
 
-    def test_json_payload(self, capsys, tmp_path):
+    def test_json_payload(self, tmp_path):
         out_path = tmp_path / "stab.json"
-        code, out, _ = run(
-            capsys,
+        code, out, _ = run_cli(
             "stabilize",
             "--sign",
             "+1",
@@ -436,18 +421,17 @@ class TestStabilize:
         assert payload["tb_after"] == {"numerator": 0, "denominator": 1}
         assert payload["delta"] == {"numerator": -1, "denominator": 1}
 
-    def test_infinite_order_still_writes(self, capsys, tmp_path):
+    def test_infinite_order_still_writes(self, tmp_path):
         path = write_obj(tmp_path, INFINITE_OPENBOOK)
         out_path = tmp_path / "stab.json"
-        code, out, _ = run(capsys, "stabilize", "--sign", "+1", "-o", str(out_path), path)
+        code, out, _ = run_cli("stabilize", "--sign", "+1", "-o", str(out_path), path)
         assert code == 2
         assert "tb undefined" in out
         assert out_path.exists()
 
-    def test_heegaard_input_rejected(self, capsys, tmp_path):
+    def test_heegaard_input_rejected(self, tmp_path):
         out_path = tmp_path / "stab.json"
-        code, _, err = run(
-            capsys,
+        code, _, err = run_cli(
             "stabilize",
             "--sign",
             "+1",
@@ -459,34 +443,37 @@ class TestStabilize:
         assert "requires an openbook document" in err
         assert not out_path.exists()
 
-    def test_knotless_rejected(self, capsys, tmp_path):
+    def test_knotless_rejected(self, tmp_path):
         path = write_obj(tmp_path, KNOTLESS_OPENBOOK)
-        code, _, err = run(capsys, "stabilize", "--sign", "+1", "-o", str(path), path)
+        code, _, err = run_cli("stabilize", "--sign", "+1", "-o", str(path), path)
         assert code == 1
         assert "no knot block" in err
 
-    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.sampled_from(("+1", "-1")))
-    @example(10, False, False, "+1")
-    @example(13, True, False, "-1")
-    @example(3, True, True, "-1")
+    @given(
+        st.builds(drawn_document, st.integers(0, 2**32 - 1), st.booleans(), st.booleans()),
+        st.sampled_from(("+1", "-1")),
+    )
+    @example(drawn_document(10, False, False), "+1")
+    @example(drawn_document(13, True, False), "-1")
+    @example(drawn_document(3, True, True), "-1")
+    # the 60-twist word, and a knot that meets ker C, whose tb after is
+    # read off the Smith pivots of diag(C, sign)
+    @example(load_document(conftest.document_path("long-word")), "+1")
+    @example(load_document(conftest.document_path("long-word")), "-1")
+    @example(load_document(conftest.document_path("stabilize-not-orthogonal")), "+1")
+    @example(load_document(conftest.document_path("stabilize-not-orthogonal")), "-1")
     @settings(deadline=None, max_examples=150)
-    def test_tb_after_is_the_tb_of_the_written_book(self, seed, realizable, bounding, sign):
+    def test_tb_after_is_the_tb_of_the_written_book(self, document, sign):
         """stabilize reads tb after off diag(C, sign), without sweeping the
         stabilized word; the written book, read back and swept afresh,
         has that tb, and a knot of infinite order stays undefined."""
-        rng = random.Random(seed)
-        draw_book = helpers.random_realizable_open_book if realizable else helpers.random_open_book
-        book = draw_book(rng)
-        knot = (helpers.random_bounding_knot if bounding else helpers.random_knot)(rng, book)
         with tempfile.TemporaryDirectory() as folder:
             source, target = pathlib.Path(folder, "in.json"), pathlib.Path(folder, "out.json")
-            write_document(InputDocument(open_book=book, knot=knot), source)
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(["stabilize", "--json", "--sign", sign, "-o", str(target), str(source)])
+            write_document(document, source)
+            code, out, _ = run_cli("stabilize", "--json", "--sign", sign, "-o", target, source)
             written = load_document(target)
         result = tb_open_book(written.open_book, written.knot)
-        payload = json.loads(out.getvalue())
+        payload = json.loads(out)
         if result is None:
             assert code == 2
             assert payload["tb_after"] is None
@@ -498,24 +485,18 @@ class TestStabilize:
             }
 
     @pytest.mark.parametrize("name", STABILIZABLE)
-    def test_one_sweep_per_op(self, capsys, monkeypatch, tmp_path, name):
+    def test_one_sweep_per_op(self, monkeypatch, tmp_path, name):
         """Every command sweeps the word once, plain, with --json and with
         -vv, whose pairing matrix is read off the same view."""
-        calls = []
-
-        def recording(open_book):
-            calls.append(open_book)
-            return monodromy_matrix(open_book)
-
-        monkeypatch.setattr(tbcalc.openbook, "monodromy_matrix", recording)
-        monkeypatch.setattr(tbcalc.cli, "monodromy_matrix", recording, raising=False)
+        calls = record_calls(monkeypatch, tbcalc.openbook, "monodromy_matrix")
+        monkeypatch.setattr(tbcalc.cli, "monodromy_matrix", tbcalc.openbook.monodromy_matrix, raising=False)
         out = ["-o", str(tmp_path / "out.json")]
         commands = [["tb"], ["homology"], ["stabilize", "--sign", "+1", *out]]
         commands += [["stabilize", "--sign", "-1", *out], ["convert", *out]]
         for command in commands:
             for mode in ([], ["--json"], ["-vv"]):
                 calls.clear()
-                code, _, _ = run(capsys, *command, *mode, str(conftest.document_path(name)))
+                code, _, _ = run_cli(*command, *mode, str(conftest.document_path(name)))
                 assert code in (0, 2)
                 assert len(calls) == 1, command + mode
 
@@ -529,7 +510,7 @@ class TestStabilize:
         ],
     )
     def test_one_factorization_unless_the_knot_meets_the_kernel(
-        self, capsys, monkeypatch, tmp_path, name, factorizations
+        self, monkeypatch, tmp_path, name, factorizations
     ):
         """stabilize factors C once and reads tb after off tb before when
         the knot is orthogonal to ker C (standard-unknot, and long-word
@@ -540,20 +521,14 @@ class TestStabilize:
             path = write_obj(tmp_path, INFINITE_OPENBOOK)
         else:
             path = str(conftest.document_path(name))
-        calls = []
-
-        def recording(matrix):
-            calls.append(matrix)
-            return smith_normal_form(matrix)
-
-        monkeypatch.setattr(tbcalc.lattice, "smith_normal_form", recording)
+        calls = record_calls(monkeypatch, tbcalc.lattice, "smith_normal_form")
         out_path = str(tmp_path / "stab.json")
         for argv in (
             ["stabilize", "--sign", "+1", "-o", out_path, path],
             ["stabilize", "--json", "--sign", "-1", "-o", out_path, path],
         ):
             calls.clear()
-            run(capsys, *argv)
+            run_cli(*argv)
             assert len(calls) == factorizations, argv
 
 
@@ -561,10 +536,10 @@ class TestConvert:
     @pytest.mark.parametrize(
         "name", ["standard-unknot", "overtwisted-unknot", "solution-family", "disk-page"]
     )
-    def test_preserves_tb(self, capsys, tmp_path, name):
+    def test_preserves_tb(self, tmp_path, name):
         out_path = tmp_path / "converted.json"
-        code, out, _ = run(
-            capsys, "convert", "-o", str(out_path), str(conftest.fixture_path(name))
+        code, out, _ = run_cli(
+            "convert", "-o", str(out_path), str(conftest.fixture_path(name))
         )
         assert code == 0
         assert f"wrote {out_path}" in out
@@ -576,9 +551,18 @@ class TestConvert:
         assert surface_result.order == page_result.order
         assert surface_result.tb == page_result.tb
 
-    def test_heegaard_input_rejected(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys,
+    @pytest.mark.parametrize(
+        "name", ["standard-unknot", "solution-family", "long-word", "stabilize-not-orthogonal"]
+    )
+    def test_preserves_homology(self, tmp_path, name):
+        """homology reads an open book's view (C, A, -A) and the converted
+        document's (-C, A, A); both print the same groups."""
+        source, converted = conftest.document_path(name), tmp_path / "converted.json"
+        assert run_cli("convert", "-o", converted, source)[0] == 0
+        assert run_cli("homology", "--json", converted) == run_cli("homology", "--json", source)
+
+    def test_heegaard_input_rejected(self, tmp_path):
+        code, _, err = run_cli(
             "convert",
             "-o",
             str(tmp_path / "x.json"),
@@ -587,19 +571,18 @@ class TestConvert:
         assert code == 1
         assert "requires an openbook document" in err
 
-    def test_context_comes_before_the_refusal(self, capsys, tmp_path):
+    def test_context_comes_before_the_refusal(self, tmp_path):
         # -v prints the document context first, whatever the command does next
         path = str(conftest.fixture_path("heegaard-solvable"))
-        code, out, err = run(capsys, "convert", "-vv", "-o", str(tmp_path / "x.json"), path)
+        code, out, err = run_cli("convert", "-vv", "-o", str(tmp_path / "x.json"), path)
         assert code == 1
         assert out.splitlines()[0].startswith("heegaard-solvable: ")
         assert out.splitlines()[1].startswith("pairing matrix C = ")
         assert err == "tbcalc: error: convert requires an openbook document\n"
 
-    def test_json_payload(self, capsys, tmp_path):
+    def test_json_payload(self, tmp_path):
         out_path = tmp_path / "converted.json"
-        code, out, _ = run(
-            capsys,
+        code, out, _ = run_cli(
             "convert",
             "-o",
             str(out_path),

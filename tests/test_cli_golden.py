@@ -16,17 +16,13 @@ After an intended change of the outputs, rewrite that file with
 `PYTHONPATH=src python tests/test_cli_golden.py`.
 """
 
-import contextlib
 import functools
-import io
-import json
 import os
 import tempfile
 
 import pytest
 
 import conftest
-from tbcalc.cli import main
 
 GOLDEN = conftest.DATA / "golden" / "cli.json"
 DOCUMENTS = conftest.FIXTURE_NAMES + [
@@ -53,16 +49,14 @@ CASES = [
 
 
 def run(document, command, mode):
-    stdout, stderr = io.StringIO(), io.StringIO()
-    argv = [*COMMANDS[command], *MODES[mode], str(conftest.document_path(document))]
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
-    return {"exit_code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    argv = [*COMMANDS[command], *MODES[mode], conftest.document_path(document)]
+    code, stdout, stderr = conftest.run_cli(*argv)
+    return {"exit_code": code, "stdout": stdout, "stderr": stderr}
 
 
 @functools.cache
 def golden():
-    return json.loads(GOLDEN.read_text())
+    return conftest.read_table(GOLDEN)
 
 
 def test_golden_holds_every_case():
@@ -82,8 +76,7 @@ def write_golden_file():
         os.chdir(workdir)
         for case in CASES:
             table[" ".join(case)] = run(*case)
-    lines = [f"{json.dumps(name)}: {json.dumps(outputs)}" for name, outputs in table.items()]
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    conftest.write_table(GOLDEN, table)
 
 
 if __name__ == "__main__":

@@ -11,14 +11,14 @@ After an intended change of the outputs, rewrite that file with
 
 Each `tb` run is also checked by `perfbench/oracle.py`, which shares no
 code with tbcalc: exit 2 exactly for a knot of infinite order, and
-otherwise the printed order, the certificate `C @ E == d * A` and
-`tb = -dividing/2 + <E, I>/d`, with an open book's `C` swept afresh.
+otherwise the printed order, the certificate `C @ E == d * A`,
+`tb = -dividing/2 + <E, I>/d` and the kernel verdict, `I` orthogonal to
+`ker C` exactly when `rank [C; I] == rank C`, with an open book's `C`
+swept afresh.
 """
 
-import contextlib
 import functools
 import hashlib
-import io
 import json
 import sys
 from fractions import Fraction
@@ -26,7 +26,6 @@ from fractions import Fraction
 import pytest
 
 import conftest
-from tbcalc.cli import main
 
 sys.path.append(str(conftest.FIXTURES.parent / "perfbench"))
 import gen  # noqa: E402
@@ -44,19 +43,6 @@ def digest(text):
     return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
-def run(text, command):
-    """(exit code, stdout, stderr) of one command on text."""
-    stdout, stderr = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO(text)
-    try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([*command, "-"])
-    finally:
-        sys.stdin = saved
-    return code, stdout.getvalue(), stderr.getvalue()
-
-
 @functools.cache
 def outputs(workload, seed):
     """Each run of the pool, keyed by workload, seed, document and command,
@@ -64,7 +50,7 @@ def outputs(workload, seed):
     table, tb_runs = {}, []
     for case in gen.generate(workload, seed, ROUNDS[workload]):
         for command in COMMANDS:
-            code, stdout, stderr = run(case.text(), command)
+            code, stdout, stderr = conftest.run_cli(*command, "-", stdin=case.text())
             table[f"{workload}/{seed}/{case.name} {' '.join(command)}"] = {
                 "exit_code": code,
                 "stdout": digest(stdout),
@@ -95,11 +81,14 @@ def check_tb(case, code, stdout):
     assert oracle.matvec(c, certificate) == [d * x for x in a], case.name
     tb = Fraction(-dividing, 2) + Fraction(oracle.dot(certificate, pairing), d)
     assert (payload["tb_numerator"], payload["tb_denominator"]) == (tb.numerator, tb.denominator), case.name
+    # I is orthogonal to ker C exactly when it lies in the rational row space of C
+    orthogonal = oracle.rank(oracle.with_row(c, pairing)) == oracle.rank(c)
+    assert payload["kernel_orthogonal"] == orthogonal, case.name
 
 
 @functools.cache
 def golden():
-    return json.loads(GOLDEN.read_text())
+    return conftest.read_table(GOLDEN)
 
 
 def test_golden_covers_420_documents_of_both_pools():
@@ -129,8 +118,7 @@ def write_golden_file():
     table = {}
     for workload, seed in POOLS:
         table.update(outputs(workload, seed)[0])
-    lines = [f"{json.dumps(name)}: {json.dumps(result)}" for name, result in table.items()]
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    conftest.write_table(GOLDEN, table)
 
 
 if __name__ == "__main__":

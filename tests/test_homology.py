@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import conftest
 import helpers
 import tbcalc.lattice
 from tbcalc import (
@@ -228,13 +229,7 @@ class TestExteriorRoute:
         query, and for a nullhomologous knot at most one more, of a matrix
         no larger than (k+1) x k, where k counts the non-unit invariant
         factors of C."""
-        calls = []
-
-        def recording(matrix):
-            calls.append(matrix)
-            return smith_normal_form(matrix)
-
-        monkeypatch.setattr(tbcalc.lattice, "smith_normal_form", recording)
+        calls = conftest.record_calls(monkeypatch, tbcalc.lattice, "smith_normal_form")
         rng = random.Random(4242)
         seen = {"knotless": 0, "not nullhomologous": 0, "nullhomologous": 0, "singular": 0, "nonsingular": 0}
         for index in range(240):

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
+import conftest
 import helpers
 import oracles
 import tbcalc.lattice
@@ -317,14 +318,8 @@ class TestOrderCertificate:
         # verdict of infinite order, on any shape, is reached with no Smith form
         matrix, target = system
         pairing = data.draw(st.lists(st.integers(-3, 3), min_size=matrix.cols, max_size=matrix.cols))
-        calls = []
-
-        def recording(matrix):
-            calls.append(matrix)
-            return smith_normal_form(matrix)
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(tbcalc.lattice, "smith_normal_form", recording)
+            calls = conftest.record_calls(patch, tbcalc.lattice, "smith_normal_form")
             found = order_certificate(matrix, target, pairing)
         expected = minimal_order(smith_normal_form(matrix), target)
         assert len(calls) == (expected is not None)

@@ -11,15 +11,12 @@ messages, rewrite that file with
 `PYTHONPATH=src python tests/test_malformed_documents.py`.
 """
 
-import contextlib
 import copy
-import io
 import json
 import pathlib
 import tempfile
 
 import conftest
-from tbcalc.cli import main
 
 GOLDEN = conftest.DATA / "golden" / "malformed.json"
 DELETE = object()
@@ -270,10 +267,8 @@ VARIANTS = variants()
 def run_tb(text, directory):
     path = directory / "doc.json"
     path.write_text(text)
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(["tb", str(path)])
-    return {"exit_code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    code, stdout, stderr = conftest.run_cli("tb", path)
+    return {"exit_code": code, "stdout": stdout, "stderr": stderr}
 
 
 def test_every_base_document_is_valid(tmp_path):
@@ -282,7 +277,7 @@ def test_every_base_document_is_valid(tmp_path):
 
 
 def test_every_variant_matches_golden(tmp_path):
-    golden = json.loads(GOLDEN.read_text())
+    golden = conftest.read_table(GOLDEN)
     assert sorted(golden) == sorted(VARIANTS)
     differing = [name for name, text in VARIANTS.items() if run_tb(text, tmp_path) != golden[name]]
     assert differing == []
@@ -291,8 +286,7 @@ def test_every_variant_matches_golden(tmp_path):
 def write_golden_file():
     with tempfile.TemporaryDirectory() as workdir:
         table = {name: run_tb(text, pathlib.Path(workdir)) for name, text in VARIANTS.items()}
-    lines = [f"{json.dumps(name)}: {json.dumps(outputs)}" for name, outputs in table.items()]
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    conftest.write_table(GOLDEN, table)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ import tokenize
 import pytest
 
 import conftest
-from tbcalc.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```console\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)
@@ -55,12 +54,12 @@ def test_readme_has_console_examples():
 
 
 @pytest.mark.parametrize("block", BLOCKS, ids=[block.split("\n")[0][2:] for block in BLOCKS])
-def test_console_example(block, tmp_path, monkeypatch, capsys):
+def test_console_example(block, tmp_path, monkeypatch):
     (tmp_path / "fixtures").symlink_to(conftest.FIXTURES, target_is_directory=True)
     monkeypatch.chdir(tmp_path)
     for argv, stdout, code in examples(block):
-        exit_code = main(argv)
-        assert capsys.readouterr().out == stdout, argv
+        exit_code, out, _ = conftest.run_cli(*argv)
+        assert out == stdout, argv
         if code is not None:
             assert exit_code == code, argv
 

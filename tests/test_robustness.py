@@ -7,8 +7,6 @@ a large page with an empty word, a dense 44-arc book and a singular
 64-arc book with a knot of infinite order, which must end in time.
 """
 
-import contextlib
-import io
 import json
 import subprocess
 import sys
@@ -18,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 
 import conftest
-from tbcalc.cli import main
 
 OUTPUT = "OUTPUT"
 COMMANDS = (
@@ -142,8 +139,7 @@ def run_every_command(workdir, data: bytes):
     output = str(workdir / "output.json")
     for command in COMMANDS:
         argv = [output if arg == OUTPUT else arg for arg in command] + [str(source)]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
+        code, _, _ = conftest.run_cli(*argv)
         assert code in (0, 1, 2), (argv, data)
 
 

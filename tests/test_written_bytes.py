@@ -16,8 +16,6 @@ intended format change, rewrite those files with
 `PYTHONPATH=src python tests/test_written_bytes.py`.
 """
 
-import contextlib
-import io
 import os
 import pathlib
 import tempfile
@@ -40,7 +38,6 @@ from tbcalc import (
     parse_document,
     write_document,
 )
-from tbcalc.cli import main
 from tbcalc.documents import InputDocument
 
 GOLDEN = conftest.DATA / "golden"
@@ -309,9 +306,7 @@ def run_command(name, command):
     """Run one command on a fixture or a document under tests/data, in
     the current directory, and return the bytes it wrote (None when it
     wrote nothing)."""
-    argv = [*COMMANDS[command], str(conftest.document_path(name))]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        main(argv)
+    conftest.run_cli(*COMMANDS[command], conftest.document_path(name))
     written = pathlib.Path(WRITTEN)
     return written.read_bytes() if written.exists() else None
 
