@@ -14,6 +14,7 @@ Exit codes are a stable scripting contract: 0 success (finite order),
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from collections.abc import Sequence
@@ -110,8 +111,20 @@ def _load(args: argparse.Namespace) -> InputDocument:
     if args.stdin and args.input != "-":
         raise UsageError(f"two inputs given, --stdin and {args.input}; give one")
     if args.input == "-":
+        # strict, as a path is read: under a C locale standard input
+        # would pass undecodable bytes on as lone surrogates
+        _utf8(sys.stdin, "strict")
         return load_document(sys.stdin)
     return load_document(args.input)
+
+
+def _utf8(stream, errors: str | None = None) -> None:
+    """Read and print documents as UTF-8, whatever the locale says of
+    the standard streams, with the stream's error handler unless errors
+    names one.  A stream with no encoding of its own (a StringIO) is
+    left as it is."""
+    if isinstance(stream, io.TextIOWrapper):
+        stream.reconfigure(encoding="utf-8", errors=errors or stream.errors)
 
 
 def _print_context(document: InputDocument, view: HeegaardData, verbose: int) -> None:
@@ -265,6 +278,7 @@ _PARSER = build_parser()
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
+    _utf8(sys.stdout)
     try:
         document = _load(args)
         # every command reads this one view: (C, A, -A) for an open book

@@ -294,12 +294,13 @@ def parse_document(text: str) -> InputDocument:
 
 
 def load_document(source: str | PathLike[str] | TextIOBase) -> InputDocument:
-    """Parse a document from a path or an open text stream."""
+    """Parse a document from a path, read as UTF-8, or from an open text
+    stream."""
     try:
         if hasattr(source, "read"):
             text = source.read()
         else:
-            with open(source) as f:
+            with open(source, encoding="utf-8") as f:
                 text = f.read()
     except UnicodeDecodeError as error:
         raise ParseError(

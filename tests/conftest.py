@@ -1,7 +1,7 @@
 """Paths of the test documents, and the helpers the test modules share:
 `run_cli` runs one command, `write_table` and `read_table` keep the
-`{case: outputs}` golden tables, and `record_calls` counts the calls
-of one function."""
+`{case: outputs}` golden tables, `record_calls` counts the calls of one
+function, and `readme_section` reads one section of README.md."""
 
 import contextlib
 import io
@@ -16,6 +16,7 @@ from tbcalc import cli
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.json"))
 
@@ -76,3 +77,11 @@ def record_calls(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, recording)
     return calls
+
+
+def readme_section(heading: str) -> str:
+    """The text of README.md under `## heading`, its subsections
+    included, up to the next `## ` heading."""
+    _, found, rest = README.read_text(encoding="utf-8").partition(f"\n## {heading}\n")
+    assert found, f"README.md has no section {heading!r}"
+    return rest.split("\n## ", 1)[0]

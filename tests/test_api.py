@@ -3,19 +3,16 @@ and only `tbcalc.lattice` names the routines that answer lattice questions."""
 
 import ast
 import keyword
-import pathlib
 import re
 
+import conftest
 import tbcalc
-
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def table_names() -> set[str]:
     """Callables (a code span starting ``name(``) and types (a CamelCase
     code span) named in the table that follows the "Library" heading."""
-    section = README.read_text(encoding="utf-8").split("## Library", 1)[1].split("\n## ", 1)[0]
-    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    rows = [line for line in conftest.readme_section("Library").splitlines() if line.startswith("| `")]
     assert rows, "no table under the Library heading"
     names = set()
     for row in rows:
@@ -64,7 +61,7 @@ def test_names_used_sees_imports_attributes_and_calls():
 def test_only_lattice_names_the_lattice_routines():
     """heegaard and homology ask lattice their questions (order_certificate,
     cokernel_factors); the routines that answer them stay inside lattice."""
-    src = README.parent / "src" / "tbcalc"
+    src = conftest.SRC / "tbcalc"
     naming = {
         path.name
         for path in sorted(src.glob("*.py"))

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -247,6 +248,35 @@ class TestHostileInput:
         path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(ParseError):
             load_document(path)
+
+
+@pytest.mark.parametrize("route", ["path", "stdin"])
+def test_documents_are_utf8_whatever_the_locale(tmp_path, route):
+    """Under the C locale, whose text encoding is ASCII, `tb -v` prints and
+    `convert` writes the bytes they do under UTF-8, on a description
+    that is not ASCII."""
+    obj = json.loads(conftest.fixture_path("standard-unknot").read_text(encoding="utf-8"))
+    document = tmp_path / "doc.json"
+    document.write_text(json.dumps({**obj, "description": "nœud"}, ensure_ascii=False), encoding="utf-8")
+    source = {"path": [str(document)], "stdin": ["--stdin"]}[route]
+    outputs = []
+    for locale in ({"LC_ALL": "C", "PYTHONUTF8": "0"}, {"PYTHONUTF8": "1"}):
+        env = {**os.environ, "PYTHONPATH": str(conftest.SRC), "PYTHONCOERCECLOCALE": "0", **locale}
+        env.pop("PYTHONIOENCODING", None)
+        for argv in (["tb", "-v"], ["convert", "-o", str(tmp_path / "out.json")]):
+            result = subprocess.run(
+                [sys.executable, "-m", "tbcalc", *argv, *source],
+                input=document.read_bytes(),
+                capture_output=True,
+                env=env,
+            )
+            outputs.append((result.returncode, result.stdout, result.stderr))
+        outputs.append((tmp_path / "out.json").read_bytes())
+    assert outputs[:3] == outputs[3:]
+    tb, convert, written = outputs[:3]
+    assert tb[0] == convert[0] == 0
+    assert tb[1].startswith("standard-unknot: nœud\n".encode())
+    assert b'"description": "n\\u0153ud"' in written
 
 
 class TestHugeIntegers:

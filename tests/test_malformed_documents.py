@@ -9,6 +9,10 @@ is the first missing one in schema order, which `test_documents.py`
 checks under several hash seeds.  After an intended change of the error
 messages, rewrite that file with
 `PYTHONPATH=src python tests/test_malformed_documents.py`.
+
+That file is also the home of the parser's messages: each variant's
+golden stderr must be the error `parse_document` raises on its text, a
+`ParseError`, or a `ValidationError` whose message opens with its path.
 """
 
 import copy
@@ -17,6 +21,7 @@ import pathlib
 import tempfile
 
 import conftest
+from tbcalc import DocumentError, ParseError, ValidationError, parse_document
 
 GOLDEN = conftest.DATA / "golden" / "malformed.json"
 DELETE = object()
@@ -281,6 +286,25 @@ def test_every_variant_matches_golden(tmp_path):
     assert sorted(golden) == sorted(VARIANTS)
     differing = [name for name, text in VARIANTS.items() if run_tb(text, tmp_path) != golden[name]]
     assert differing == []
+
+
+def parser_error(text):
+    """The DocumentError parse_document raises on text, or None."""
+    try:
+        parse_document(text)
+    except DocumentError as error:
+        return error
+    return None
+
+
+def test_every_variant_is_a_parser_error_of_the_golden_message():
+    golden = conftest.read_table(GOLDEN)
+    for name, text in VARIANTS.items():
+        error = parser_error(text)
+        assert type(error) is ParseError or (
+            type(error) is ValidationError and str(error).startswith(f"{error.path}: ")
+        ), name
+        assert golden[name]["stderr"] == f"tbcalc: error: {error}\n", name
 
 
 def write_golden_file():

@@ -11,22 +11,36 @@ its exit code in a last line `exit N`, which must match too.
 A `python` block runs statement by statement in one namespace, in such a
 directory too.  Each expression statement ends in a comment `# value`,
 and `repr` of the expression must be that value.
+
+Each `json` block of "Input format" parses, and holds the records of the
+fixture it shows.  The "Fixture corpus" table is the home of the
+fixtures' known answers: each row's order, `tb`, `H₁(M)` and
+`H₁(M ∖ νK)` must be what `tb_heegaard` and `h1_groups` give for the
+fixture's Heegaard data, and the table lists every fixture.
 """
 
 import ast
 import io
-import pathlib
 import re
 import shlex
 import tokenize
+from fractions import Fraction
 
 import pytest
 
 import conftest
+from tbcalc import h1_groups, load_document, parse_document, tb_heegaard, to_heegaard
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```console\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)
-PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)
+
+def code_blocks(language, heading):
+    """The text of each ```language block in the README section."""
+    section = conftest.readme_section(heading)
+    return re.findall(rf"^```{language}\n(.*?)^```", section, re.MULTILINE | re.DOTALL)
+
+
+BLOCKS = code_blocks("console", "Command line")
+PYTHON_BLOCKS = code_blocks("python", "Library")
+JSON_BLOCKS = code_blocks("json", "Input format")
 ECHO_EXIT = [";", "echo", "exit $?"]
 
 
@@ -98,3 +112,62 @@ def test_python_example(block, tmp_path, monkeypatch):
             exec(code, namespace)
         else:
             assert repr(eval(code, namespace)) == value, code
+
+
+# the fixture each json block of "Input format" shows, in order
+JSON_FIXTURES = ["solution-family", "heegaard-solvable"]
+
+
+def test_json_examples_hold_their_fixtures():
+    assert len(JSON_BLOCKS) == len(JSON_FIXTURES)
+    for block, name in zip(JSON_BLOCKS, JSON_FIXTURES):
+        shown = parse_document(block)
+        fixture = load_document(conftest.fixture_path(name))
+        assert (shown.open_book, shown.knot, shown.heegaard) == (fixture.open_book, fixture.knot, fixture.heegaard), name
+
+
+def first_span(cell):
+    """The text of the first code span in a table cell, or None."""
+    match = re.search(r"`([^`]*)`", cell)
+    return match and match.group(1)
+
+
+def fixture_table():
+    """fixture name -> (mode, order, tb, H1(M), H1(M minus nu K)), read off
+    each row of the "Fixture corpus" table; None for an order of `—` and
+    for a cell with no code span."""
+    rows = {}
+    for line in conftest.readme_section("Fixture corpus").splitlines():
+        if line.startswith("| `"):
+            name, mode, order, tb, manifold, exterior = [cell.strip() for cell in line.strip("|").split("|")]
+            rows[first_span(name)] = (
+                mode,
+                None if order == "—" else int(order),
+                first_span(tb) and Fraction(first_span(tb)),
+                first_span(manifold),
+                first_span(exterior),
+            )
+    return rows
+
+
+FIXTURE_TABLE = fixture_table()
+
+
+def test_fixture_table_lists_every_fixture():
+    assert sorted(FIXTURE_TABLE) == conftest.FIXTURE_NAMES
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_TABLE))
+def test_fixture_table_row(name):
+    mode, order, tb, manifold, exterior = FIXTURE_TABLE[name]
+    document = load_document(conftest.fixture_path(name))
+    assert document.mode == mode
+    data = document.heegaard or to_heegaard(document.open_book, document.knot)
+    result = tb_heegaard(data)
+    if order is None:
+        assert result is None and tb is None
+    else:
+        assert result is not None and (result.order, result.tb) == (order, tb)
+    groups = h1_groups(data)
+    shown = None if groups.exterior is None else str(groups.exterior)
+    assert (str(groups.manifold), shown) == (manifold, exterior)
