@@ -24,11 +24,13 @@ from fractions import Fraction
 from .documents import (
     DocumentError,
     InputDocument,
+    ValidationError,
     load_document,
     write_document,
 )
 from .heegaard import HeegaardData, TbResult, tb_heegaard
 from .homology import AbelianGroup, h1_groups
+from .lattice import IntegerMatrix
 from .openbook import _doubled, _tb_across_stabilization, _view, stabilize
 
 EXIT_OK = 0
@@ -118,13 +120,12 @@ def _load(args: argparse.Namespace) -> InputDocument:
     return load_document(args.input)
 
 
-def _utf8(stream, errors: str | None = None) -> None:
-    """Read and print documents as UTF-8, whatever the locale says of
-    the standard streams, with the stream's error handler unless errors
-    names one.  A stream with no encoding of its own (a StringIO) is
-    left as it is."""
+def _utf8(stream, errors: str) -> None:
+    """Read and print documents as UTF-8 with the error handler errors,
+    whatever the locale says of the standard streams.  A stream with no
+    encoding of its own (a StringIO) is left as it is."""
     if isinstance(stream, io.TextIOWrapper):
-        stream.reconfigure(encoding="utf-8", errors=errors or stream.errors)
+        stream.reconfigure(encoding="utf-8", errors=errors)
 
 
 def _print_context(document: InputDocument, view: HeegaardData, verbose: int) -> None:
@@ -239,8 +240,27 @@ def cmd_stabilize(document: InputDocument, view: HeegaardData, args: argparse.Na
     return EXIT_OK, payload, [f"wrote {args.output}", summary]
 
 
+def _refuse_unreadable(relations: IntegerMatrix, digits: int) -> None:
+    """Refuse, in the order the parser reads them, an entry of C of more
+    than digits digits, which load_document would refuse; 0 sets no
+    limit."""
+    if digits:
+        bound = 10**digits
+        for index, entry in enumerate(relations.entries):
+            if not -bound < entry < bound:
+                i, j = divmod(index, relations.cols)
+                raise ValidationError(
+                    f"C[{i}][{j}]",
+                    f"more than {digits} digits; the written document could not be read back",
+                )
+
+
 def cmd_convert(document: InputDocument, view: HeegaardData, args: argparse.Namespace) -> _Result:
-    _write(document, args, heegaard=_doubled(view))
+    doubled = _doubled(view)
+    # the sweep's products can outgrow the digits the parser reads, though
+    # stabilize only copies the input's integers and adds 0 and +-1
+    _refuse_unreadable(doubled.relations, args.parse_digits)
+    _write(document, args, heegaard=doubled)
     return EXIT_OK, {"output": str(args.output)}, [f"wrote {args.output}"]
 
 
@@ -251,15 +271,15 @@ def _exact_int_output():
     CPython 3.10.7+ refuses to turn an int of more than 4300 digits into
     text by default, and certificates can outgrow that.  The limit is
     lifted only while a command runs, so parsing still rejects such
-    literals in the input.
+    literals in the input.  Yields the limit it lifted, 0 for none.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
-        yield
+        yield 0
         return
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        yield
+        yield previous
     finally:
         sys.set_int_max_str_digits(previous)
 
@@ -278,12 +298,14 @@ _PARSER = build_parser()
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
-    _utf8(sys.stdout)
+    # a lone surrogate, which a JSON escape can name, prints escaped
+    _utf8(sys.stdout, "backslashreplace")
     try:
         document = _load(args)
         # every command reads this one view: (C, A, -A) for an open book
         view = document.heegaard or _view(document.open_book, document.knot)
-        with _exact_int_output():
+        # parse_digits: the most digits the parser let an integer have, 0 for no limit
+        with _exact_int_output() as args.parse_digits:
             if args.verbose and not args.machine:
                 _print_context(document, view, args.verbose)
             if args.command in ("stabilize", "convert") and document.mode != "openbook":

@@ -9,8 +9,6 @@ import json
 import pathlib
 import sys
 
-import pytest
-
 from tbcalc import cli
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -19,11 +17,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.json"))
-
-
-@pytest.fixture
-def fixtures_dir() -> pathlib.Path:
-    return FIXTURES
 
 
 def fixture_path(name: str) -> pathlib.Path:
@@ -39,8 +32,12 @@ def document_path(name: str) -> pathlib.Path:
 def run_cli(*argv, stdin=None):
     """(exit code, stdout, stderr) of `tbcalc *argv`, run through
     `cli.main` with stdin text on standard input when given.  A usage
-    error's SystemExit gives its code, as the console script would."""
-    stdout, stderr = io.StringIO(), io.StringIO()
+    error's SystemExit gives its code, as the console script would.
+    Output crosses the encoding step a terminal's stream takes: UTF-8,
+    strict on stdout and backslashreplace on stderr, as CPython opens
+    them."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
     saved = sys.stdin
     if stdin is not None:
         sys.stdin = io.StringIO(stdin)
@@ -52,7 +49,12 @@ def run_cli(*argv, stdin=None):
                 code = exit.code
     finally:
         sys.stdin = saved
-    return code, stdout.getvalue(), stderr.getvalue()
+    return code, _text(stdout), _text(stderr)
+
+
+def _text(stream: io.TextIOWrapper) -> str:
+    stream.flush()
+    return stream.buffer.getvalue().decode("utf-8")
 
 
 def write_table(path: pathlib.Path, table: dict) -> None:

@@ -379,6 +379,11 @@ class TestHomology:
         assert payload["h1_complement"] is None
         assert payload["complement_lemma"] is None
 
+    def test_verbose_context_escapes_a_lone_surrogate(self, tmp_path):
+        # a JSON escape can name a lone surrogate, which UTF-8 cannot encode
+        path = write_obj(tmp_path, {"mode": "heegaard", "description": "\ud800", "genus": 1, "C": [[1]]})
+        assert run_cli("homology", "-v", path) == (0, "(unnamed): \\ud800\nH1(M) = 0\n", "")
+
 
 # the open books with a knot, among the fixtures and the test documents,
 # but for two whose commands test_robustness.py runs on their own: the tb of
@@ -621,6 +626,40 @@ class TestConvert:
         )
         assert code == 0
         assert json.loads(out) == {"output": str(out_path)}
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-to-string limit"
+    )
+    def test_writes_only_what_the_parser_reads(self, tmp_path):
+        """An entry of C longer than the parser's digit limit is refused by
+        its path before any file is written; one at the limit is written
+        and reads back."""
+        big = 10**400  # makes C[0][0] of the converted document 801 digits long
+        path = write_obj(
+            tmp_path,
+            {
+                "mode": "openbook",
+                "page": {"genus": 1, "boundary": 1},
+                "twists": [{"sign": 1, "arcs": arcs} for arcs in ([1, 0], [0, 1], [1, 0])],
+                "twist_pairings": [[0, -big, 0], [big, 0, -big], [0, big, 0]],
+                "knot": {"arcs": [1, 0]},
+            },
+        )
+        out_path = tmp_path / "converted.json"
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(800)
+            assert run_cli("convert", "-o", out_path, path) == (
+                1,
+                "",
+                "tbcalc: error: C[0][0]: more than 800 digits; the written document could not be read back\n",
+            )
+            assert not out_path.exists()
+            sys.set_int_max_str_digits(801)
+            assert run_cli("convert", "-o", out_path, path)[0] == 0
+            assert len(str(abs(load_document(out_path).heegaard.relations[0, 0]))) == 801
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_module_entry_point():

@@ -16,11 +16,13 @@ Each `json` block of "Input format" parses, and holds the records of the
 fixture it shows.  The "Fixture corpus" table is the home of the
 fixtures' known answers: each row's order, `tb`, `H₁(M)` and
 `H₁(M ∖ νK)` must be what `tb_heegaard` and `h1_groups` give for the
-fixture's Heegaard data, and the table lists every fixture.
+fixture's Heegaard data, and the table lists every fixture.  The
+"Testing" table lists every test module.
 """
 
 import ast
 import io
+import pathlib
 import re
 import shlex
 import tokenize
@@ -171,3 +173,9 @@ def test_fixture_table_row(name):
     groups = h1_groups(data)
     shown = None if groups.exterior is None else str(groups.exterior)
     assert (str(groups.manifold), shown) == (manifold, exterior)
+
+
+def test_testing_table_lists_every_test_module():
+    rows = [line for line in conftest.readme_section("Testing").splitlines() if line.startswith("| `")]
+    listed = sorted(first_span(row.strip("|").split("|")[0]) for row in rows)
+    assert listed == sorted(path.name for path in pathlib.Path(__file__).parent.glob("test_*.py"))
