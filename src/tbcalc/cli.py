@@ -112,20 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args: argparse.Namespace) -> InputDocument:
     if args.stdin and args.input != "-":
         raise UsageError(f"two inputs given, --stdin and {args.input}; give one")
-    if args.input == "-":
-        # strict, as a path is read: under a C locale standard input
-        # would pass undecodable bytes on as lone surrogates
-        _utf8(sys.stdin, "strict")
-        return load_document(sys.stdin)
-    return load_document(args.input)
-
-
-def _utf8(stream, errors: str) -> None:
-    """Read and print documents as UTF-8 with the error handler errors,
-    whatever the locale says of the standard streams.  A stream with no
-    encoding of its own (a StringIO) is left as it is."""
-    if isinstance(stream, io.TextIOWrapper):
-        stream.reconfigure(encoding="utf-8", errors=errors)
+    return load_document(sys.stdin if args.input == "-" else args.input)
 
 
 def _print_context(document: InputDocument, view: HeegaardData, verbose: int) -> None:
@@ -136,8 +123,10 @@ def _print_context(document: InputDocument, view: HeegaardData, verbose: int) ->
         print(f"pairing matrix C = {view.relations.to_rows()}")
 
 
-# a handler's exit code, the payload --json prints and the lines printed without it
-_Result = tuple[int, dict, list[str]]
+# a handler's exit code, the payload --json prints, the lines printed without
+# it, and the records main writes to the output path and then reports (None:
+# nothing to write)
+_Result = tuple[int, dict, list[str], dict | None]
 
 
 def _warn_if_not_orthogonal(result: TbResult) -> None:
@@ -175,7 +164,7 @@ def cmd_tb(document: InputDocument, view: HeegaardData, args: argparse.Namespace
         return EXIT_INFINITE, {"verdict": VERDICT_INFINITE}, [
             f"verdict: {VERDICT_INFINITE}",
             "no positive multiple of the knot class bounds; tb is undefined",
-        ]
+        ], None
     _warn_if_not_orthogonal(result)
     verdict = _verdict(result)
     payload = {
@@ -190,7 +179,7 @@ def cmd_tb(document: InputDocument, view: HeegaardData, args: argparse.Namespace
         f"verdict: {verdict}",
         f"order {result.order}, tb = {result.tb}",
         f"certificate E = {payload['certificate']}",
-    ]
+    ], None
 
 
 def cmd_homology(document: InputDocument, view: HeegaardData, args: argparse.Namespace) -> _Result:
@@ -208,13 +197,7 @@ def cmd_homology(document: InputDocument, view: HeegaardData, args: argparse.Nam
         lines.append(f"complement lemma: {'holds' if groups.complement_lemma else 'FAILS'}")
     elif view.knot_generators is not None:
         lines.append("knot is not nullhomologous; exterior homology not reported")
-    return EXIT_OK, payload, lines
-
-
-def _write(document: InputDocument, args: argparse.Namespace, **records) -> None:
-    """Write records to the output path under the input's name and description."""
-    written = InputDocument(**records, name=document.name, description=document.description)
-    write_document(written, args.output)
+    return EXIT_OK, payload, lines, None
 
 
 def cmd_stabilize(document: InputDocument, view: HeegaardData, args: argparse.Namespace) -> _Result:
@@ -223,27 +206,27 @@ def cmd_stabilize(document: InputDocument, view: HeegaardData, args: argparse.Na
     sign = int(args.sign)
     stabilized, knot = stabilize(document.open_book, document.knot, sign)
     before, after = _tb_across_stabilization(view, sign)
-    _write(document, args, open_book=stabilized, knot=knot)
-    payload = {"output": str(args.output), "sign": sign}
+    records = {"open_book": stabilized, "knot": knot}
     if before is None:
-        payload.update(tb_before=None, tb_after=None, delta=None)
-        summary = "tb undefined before and after (knot class of infinite order)"
-        return EXIT_INFINITE, payload, [f"wrote {args.output}", summary]
+        payload = {"sign": sign, "tb_before": None, "tb_after": None, "delta": None}
+        return EXIT_INFINITE, payload, ["tb undefined before and after (knot class of infinite order)"], records
     _warn_if_not_orthogonal(before)
     delta = after.tb - before.tb
-    payload.update(
-        tb_before=_fraction_obj(before.tb),
-        tb_after=_fraction_obj(after.tb),
-        delta=_fraction_obj(delta),
-    )
-    summary = f"tb before = {before.tb}, tb after = {after.tb}, delta = {delta}"
-    return EXIT_OK, payload, [f"wrote {args.output}", summary]
+    payload = {
+        "sign": sign,
+        "tb_before": _fraction_obj(before.tb),
+        "tb_after": _fraction_obj(after.tb),
+        "delta": _fraction_obj(delta),
+    }
+    return EXIT_OK, payload, [f"tb before = {before.tb}, tb after = {after.tb}, delta = {delta}"], records
 
 
 def _refuse_unreadable(relations: IntegerMatrix, digits: int) -> None:
     """Refuse, in the order the parser reads them, an entry of C of more
     than digits digits, which load_document would refuse; 0 sets no
-    limit."""
+    limit.  The sweep's products in a converted C can outgrow the digits
+    the parser reads, though a stabilized book only copies the input's
+    integers and adds 0 and +-1."""
     if digits:
         bound = 10**digits
         for index, entry in enumerate(relations.entries):
@@ -256,12 +239,7 @@ def _refuse_unreadable(relations: IntegerMatrix, digits: int) -> None:
 
 
 def cmd_convert(document: InputDocument, view: HeegaardData, args: argparse.Namespace) -> _Result:
-    doubled = _doubled(view)
-    # the sweep's products can outgrow the digits the parser reads, though
-    # stabilize only copies the input's integers and adds 0 and +-1
-    _refuse_unreadable(doubled.relations, args.parse_digits)
-    _write(document, args, heegaard=doubled)
-    return EXIT_OK, {"output": str(args.output)}, [f"wrote {args.output}"]
+    return EXIT_OK, {}, [], {"heegaard": _doubled(view)}
 
 
 @contextmanager
@@ -297,20 +275,33 @@ _PARSER = build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # UTF-8 whatever the locale: stdin strict, as a path is read (under a C
+    # locale it would pass undecodable bytes on as lone surrogates), and
+    # output with a lone surrogate, which a JSON escape can name, escaped.
+    # A stream with no encoding of its own (a StringIO) is left as it is.
+    escaped = "backslashreplace"
+    for stream, errors in ((sys.stdin, "strict"), (sys.stdout, escaped), (sys.stderr, escaped)):
+        if isinstance(stream, io.TextIOWrapper):
+            stream.reconfigure(encoding="utf-8", errors=errors)
     args = _PARSER.parse_args(argv)
-    # a lone surrogate, which a JSON escape can name, prints escaped
-    _utf8(sys.stdout, "backslashreplace")
     try:
         document = _load(args)
         # every command reads this one view: (C, A, -A) for an open book
         view = document.heegaard or _view(document.open_book, document.knot)
-        # parse_digits: the most digits the parser let an integer have, 0 for no limit
-        with _exact_int_output() as args.parse_digits:
+        # the most digits the parser let an integer have, 0 for no limit
+        with _exact_int_output() as parse_digits:
             if args.verbose and not args.machine:
                 _print_context(document, view, args.verbose)
             if args.command in ("stabilize", "convert") and document.mode != "openbook":
                 raise UsageError(f"{args.command} requires an openbook document")
-            code, payload, lines = _HANDLERS[args.command](document, view, args)
+            code, payload, lines, records = _HANDLERS[args.command](document, view, args)
+            if records is not None:
+                written = InputDocument(**records, name=document.name, description=document.description)
+                if written.heegaard is not None:
+                    _refuse_unreadable(written.heegaard.relations, parse_digits)
+                write_document(written, args.output)
+                payload = {"output": str(args.output), **payload}
+                lines = [f"wrote {args.output}", *lines]
             print(json.dumps(payload, indent=2) if args.machine else "\n".join(lines))
         return code
     except (UsageError, DocumentError, OSError) as error:

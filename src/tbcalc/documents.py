@@ -42,6 +42,7 @@ tests/oracles.py keeps the json.dumps route as its reference.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Iterator
 from io import TextIOBase
 from itertools import chain, compress
@@ -414,6 +415,13 @@ def write_document(document: InputDocument, path: str | PathLike[str]) -> None:
     """Write dumps_document's text to path, piece by piece as it is
     formatted, so the whole text is never held at once.  A document that
     cannot be formatted (an int of more digits than
-    sys.get_int_max_str_digits() allows) leaves the file partly written."""
+    sys.get_int_max_str_digits() allows) raises DocumentError and leaves
+    the file partly written."""
     with open(path, "w") as f:
-        f.writelines(_pieces(document))
+        try:
+            f.writelines(_pieces(document))
+        except ValueError as error:
+            raise DocumentError(
+                f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits, "
+                "the limit sys.get_int_max_str_digits() sets; the file is partly written"
+            ) from error

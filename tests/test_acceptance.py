@@ -14,40 +14,15 @@ from tbcalc import (
     h1_groups,
     load_document,
     monodromy_matrix,
-    stabilize,
     tb_heegaard,
     tb_open_book,
     to_heegaard,
 )
-from tbcalc.cli import main
 from tbcalc.lattice import minimal_order, smith_normal_form
 
 
 def fixture(name: str):
     return load_document(conftest.fixture_path(name))
-
-
-def test_c01_standard_unknot(capfd):
-    """Standard unknot: order 1, tb = -1, E = (-1)."""
-    document = fixture("standard-unknot")
-    result = tb_open_book(document.open_book, document.knot)
-    assert result.order == 1
-    assert result.tb == Fraction(-1)
-    assert result.certificate == (-1,)
-    assert main(["tb", str(conftest.fixture_path("standard-unknot"))]) == 0
-    out = capfd.readouterr().out
-    assert "verdict: nullhomologous" in out
-    assert "tb = -1" in out
-
-
-def test_c02_overtwisted_unknot(capfd):
-    """Overtwisted unknot: order 1, tb = +1."""
-    document = fixture("overtwisted-unknot")
-    result = tb_open_book(document.open_book, document.knot)
-    assert result.order == 1
-    assert result.tb == Fraction(1)
-    assert main(["tb", str(conftest.fixture_path("overtwisted-unknot"))]) == 0
-    assert "tb = 1" in capfd.readouterr().out
 
 
 def test_c03_heegaard_example():
@@ -66,18 +41,6 @@ def test_c03_heegaard_example():
 
     assert h1_groups(solvable).manifold == AbelianGroup((), 1)
     assert str(h1_groups(solvable).manifold) == "Z"
-
-
-def test_c05_stabilization():
-    """Stabilization shifts tb by -sign on both unknots."""
-    for name in ("standard-unknot", "overtwisted-unknot"):
-        document = fixture(name)
-        before = tb_open_book(document.open_book, document.knot)
-        for sign in (1, -1):
-            book, knot = stabilize(document.open_book, document.knot, sign)
-            after = tb_open_book(book, knot)
-            assert after.order == before.order
-            assert after.tb == before.tb - sign
 
 
 def test_c06_monodromy_oracle():

@@ -252,31 +252,39 @@ class TestHostileInput:
 
 @pytest.mark.parametrize("route", ["path", "stdin"])
 def test_documents_are_utf8_whatever_the_locale(tmp_path, route):
-    """Under the C locale, whose text encoding is ASCII, `tb -v` prints and
-    `convert` writes the bytes they do under UTF-8, on a description
-    that is not ASCII."""
+    """Under the C locale, whose text encoding is ASCII, `tb -v` prints,
+    `convert` writes and an error names a key in the bytes they do under
+    UTF-8, on a description and a key that are not ASCII."""
     obj = json.loads(conftest.fixture_path("standard-unknot").read_text(encoding="utf-8"))
     document = tmp_path / "doc.json"
     document.write_text(json.dumps({**obj, "description": "nœud"}, ensure_ascii=False), encoding="utf-8")
-    source = {"path": [str(document)], "stdin": ["--stdin"]}[route]
+    unknown_key = tmp_path / "unknown-key.json"
+    unknown_key.write_text('{"mode": "heegaard", "genus": 0, "C": [], "nœud": 1}', encoding="utf-8")
+    runs = (
+        (["tb", "-v"], document),
+        (["convert", "-o", str(tmp_path / "out.json")], document),
+        (["tb"], unknown_key),
+    )
     outputs = []
     for locale in ({"LC_ALL": "C", "PYTHONUTF8": "0"}, {"PYTHONUTF8": "1"}):
         env = {**os.environ, "PYTHONPATH": str(conftest.SRC), "PYTHONCOERCECLOCALE": "0", **locale}
         env.pop("PYTHONIOENCODING", None)
-        for argv in (["tb", "-v"], ["convert", "-o", str(tmp_path / "out.json")]):
+        for argv, path in runs:
+            source = {"path": [str(path)], "stdin": ["--stdin"]}[route]
             result = subprocess.run(
                 [sys.executable, "-m", "tbcalc", *argv, *source],
-                input=document.read_bytes(),
+                input=path.read_bytes(),
                 capture_output=True,
                 env=env,
             )
             outputs.append((result.returncode, result.stdout, result.stderr))
         outputs.append((tmp_path / "out.json").read_bytes())
-    assert outputs[:3] == outputs[3:]
-    tb, convert, written = outputs[:3]
+    assert outputs[:4] == outputs[4:]
+    tb, convert, error, written = outputs[:4]
     assert tb[0] == convert[0] == 0
     assert tb[1].startswith("standard-unknot: nœud\n".encode())
     assert b'"description": "n\\u0153ud"' in written
+    assert error == (1, b"", "tbcalc: error: nœud: unknown key\n".encode())
 
 
 class TestHugeIntegers:
@@ -463,6 +471,18 @@ class TestStabilize:
         assert code == 2
         assert "tb undefined" in out
         assert out_path.exists()
+
+    def test_a_failed_write_comes_after_the_kernel_warning(self, tmp_path):
+        """The file is written once the command has computed what it
+        prints, so the warning of a knot that meets ker C comes first."""
+        out_path = tmp_path / "missing" / "stab.json"
+        code, out, err = run_cli(
+            "stabilize", "--sign", "+1", "-o", out_path, conftest.DATA / "stabilize-not-orthogonal.json"
+        )
+        assert (code, out) == (1, "")
+        warning, error = err.splitlines()
+        assert warning.startswith("warning: the knot pairing vector is not orthogonal")
+        assert error.startswith("tbcalc: error: [Errno 2] No such file or directory")
 
     def test_heegaard_input_rejected(self, tmp_path):
         out_path = tmp_path / "stab.json"

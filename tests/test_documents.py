@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ import oracles
 from oracles import document_to_obj
 from tbcalc import (
     DehnTwist,
+    DocumentError,
     HeegaardData,
     InputDocument,
     IntegerMatrix,
@@ -82,6 +84,20 @@ class TestFixtureCorpus:
         out = tmp_path / "doc.json"
         write_document(document, out)
         assert load_document(out) == document
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-to-string limit"
+    )
+    def test_an_unprintable_integer_is_a_document_error(self, tmp_path):
+        """An entry longer than the int-to-string limit raises a
+        DocumentError naming the path and the limit, and leaves the file
+        written up to that entry."""
+        document = InputDocument(heegaard=HeegaardData(1, IntegerMatrix.from_rows([[10**5000]])))
+        out = tmp_path / "doc.json"
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(DocumentError, match=f"^{re.escape(str(out))}: an integer has more than {limit} digits"):
+            write_document(document, out)
+        assert out.read_text() == '{\n  "mode": "heegaard",\n  "genus": 1,\n  "C": [\n    [\n      '
 
     def test_load_from_stream(self):
         with open(conftest.fixture_path("standard-unknot"), encoding="utf-8") as handle:

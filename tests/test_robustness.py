@@ -2,11 +2,15 @@
 
 Inputs are arbitrary bytes and small, loosely shaped JSON documents
 (genus at most 3, at most 6 twists) that are often close to valid, so
-that they reach the lattice and homology layers as well as the parser,
-a large page with an empty word, a dense 44-arc book and a singular
-64-arc book with a knot of infinite order, which must end in time.
+that they reach the lattice and homology layers as well as the parser;
+the fixtures and the first documents of the benchmark's generator with
+hostile names and descriptions and matrix entries of 4000 to 5000
+digits, across the parser's digit limit; a large page with an empty
+word, a dense 44-arc book and a singular 64-arc book with a knot of
+infinite order, which must end in time.
 """
 
+import copy
 import json
 import subprocess
 import sys
@@ -16,6 +20,11 @@ import pytest
 from hypothesis import given, settings
 
 import conftest
+from tbcalc import load_document
+from tbcalc.cli import _exact_int_output as unlimited_int_digits
+
+sys.path.append(str(conftest.FIXTURES.parent / "perfbench"))
+import gen  # noqa: E402
 
 OUTPUT = "OUTPUT"
 COMMANDS = (
@@ -153,6 +162,113 @@ def test_arbitrary_bytes(workdir, data):
 @settings(deadline=None, max_examples=300)
 def test_loosely_shaped_documents(workdir, text):
     run_every_command(workdir, text.encode())
+
+
+# the fixtures and the first round of each open-book workload at seed 7
+BASES = {
+    **{name: json.loads(conftest.fixture_path(name).read_text(encoding="utf-8")) for name in conftest.FIXTURE_NAMES},
+    **{case.name: case.doc for workload in ("ob-tb", "ob-longword") for case in gen.generate(workload, 7, 1)},
+}
+OPEN_BOOKS = sorted(name for name, doc in BASES.items() if doc["mode"] == "openbook")
+HOSTILE_COMMANDS = [
+    (*command, *variant)
+    for command in (("tb",), ("homology",), ("stabilize", "--sign", "+1", "-o", OUTPUT), ("convert", "-o", OUTPUT))
+    for variant in ((), ("--json",), ("-v",))
+]
+# lone surrogates, NUL, bidi controls and astral code points
+HOSTILE = "\udfff\ud800\x00\u202e\u2067\u200f\U0001f600\U0010ffff"
+hostile_text = st.text(st.one_of(st.sampled_from(HOSTILE), st.characters()), max_size=6)
+# of 4000 to 5000 digits, often either side of CPython's default limit of 4300
+long_integers = st.builds(
+    lambda digits, low, sign: sign * (10 ** (digits - 1) + low),
+    st.one_of(st.sampled_from((4000, 4300, 4301, 5000)), st.integers(4000, 5000)),
+    st.integers(0, 10**6),
+    st.sampled_from((1, -1)),
+)
+
+
+def integer_paths(doc):
+    """The paths of the entries of doc's matrices and vectors, but none
+    where C is larger than 4x4: the Smith route on a dense 16x16 C with a
+    4300-digit entry takes seconds.  A pairing block's diagonal is left
+    out, and so is each entry below it, which mirrors one above."""
+    if doc["mode"] == "heegaard":
+        if doc["genus"] > 4:
+            return []
+        paths = [("C", i, j) for i, row in enumerate(doc["C"]) for j in range(len(row))]
+        return paths + [(key, i) for key in ("A", "I") if key in doc for i in range(len(doc[key]))]
+    if len(doc["knot"]["arcs"]) > 4:
+        return []
+    count = len(doc["twists"])
+    paths = [("twist_pairings", i, j) for i in range(count) for j in range(i + 1, count)]
+    paths += [("twists", k, "arcs", m) for k, twist in enumerate(doc["twists"]) for m in range(len(twist["arcs"]))]
+    return paths + [("knot", "arcs", m) for m in range(len(doc["knot"]["arcs"]))]
+
+
+def put(doc, path, value):
+    *keys, last = path
+    for key in keys:
+        doc = doc[key]
+    doc[last] = value
+
+
+@st.composite
+def hostile_documents(draw):
+    """(a document's bytes, whether convert must write it): a base with a
+    hostile name and description and perhaps one entry of 4000 to 5000
+    digits, written ASCII with escapes or as UTF-8 with lone surrogates
+    left raw."""
+    doc = copy.deepcopy(BASES[draw(st.sampled_from(sorted(BASES)))])
+    doc.update(name=draw(hostile_text), description=draw(hostile_text))
+    paths = integer_paths(doc)
+    long_entry = bool(paths) and draw(st.booleans())
+    if long_entry:
+        path, value = draw(st.sampled_from(paths)), draw(long_integers)
+        put(doc, path, value)
+        if path[0] == "twist_pairings":
+            put(doc, (path[0], path[2], path[1]), -value)
+    with unlimited_int_digits():
+        text = json.dumps(doc, ensure_ascii=draw(st.booleans()))
+    data = text.encode("utf-8", "surrogatepass")
+    readable = data == text.encode("utf-8", "replace")
+    return data, doc["mode"] == "openbook" and readable and not long_entry
+
+
+@given(hostile_documents())
+@settings(deadline=None, max_examples=60)
+def test_hostile_names_and_long_integers(workdir, case):
+    """Every command, plain, --json and -v, ends in exit 0, 1 or 2, and
+    what convert writes reads back with the name and description it was
+    given; it writes every readable open book with no long entry."""
+    data, writable = case
+    source = workdir / "input.json"
+    source.write_bytes(data)
+    output = workdir / "output.json"
+    for command in HOSTILE_COMMANDS:
+        output.unlink(missing_ok=True)
+        argv = [output if arg == OUTPUT else arg for arg in command]
+        code, _, _ = conftest.run_cli(*argv, source)
+        assert code in (0, 1, 2), (argv, data)
+        if command[0] == "convert":
+            assert code == 0 or not writable, (argv, data)
+            if code == 0:
+                written, read = load_document(output), load_document(source)
+                assert (written.name, written.description) == (read.name, read.description)
+
+
+@pytest.mark.parametrize("base", OPEN_BOOKS)
+def test_convert_output_reparses(tmp_path, base):
+    """convert writes each open-book fixture and generated book, named and
+    described in hostile code points, as a document that reads back with
+    them and has the same verdict and tb."""
+    source, output = tmp_path / "input.json", tmp_path / "output.json"
+    source.write_text(json.dumps({**BASES[base], "name": HOSTILE, "description": "nœud " + HOSTILE}))
+    assert conftest.run_cli("convert", "-o", output, source) == (0, f"wrote {output}\n", "")
+    written = load_document(output)
+    assert (written.name, written.description) == (HOSTILE, "nœud " + HOSTILE)
+    # the written C is -C, so the certificate is -E; the verdict and tb stay
+    (code, out, err), converted = conftest.run_cli("tb", source), conftest.run_cli("tb", output)
+    assert converted[0] == code and converted[1].splitlines()[:2] == out.splitlines()[:2] and converted[2] == err
 
 
 @pytest.mark.parametrize(
