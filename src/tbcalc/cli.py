@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -109,10 +110,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file(path: str) -> str:
+    """The file a path argument names: main shows the argument as its bytes
+    read as UTF-8, and the file system takes them in the locale's decoding."""
+    return os.fsdecode(path.encode("utf-8", "surrogateescape"))
+
+
 def _load(args: argparse.Namespace) -> InputDocument:
     if args.stdin and args.input != "-":
         raise UsageError(f"two inputs given, --stdin and {args.input}; give one")
-    return load_document(sys.stdin if args.input == "-" else args.input)
+    return load_document(sys.stdin if args.input == "-" else _file(args.input))
 
 
 def _print_context(document: InputDocument, view: HeegaardData, verbose: int) -> None:
@@ -283,6 +290,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     for stream, errors in ((sys.stdin, "strict"), (sys.stdout, escaped), (sys.stderr, escaped)):
         if isinstance(stream, io.TextIOWrapper):
             stream.reconfigure(encoding="utf-8", errors=errors)
+    if argv is None:
+        # each argument as its bytes read as UTF-8 too: a C locale decodes
+        # them as ASCII, with a lone surrogate for every other byte
+        argv = [os.fsencode(arg).decode("utf-8", "surrogateescape") for arg in sys.argv[1:]]
     args = _PARSER.parse_args(argv)
     try:
         document = _load(args)
@@ -299,7 +310,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 written = InputDocument(**records, name=document.name, description=document.description)
                 if written.heegaard is not None:
                     _refuse_unreadable(written.heegaard.relations, parse_digits)
-                write_document(written, args.output)
+                write_document(written, _file(args.output))
                 payload = {"output": str(args.output), **payload}
                 lines = [f"wrote {args.output}", *lines]
             print(json.dumps(payload, indent=2) if args.machine else "\n".join(lines))

@@ -17,9 +17,12 @@ unimodular U and V, which one working matrix builds along with D, and
 minimal_order, which reads an order and its witness off it; one
 fraction-free (Bareiss) elimination, which gives the determinant, solves
 a nonsingular square system, and, carried on past the columns with no
-pivot and with its row transform kept, finds a left-kernel witness of
-infinite order; and, for a nonsingular square matrix, invariant factors
-by elimination modulo |det|, which keeps no transform.
+pivot and with its row transform kept, gives the rank, a nonzero minor
+of that order and a basis of the left kernel, among whose rows are the
+witnesses of infinite order; and elimination modulo m by 2 x 2 steps,
+which gives invariant factors: modulo |det| for a nonsingular square
+matrix, keeping no transform, and modulo a nonzero minor of order rank
+M for any other, recording U and V for a certificate that is checked.
 
 Tuples throughout tbcalc are built from a list, a tuple or a slice, never
 from a generator or a lazy iterator such as map, zip or chain.  CPython
@@ -32,7 +35,7 @@ of a size that no allocation draws from; each of those lists keeps up to
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm, prod
 
 
@@ -199,24 +202,26 @@ class IntegerMatrix(_Record):
         return _bareiss(a, self.cols)[0] * a[-1][-1]
 
 
-def _bareiss(a: list[list[int]], width: int, carry_on: bool = False) -> tuple[int, int]:
+def _bareiss(a: list[list[int]], width: int, carry_on: bool = False) -> tuple[int, list[int]]:
     """Fraction-free (Bareiss) forward elimination, in place, of the rows a
     of a matrix M with width columns, each row possibly extended by
     right-hand sides or by a row transform.
 
     Column by column, a row with a nonzero entry becomes the next pivot
     row and the rows below it are cleared; every entry stays a minor of
-    the extended matrix, so each division is exact.  Returns (sign, rank):
-    rank counts the pivot rows, which lead, and sign is that of the row
+    the extended matrix, so each division is exact.  Rows are swapped and
+    changed in place, never replaced.  Returns (sign, pivots): pivots lists
+    the columns of the pivot rows, which lead, and sign is that of the row
     permutation, or 0 once a column has no pivot.  The elimination stops
     at such a column, or with carry_on goes on to the next column with the
-    same pivot row, and then every row from rank on is 0 on M.  For a
+    same pivot row, and then every row from the rank on is 0 on M.  For a
     square M with sign != 0, a[k][k] is the leading (k+1) x (k+1) minor of
     the row-permuted matrix, so a[-1][n - 1] is sign * det.
     """
     n = len(a)
-    sign, prev, r = 1, 1, 0
+    sign, prev, pivots = 1, 1, []
     for k in range(width):
+        r = len(pivots)
         if r == n:
             break
         if a[r][k] == 0:
@@ -227,7 +232,7 @@ def _bareiss(a: list[list[int]], width: int, carry_on: bool = False) -> tuple[in
                     break
             else:
                 if not carry_on:
-                    return 0, r
+                    return 0, pivots
                 sign = 0
                 continue
         pivot, top = a[r][k], a[r][k + 1 :]
@@ -237,8 +242,8 @@ def _bareiss(a: list[list[int]], width: int, carry_on: bool = False) -> tuple[in
             row[k + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1 :], top)]
             row[k] = 0
         prev = pivot
-        r += 1
-    return sign, r
+        pivots.append(k)
+    return sign, pivots
 
 
 def fraction_free_solve(matrix: IntegerMatrix, target: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -268,27 +273,44 @@ def fraction_free_solve(matrix: IntegerMatrix, target: Sequence[int]) -> tuple[i
     return delta, tuple(y)
 
 
+def _unit(i: int, size: int, one: int = 1) -> list[int]:
+    """Row i of the size x size identity, with one for its 1: 1 % m for
+    the identity modulo m, which is 0 modulo 1."""
+    return [0] * i + [one] + [0] * (size - i - 1)
+
+
+def _left_kernel(matrix: IntegerMatrix) -> tuple[list[int], list[int], int, list[list[int]]]:
+    """(P, Q, pivot, kernel) from one Bareiss elimination of [M | I] that
+    carries on past the columns with no pivot.  Q lists the pivot columns
+    and P, sorted, the rows of M that became pivot rows; pivot, the last
+    one, is +-det M[P, Q] (1 for rank 0).  Each row from the rank on is 0
+    on M, and kernel holds its I part u, with u @ M == 0; off P, u is
+    pivot at the row's own index and 0 elsewhere.
+
+    >>> _left_kernel(IntegerMatrix.from_rows([[1, 2], [2, 4]]))
+    ([0], [0], 1, [[-2, 1]])
+    """
+    cols = matrix.cols
+    a = [row + _unit(i, matrix.rows) for i, row in enumerate(matrix.to_rows())]
+    # the elimination swaps rows but never replaces one, so a row keeps its identity
+    index = {id(row): i for i, row in enumerate(a)}
+    _, pivots = _bareiss(a, cols, carry_on=True)
+    rank = len(pivots)
+    pivot = a[rank - 1][pivots[-1]] if rank else 1
+    return sorted([index[id(row)] for row in a[:rank]]), pivots, pivot, [row[cols:] for row in a[rank:]]
+
+
 def _infinite_order_witness(matrix: IntegerMatrix, target: Sequence[int]) -> tuple[int, ...] | None:
     """A row u with u @ M == 0 and u . target != 0, or None when target
-    lies in the rational column span of M.
-
-    One Bareiss elimination of [M | target | I] that carries on past the
-    columns with no pivot: each row from the rank on is 0 on M, and its
-    I part is the combination u of the rows of M that gives it, so a
-    nonzero target entry there makes that row's u a witness.
+    lies in the rational column span of M: a left-kernel row of
+    _left_kernel that target does not annihilate.
 
     >>> _infinite_order_witness(IntegerMatrix.from_rows([[1, 2], [2, 4]]), (1, 0))
     (-2, 1)
     """
-    rows, cols = matrix.rows, matrix.cols
-    a = [
-        row + [t] + [int(i == k) for k in range(rows)]
-        for i, (row, t) in enumerate(zip(matrix.to_rows(), target))
-    ]
-    _, rank = _bareiss(a, cols, carry_on=True)
-    for row in a[rank:]:
-        if row[cols]:
-            return tuple(row[cols + 1 :])
+    for u in _left_kernel(matrix)[3]:
+        if dot(u, target):
+            return tuple(u)
     return None
 
 
@@ -450,30 +472,27 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s, t
 
 
-def invariant_factors_modulo(matrix: IntegerMatrix, modulus: int) -> list[int]:
-    """Invariant factors of the cokernel of [M | modulus * I], one per row
-    of M, each dividing the next.
+def _diagonalize_modulo(w: list[list[int]], n_rows: int, n_cols: int, m: int, certified: bool) -> list[int]:
+    """Diagonalize the leading n_rows x n_cols block of w modulo m, in place,
+    by 2 x 2 steps of determinant 1, and return its diagonal.
 
-    When the column span of M holds modulus * Z^rows, as it holds
-    |det M| * Z^n for a nonsingular n x n M, that cokernel is M's own.
-    No transform is kept: entries stay in [0, modulus), and unimodular
-    2 x 2 gcd steps on rows, then on columns, clear each pivot's column
-    and row; a gcd step on a pivot of 0 is a swap.  Once the column is
-    clear the pivot p becomes gcd(p, modulus), since modulus * e_t is a
-    relation, so each diagonal entry is the order of a cyclic summand and
-    a row beyond the diagonal one of order modulus.  The orders are then
-    normalized to a divisibility chain.
-
-    >>> invariant_factors_modulo(IntegerMatrix.from_rows([[2, 4], [6, 3]]), 18)
-    [1, 18]
+    Row steps act on the whole of the first n_rows rows, column steps on
+    the first n_cols entries of every row from the pivot's on; so with w
+    = [M | I] over [I | 0] the rows of M carry U on the right and V lies
+    below, and U @ M @ V == D (mod m) at the end.  Unimodular gcd steps on
+    rows clear each pivot's column; a gcd step on a pivot of 0 is a swap.
+    Then each entry b of the pivot row is cleared by subtracting q times
+    column t, which is p * e_t.  Uncertified, p first becomes gcd(p, m),
+    a step on [M | m * I] that no transform records, and q = b / p.
+    Certified, p is kept and q = (b/g) * (p/g)^-1 mod (m/g) with g =
+    gcd(p, m), so that q * p == b (mod m).  When g does not divide b, a
+    gcd step on columns lowers gcd(p, m) strictly, and column t fills again.
     """
-    m, n_rows, n_cols = modulus, matrix.rows, matrix.cols
-    w = [[e % m for e in row] for row in matrix.to_rows()]
-    orders = [m] * n_rows
+    diagonal = []
     for t in range(min(n_rows, n_cols)):
         while True:
             top = w[t]
-            for row in w[t + 1 :]:
+            for row in w[t + 1 : n_rows]:
                 a, b = top[t], row[t]
                 if not b:
                     continue
@@ -486,23 +505,33 @@ def invariant_factors_modulo(matrix: IntegerMatrix, modulus: int) -> list[int]:
                     tail = [(s * x + u * y) % m for x, y in zip(top[t:], row[t:])]
                     row[t:] = [(a * y - b * x) % m for x, y in zip(top[t:], row[t:])]
                     top[t:] = tail
-            # the column is p * e_t, and with modulus * e_t it spans gcd(p, modulus) * e_t
-            p = top[t] = gcd(top[t], m)
+            p = top[t] = top[t] if certified else gcd(top[t], m)
+            g = gcd(p, m)
             for j in range(t + 1, n_cols):
                 b = top[j]
-                if b % p:
-                    # a column gcd step: the pivot falls strictly, and column t fills again
-                    g, s, u = _xgcd(p, b)
+                if b % g:
+                    h, s, u = _xgcd(p, b)
                     for r in w[t:]:
                         x, y = r[t], r[j]
-                        r[t], r[j] = (s * x + u * y) % m, (p // g * y - b // g * x) % m
+                        r[t], r[j] = (s * x + u * y) % m, (p // h * y - b // h * x) % m
                     break
-                # subtracting b / p times column t, which is p * e_t, clears this entry alone
+                if b and certified:
+                    q = b // g * pow(p // g, -1, m // g)
+                    for r in w[n_rows:]:
+                        r[j] = (r[j] - q * r[t]) % m
                 top[j] = 0
             else:
                 break
-        orders[t] = p
+        diagonal.append(p)
+    return diagonal
+
+
+def _chain(orders: list[int]) -> list[int]:
+    """The orders of cyclic summands, normalized in place to a divisibility
+    chain of as many entries."""
     for i in range(len(orders)):
+        if orders[i] == 1:
+            continue
         # Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b)
         for j in range(i + 1, len(orders)):
             g = gcd(orders[i], orders[j])
@@ -510,12 +539,94 @@ def invariant_factors_modulo(matrix: IntegerMatrix, modulus: int) -> list[int]:
     return orders
 
 
-def _smith_factors(smith: SmithDecomposition) -> list[int]:
-    """The Smith diagonal padded with zeros to one entry per row of M:
-    the invariant factors of M's cokernel, 1 for a trivial summand and 0
-    for a free one."""
-    diagonal = list(smith.diagonal())
-    return diagonal + [0] * (smith.D.rows - len(diagonal))
+def invariant_factors_modulo(matrix: IntegerMatrix, modulus: int) -> list[int]:
+    """Invariant factors of the cokernel of [M | modulus * I], one per row
+    of M, each dividing the next.
+
+    When the column span of M holds modulus * Z^rows, as it holds
+    |det M| * Z^n for a nonsingular n x n M, that cokernel is M's own.
+    No transform is kept: entries stay in [0, modulus), and
+    _diagonalize_modulo, uncertified, leaves on the diagonal the order of
+    each cyclic summand, with a row beyond the diagonal one of order
+    modulus.  The orders are then normalized to a divisibility chain.
+
+    >>> invariant_factors_modulo(IntegerMatrix.from_rows([[2, 4], [6, 3]]), 18)
+    [1, 18]
+    """
+    w = [[e % modulus for e in row] for row in matrix.to_rows()]
+    diagonal = _diagonalize_modulo(w, matrix.rows, matrix.cols, modulus, certified=False)
+    return _chain(diagonal + [modulus] * (matrix.rows - len(diagonal)))
+
+
+def _combine(row: list[int], rows: list[list[int]], width: int) -> list[int]:
+    """row @ rows, for rows of width entries: the sum of the nonzero rows
+    that the nonzero entries of row name, each times its entry."""
+    total = [0] * width
+    for k in compress(range(len(row)), row):
+        e, other = row[k], rows[k]
+        if any(other):
+            total = [x + e * y for x, y in zip(total, other)]
+    return total
+
+
+def _modular_certificate(matrix: IntegerMatrix) -> tuple:
+    """(P, Q, kernel, m, U, V, diagonal), steps 1 to 3 of cokernel_factors
+    for M: P, Q and kernel from _left_kernel, m = |det M[P, Q]|, its last
+    pivot, and U @ M @ V == diag(diagonal) (mod m) from
+    _diagonalize_modulo, certified, on [M | I] over [I | 0]."""
+    rows, cols = matrix.rows, matrix.cols
+    pivot_rows, pivot_cols, pivot, kernel = _left_kernel(matrix)
+    m = abs(pivot)
+    w = [[e % m for e in row] + _unit(i, rows, 1 % m) for i, row in enumerate(matrix.to_rows())]
+    w += [_unit(j, cols, 1 % m) for j in range(cols)]
+    diagonal = _diagonalize_modulo(w, rows, cols, m, certified=True)
+    return pivot_rows, pivot_cols, kernel, m, [row[cols:] for row in w[:rows]], w[rows:], diagonal
+
+
+def _check_modular(matrix: IntegerMatrix, certificate: tuple) -> None:
+    """Check a certificate of _modular_certificate as steps 1 to 3 of
+    cokernel_factors say; a failed check raises AssertionError naming it.
+    U and V are invertible modulo m by construction."""
+    pivot_rows, pivot_cols, kernel, m, U, V, diagonal = certificate
+    rows, cols = matrix.rows, matrix.cols
+    relations = matrix.to_rows()
+    if any([any(_combine(u, relations, cols)) for u in kernel]):
+        raise AssertionError("a left-kernel row failed its check u @ M == 0")
+    named = set(pivot_rows)
+    others = [i for i in range(rows) if i not in named]
+    if sorted([[i for i in others if u[i]] for u in kernel]) != [[i] for i in others]:
+        raise AssertionError("the left-kernel rows failed their check of independence off the pivot rows")
+    minor = IntegerMatrix.from_rows([[relations[i][j] for j in pivot_cols] for i in pivot_rows])
+    if len(pivot_cols) != len(pivot_rows) or m == 0 or abs(minor.determinant()) != m:
+        raise AssertionError("the modulus failed its check m == |det M[P, Q]| != 0")
+    left = [[x % m for x in _combine(row, relations, cols)] for row in U]
+    product = [[x % m for x in _combine(row, V, cols)] for row in left]
+    padded = diagonal + [0] * (rows - len(diagonal))
+    if product != [[d % m if j == i else 0 for j in range(cols)] for i, d in enumerate(padded)]:
+        raise AssertionError("the transforms failed their check U @ M @ V == D (mod m)")
+
+
+def _factors_modulo_minor(matrix: IntegerMatrix, target: Sequence[int] | None) -> tuple[list[int], bool]:
+    """(factors, bounds): the invariant factors of coker M, one per row,
+    1 for a trivial summand and 0 for a free one, and whether target is 0
+    in coker M (False for no target), read off a checked certificate as
+    steps 3 and 4 of cokernel_factors say; d_i is 0 past the diagonal."""
+    certificate = _modular_certificate(matrix)
+    _check_modular(matrix, certificate)
+    _, _, kernel, m, U, _, diagonal = certificate
+    orders = [gcd(d, m) for d in diagonal] + [m] * (matrix.rows - len(diagonal))
+    factors = _chain(list(orders))
+    torsion = matrix.rows - len(kernel)
+    if factors[torsion:] != [m] * len(kernel):
+        raise AssertionError("the invariant factors failed their check: a free summand is not Z/m")
+    factors = factors[:torsion] + [0] * len(kernel)
+    if target is None:
+        return factors, False
+    # target as a one-column matrix, so that u @ target skips u's zero entries
+    column = [[a] for a in target]
+    if any([_combine(u, column, 1)[0] for u in kernel]):
+        return factors, False
+    return factors, all([dot(row, target) % order == 0 for row, order in zip(U, orders) if order > 1])
 
 
 def order_certificate(
@@ -600,14 +711,25 @@ def cokernel_factors(
     solve.  Each failed check raises AssertionError.  They certify the
     group orders, not each invariant factor.
 
-    When det C == 0, one Smith form U @ C @ V == D, re-multiplied whole,
-    gives the factors of C and the verdict (order 1), and for a bounding
-    knot those of the extended matrix: diag(U, 1) @ [C; -I^T] @ V ==
-    [D; w] with w = -I^T @ V, and each unit d_j of D clears w_j by one
-    row operation and splits off a trivial summand.  What is left is the
-    block [diag(d_j); w_j] over the k columns with d_j != 1, at most
-    (k+1) x k, and only that block is factored; its factors, without
-    the trivial summands split off, are those of the extended matrix.
+    When det C == 0 no Smith form is made either; _factors_modulo_minor
+    works modulo a minor, and checks each step:
+    1. One Bareiss elimination of [C | I] gives the rank r, the pivot rows
+       P and columns Q, and n - r rows u with u @ C == 0, each checked
+       from its nonzero entries; off P each has one nonzero entry, at an
+       index of its own, so they are independent and rank C <= r.
+    2. m = |det C[P, Q]|, the last pivot, is computed again from P and Q.
+       It is nonzero, so rank C >= r, and every invariant factor of C
+       divides it.
+    3. Elimination modulo m keeps each pivot p and records U and V from
+       steps of determinant 1, so both are invertible modulo m; U @ C @ V
+       == D (mod m) is checked.  coker C (x) Z/m, which is (Z/m)^(n-r)
+       plus the torsion of coker C, is then the sum of the Z/gcd(d_i, m):
+       in chain form the first r orders are the torsion and the last
+       n - r, checked to be m, are the free summands.
+    4. The knot bounds when no u has u . A != 0 (such a u proves infinite
+       order) and gcd(d_i, m) divides (U @ A)_i for every i, since the
+       torsion injects into coker C (x) Z/m.  For a bounding knot
+       [C; -I^T] goes through steps 1 to 3 with a minor of its own rank.
 
     >>> cokernel_factors(IntegerMatrix.from_rows([[2, 1], [1, 3]]), (3, 4), (1, 2))
     ([1, 5], [1, 1, 0])
@@ -617,15 +739,11 @@ def cokernel_factors(
     n = relations.rows
     delta, y = fraction_free_solve(relations, (0,) * n if generators is None else generators)
     if delta == 0:
-        smith = smith_normal_form(relations)
-        factors = _smith_factors(smith)
-        found = None if generators is None else minimal_order(smith, generators)
-        if found is None or found[0] != 1:
+        factors, bounds = _factors_modulo_minor(relations, generators)
+        if not bounds:
             return factors, None
-        kept = [j for j, d in enumerate(factors) if d != 1]
-        block = [[factors[i] if i == j else 0 for j in kept] for i in kept]
-        block.append([-dot(pairing, smith.V.column(j)) for j in kept])
-        return factors, _smith_factors(smith_normal_form(IntegerMatrix.from_rows(block)))
+        extended = IntegerMatrix(n + 1, n, relations.entries + tuple([-e for e in pairing]))
+        return factors, _factors_modulo_minor(extended, None)[0]
     modulus = abs(delta)
     factors = invariant_factors_modulo(relations, modulus)
     if prod(factors) != modulus:

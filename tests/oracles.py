@@ -7,8 +7,8 @@ search instead of Smith reduction, the monodromy pairing matrix twist by
 twist and arc by arc, or by subsequence expansion, instead of one forward
 substitution.  Agreement between the two routes is the point, so nothing
 in this module may import from tbcalc; the monodromy oracles only read the
-attributes of the open book they are given, and document_to_obj only those
-of the document.
+attributes of the open book they are given, document_to_obj only those
+of the document, and smith_factors only those of the Smith form.
 """
 
 from __future__ import annotations
@@ -95,6 +95,15 @@ def rational_rank(rows: Rows) -> int:
     result = rational_solution(rows, [0] * len(rows))
     assert result is not None
     return len(result[1])
+
+
+def smith_factors(smith) -> list[int]:
+    """The diagonal of a Smith form D = U @ M @ V padded with zeros to one
+    entry per row of M: the invariant factors of M's cokernel, 1 for a
+    trivial summand and 0 for a free one.  The reference against which
+    the modular routes of tbcalc.lattice are compared."""
+    diagonal = list(smith.diagonal())
+    return diagonal + [0] * (smith.D.rows - len(diagonal))
 
 
 def max_abs_minor(rows: Rows) -> int:

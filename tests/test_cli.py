@@ -254,7 +254,9 @@ class TestHostileInput:
 def test_documents_are_utf8_whatever_the_locale(tmp_path, route):
     """Under the C locale, whose text encoding is ASCII, `tb -v` prints,
     `convert` writes and an error names a key in the bytes they do under
-    UTF-8, on a description and a key that are not ASCII."""
+    UTF-8, on a description and a key that are not ASCII; and an output
+    path and an unknown option that are not ASCII print as their bytes
+    read as UTF-8, and the file is written under the name given."""
     obj = json.loads(conftest.fixture_path("standard-unknot").read_text(encoding="utf-8"))
     document = tmp_path / "doc.json"
     document.write_text(json.dumps({**obj, "description": "nœud"}, ensure_ascii=False), encoding="utf-8")
@@ -264,6 +266,9 @@ def test_documents_are_utf8_whatever_the_locale(tmp_path, route):
         (["tb", "-v"], document),
         (["convert", "-o", str(tmp_path / "out.json")], document),
         (["tb"], unknown_key),
+        (["convert", "-o", str(tmp_path / "ñ.json")], document),
+        (["convert", "--json", "-o", str(tmp_path / "ñ.json")], document),
+        (["tb", "--bogus-ñ"], document),
     )
     outputs = []
     for locale in ({"LC_ALL": "C", "PYTHONUTF8": "0"}, {"PYTHONUTF8": "1"}):
@@ -279,12 +284,18 @@ def test_documents_are_utf8_whatever_the_locale(tmp_path, route):
             )
             outputs.append((result.returncode, result.stdout, result.stderr))
         outputs.append((tmp_path / "out.json").read_bytes())
-    assert outputs[:4] == outputs[4:]
-    tb, convert, error, written = outputs[:4]
+        outputs.append((tmp_path / "ñ.json").read_bytes())
+    assert outputs[:8] == outputs[8:]
+    tb, convert, error, wrote, wrote_json, usage, written, written_there = outputs[:8]
     assert tb[0] == convert[0] == 0
     assert tb[1].startswith("standard-unknot: nœud\n".encode())
     assert b'"description": "n\\u0153ud"' in written
     assert error == (1, b"", "tbcalc: error: nœud: unknown key\n".encode())
+    assert wrote == (0, f"wrote {tmp_path / 'ñ.json'}\n".encode(), b"")
+    assert (wrote_json[0], json.loads(wrote_json[1])["output"]) == (0, str(tmp_path / "ñ.json"))
+    assert usage[:2] == (1, b"")
+    assert usage[2].endswith("tbcalc: error: unrecognized arguments: --bogus-ñ\n".encode())
+    assert written_there == written
 
 
 class TestHugeIntegers:
@@ -394,14 +405,12 @@ class TestHomology:
 
 
 # the open books with a knot, among the fixtures and the test documents,
-# but for two whose commands test_robustness.py runs on their own: the tb of
-# nonsingular-44 runs the Smith route at n = 44, which takes minutes, and
-# the homology of singular-infinite-64 runs the Smith route of a singular C
-# at n = 64, over 120 s
+# but for nonsingular-44, whose tb runs the Smith route at n = 44 and takes
+# minutes; test_robustness.py runs its homology on its own
 STABILIZABLE = [
     name
     for name in conftest.FIXTURE_NAMES + sorted(path.stem for path in conftest.DATA.glob("*.json"))
-    if name not in ("nonsingular-44", "singular-infinite-64")
+    if name != "nonsingular-44"
     and load_document(conftest.document_path(name)).knot is not None
 ]
 

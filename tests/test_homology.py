@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 import conftest
 import helpers
+import oracles
 import tbcalc.lattice
 from tbcalc import (
     AbelianGroup,
@@ -18,7 +19,7 @@ from tbcalc import (
     h1_groups,
     to_heegaard,
 )
-from tbcalc.lattice import _smith_factors, minimal_order, smith_normal_form
+from tbcalc.lattice import minimal_order, smith_normal_form
 
 
 def data(relations, generators=None, knot_relations=None, dividing=0):
@@ -64,7 +65,7 @@ def h1_manifold(sample):
 
 def cokernel(rows):
     matrix = IntegerMatrix.from_rows(rows)
-    return AbelianGroup.from_invariant_factors(_smith_factors(smith_normal_form(matrix)))
+    return AbelianGroup.from_invariant_factors(oracles.smith_factors(smith_normal_form(matrix)))
 
 
 class TestRecord:
@@ -225,10 +226,9 @@ class TestExteriorRoute:
         assert groups.exterior == cokernel(rows + [[-value for value in sample.knot_relations]])
 
     def test_factorization_count(self, monkeypatch):
-        """No Smith form when det C != 0.  Otherwise one Smith form of C per
-        query, and for a nullhomologous knot at most one more, of a matrix
-        no larger than (k+1) x k, where k counts the non-unit invariant
-        factors of C."""
+        """No Smith form on any sample: a nonsingular C is read modulo
+        |det C|, a singular one modulo a nonzero minor of order rank C, and
+        the exterior of a bounding knot modulo a minor of its own rank."""
         calls = conftest.record_calls(monkeypatch, tbcalc.lattice, "smith_normal_form")
         rng = random.Random(4242)
         seen = {"knotless": 0, "not nullhomologous": 0, "nullhomologous": 0, "singular": 0, "nonsingular": 0}
@@ -240,33 +240,19 @@ class TestExteriorRoute:
                 sample = helpers.random_heegaard(rng, max_genus=5, bound=3)
             if index % 3 == 0:
                 sample = HeegaardData(sample.genus, sample.relations)
-            smith = smith_normal_form(sample.relations)
-            k = sum(1 for d in smith.diagonal() if d != 1)
             if sample.knot_generators is None:
                 case = "knotless"
             else:
-                found = minimal_order(smith, sample.knot_generators)
+                found = minimal_order(smith_normal_form(sample.relations), sample.knot_generators)
                 bounds = found is not None and found[0] == 1
                 case = "nullhomologous" if bounds else "not nullhomologous"
             seen[case] += 1
+            seen["singular" if sample.relations.determinant() == 0 else "nonsingular"] += 1
 
             calls.clear()
             groups = h1_groups(sample)
             assert (groups.exterior is not None) == (case == "nullhomologous")
-            if sample.relations.determinant() != 0:
-                seen["nonsingular"] += 1
-                assert calls == []
-                continue
-            seen["singular"] += 1
-            assert calls[0] == sample.relations
-            if case != "nullhomologous":
-                assert len(calls) == 1
-                assert groups.exterior is None
-                continue
-            assert groups.exterior is not None
-            assert len(calls) <= 2
-            for extra in calls[1:]:
-                assert extra.rows <= k + 1 and extra.cols <= k
+            assert calls == []
         assert min(seen.values()) >= 40, seen
 
 

@@ -13,7 +13,9 @@ import oracles
 import tbcalc.lattice
 from tbcalc.lattice import (
     IntegerMatrix,
-    _smith_factors,
+    _check_modular,
+    _factors_modulo_minor,
+    _modular_certificate,
     cokernel_factors,
     minimal_order,
     order_certificate,
@@ -367,11 +369,138 @@ class TestCokernelFactors:
         nonsingular = IntegerMatrix.from_rows([[2, 1], [1, 3]])
         assert cokernel_factors(nonsingular, (3, 4), (1, 2)) == ([1, 5], [1, 1, 0])
         assert cokernel_factors(nonsingular, (1, 0), (1, 2)) == ([1, 5], None)
-        # det C = 0, the Smith route with its block over the non-unit factors
+        # det C = 0, the route modulo a nonzero minor of order rank C, here 2
         singular = IntegerMatrix.from_rows([[2, 0], [0, 0]])
         assert cokernel_factors(singular, (2, 0), (2, 0)) == ([2, 0], [2, 0, 0])
         assert cokernel_factors(singular, (1, 0), (2, 0)) == ([2, 0], None)
         assert cokernel_factors(singular, None, None) == ([2, 0], None)
+
+
+def certificate_cases():
+    """Seeded matrices up to 8x8, square and (n+1) x n, of every rank r:
+    P @ T @ Q with P and Q unimodular and T of rank r, upper triangular
+    on its first r rows with orders 1, 2, 4, 6 or 12 on the diagonal, so
+    that Z/4 and Z/2 + Z/2 both occur."""
+    cases = []
+    for n in range(1, 9):
+        for rows in (n, n + 1):
+            for rank in range(n + 1):
+                rng = random.Random(f"certificate {rows}x{n} rank {rank}")
+                diagonal = [rng.choice((1, 1, 2, 4, 6, 12)) for _ in range(rank)] + [0] * (rows - rank)
+                middle = [
+                    [diagonal[i] if i == j else rng.randint(-3, 3) if i < rank and j > i else 0 for j in range(n)]
+                    for i in range(rows)
+                ]
+                middle = IntegerMatrix.from_rows(middle)
+                cases.append(helpers.random_unimodular(rng, rows) @ middle @ helpers.random_unimodular(rng, n))
+    return cases
+
+
+CERTIFICATE_CASES = certificate_cases()
+
+
+def modular_product(matrix, U, V, m):
+    """U @ M @ V modulo m by the oracle's triple loop."""
+    left = oracles.matmul(U, matrix.to_rows(), matrix.cols)
+    return [[e % m for e in row] for row in oracles.matmul(left, V, matrix.cols)]
+
+
+class TestModularCertificate:
+    """The certificate of the route for a singular C: left-kernel rows, a
+    minor m of order rank M, and U @ M @ V == D (mod m).  The checker
+    accepts the real one and refuses each kind of wrong one, naming the
+    check that failed."""
+
+    def test_accepts_the_real_certificate(self):
+        ranks = set()
+        for matrix in CERTIFICATE_CASES:
+            certificate = _modular_certificate(matrix)
+            _check_modular(matrix, certificate)
+            ranks.add((matrix.rows - matrix.cols, len(certificate[0])))
+            assert _factors_modulo_minor(matrix, None)[0] == oracles.smith_factors(smith_normal_form(matrix))
+        assert ranks == {(extra, r) for extra in (0, 1) for r in range(9)}
+
+    def test_the_verdict_matches_the_smith_form(self):
+        rng = random.Random("certificate verdicts")
+        seen = {True: 0, False: 0}
+        for matrix in CERTIFICATE_CASES:
+            image = matrix @ helpers.random_vector(rng, matrix.cols, 2)
+            for target in (image, helpers.random_vector(rng, matrix.rows, 2)):
+                found = minimal_order(smith_normal_form(matrix), target)
+                bounds = found is not None and found[0] == 1
+                assert _factors_modulo_minor(matrix, target)[1] is bounds
+                seen[bounds] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_refuses_a_changed_diagonal_entry(self):
+        refused = 0
+        for matrix in CERTIFICATE_CASES:
+            pivot_rows, pivot_cols, kernel, m, U, V, diagonal = _modular_certificate(matrix)
+            for i in range(len(diagonal) if m > 1 else 0):
+                changed = diagonal[:i] + [(diagonal[i] + 1) % m] + diagonal[i + 1 :]
+                with pytest.raises(AssertionError, match=r"U @ M @ V == D \(mod m\)"):
+                    _check_modular(matrix, (pivot_rows, pivot_cols, kernel, m, U, V, changed))
+                refused += 1
+        assert refused >= 300
+
+    def test_refuses_factors_regrouped_with_the_same_product(self):
+        """Z/o with p^2 dividing o, put as Z/(o/p) + Z/p in place of Z/o and
+        a unit of D (Z/4 as Z/2 + Z/2): the orders multiply to the same
+        product, and the group differs."""
+        refused = 0
+        for matrix in CERTIFICATE_CASES:
+            pivot_rows, pivot_cols, kernel, m, U, V, diagonal = _modular_certificate(matrix)
+            orders = [math.gcd(d, m) for d in diagonal]
+            units = [j for j, order in enumerate(orders) if order == 1]
+            for i, order in enumerate(orders):
+                p = next((p for p in (2, 3) if order % (p * p) == 0), None)
+                if p is None or not units:
+                    continue
+                regrouped = list(diagonal)
+                regrouped[i], regrouped[units[0]] = order // p, p
+                assert math.prod([math.gcd(d, m) for d in regrouped]) == math.prod(orders)
+                with pytest.raises(AssertionError, match=r"U @ M @ V == D \(mod m\)"):
+                    _check_modular(matrix, (pivot_rows, pivot_cols, kernel, m, U, V, regrouped))
+                refused += 1
+        assert refused >= 100
+
+    def test_refuses_a_changed_transform_entry(self):
+        rng = random.Random("changed transforms")
+        refused = 0
+        for matrix in CERTIFICATE_CASES:
+            pivot_rows, pivot_cols, kernel, m, U, V, diagonal = _modular_certificate(matrix)
+            expected = modular_product(matrix, U, V, m)
+            for _ in range(3):
+                i, k = rng.randrange(matrix.rows), rng.randrange(matrix.rows)
+                changed_U = [list(row) for row in U]
+                changed_U[i][k] = (changed_U[i][k] + 1) % m
+                i, k = rng.randrange(matrix.cols), rng.randrange(matrix.cols)
+                changed_V = [list(row) for row in V]
+                changed_V[i][k] = (changed_V[i][k] + 1) % m
+                for left, right in ((changed_U, V), (U, changed_V)):
+                    if modular_product(matrix, left, right, m) != expected:
+                        with pytest.raises(AssertionError, match=r"U @ M @ V == D \(mod m\)"):
+                            _check_modular(matrix, (pivot_rows, pivot_cols, kernel, m, left, right, diagonal))
+                        refused += 1
+        assert refused >= 300
+
+    def test_refuses_a_modulus_that_is_not_the_named_minor(self):
+        for matrix in CERTIFICATE_CASES:
+            pivot_rows, pivot_cols, kernel, m, U, V, diagonal = _modular_certificate(matrix)
+            for wrong in (0, m + 1, 2 * m):
+                with pytest.raises(AssertionError, match=r"m == \|det M\[P, Q\]\| != 0"):
+                    _check_modular(matrix, (pivot_rows, pivot_cols, kernel, wrong, U, V, diagonal))
+
+    def test_refuses_wrong_kernel_rows(self):
+        matrix = IntegerMatrix.from_rows([[1, 2], [2, 4], [3, 6]])
+        pivot_rows, pivot_cols, kernel, m, U, V, diagonal = _modular_certificate(matrix)
+        assert (pivot_rows, len(kernel)) == ([0], 2)
+        shifted = [[kernel[0][0] + 1] + kernel[0][1:], kernel[1]]
+        with pytest.raises(AssertionError, match="u @ M == 0"):
+            _check_modular(matrix, (pivot_rows, pivot_cols, shifted, m, U, V, diagonal))
+        # the same row twice is checked, but leaves rank M <= 1 unshown
+        with pytest.raises(AssertionError, match="independence"):
+            _check_modular(matrix, (pivot_rows, pivot_cols, [kernel[0], kernel[0]], m, U, V, diagonal))
 
 
 class TestMinimalOrder:
@@ -427,14 +556,14 @@ class TestInvariantFactors:
         ]
         for rows, factors in cases:
             matrix = IntegerMatrix.from_rows(rows)
-            assert _smith_factors(smith_normal_form(matrix)) == factors
+            assert oracles.smith_factors(smith_normal_form(matrix)) == factors
             assert cokernel_factors(matrix, None, None) == (factors, None)
 
     @given(square_matrices(max_dim=4, bound=5))
     def test_nonsingular_product_is_determinant(self, matrix):
         det = oracles.cofactor_det(matrix.to_rows())
         assume(det != 0)
-        product = math.prod(_smith_factors(smith_normal_form(matrix)))
+        product = math.prod(oracles.smith_factors(smith_normal_form(matrix)))
         assert product == abs(det)
 
     @given(matrices(max_dim=3, bound=3), st.randoms(use_true_random=False))
@@ -446,4 +575,5 @@ class TestInvariantFactors:
         back = [list(col) for col in zip(*permuted)] if permuted else [[] for _ in rows]
         shuffled = IntegerMatrix.from_rows(back if rows else [])
         assume(shuffled.rows == matrix.rows and shuffled.cols == matrix.cols)
-        assert _smith_factors(smith_normal_form(shuffled)) == _smith_factors(smith_normal_form(matrix))
+        factors = oracles.smith_factors
+        assert factors(smith_normal_form(shuffled)) == factors(smith_normal_form(matrix))

@@ -17,6 +17,7 @@ from sympy.polys.domains import ZZ  # noqa: E402
 
 import conftest  # noqa: E402
 import helpers  # noqa: E402
+import oracles  # noqa: E402
 from tbcalc import (  # noqa: E402
     AbelianGroup,
     HeegaardData,
@@ -25,7 +26,7 @@ from tbcalc import (  # noqa: E402
     load_document,
     monodromy_matrix,
 )
-from tbcalc.lattice import _smith_factors, minimal_order, smith_normal_form  # noqa: E402
+from tbcalc.lattice import minimal_order, smith_normal_form  # noqa: E402
 
 
 def square(rng):
@@ -79,7 +80,7 @@ def test_invariant_factors_match_sympy(family):
         expected = [int(abs(f)) for f in sympy_invariant_factors(sympy_matrix(matrix), domain=ZZ)]
         assert list(smith.diagonal()) == expected
         padded = expected + [0] * (matrix.rows - len(expected))
-        assert _smith_factors(smith) == padded
+        assert oracles.smith_factors(smith) == padded
         if family == "rank-deficient":
             assert smith.rank < min(matrix.rows, matrix.cols)
 
@@ -114,10 +115,11 @@ def test_minimal_order_matches_sympy(family):
 
 
 def test_exterior_matches_sympy():
-    """h1_groups reads the exterior off the Smith form of C; sympy factors
-    the whole meridian-extended matrix [C; -I^T]."""
+    """h1_groups reads the exterior modulo |det C|, or for a singular C
+    modulo a nonzero minor of [C; -I^T] of its own rank; sympy factors the
+    whole meridian-extended matrix [C; -I^T]."""
     rng = random.Random("exterior")
-    seen = {"empty block": 0, "singular": 0, "torsion": 0, "torsion and free": 0, "I = 0": 0}
+    seen = {"trivial H1(M)": 0, "singular": 0, "torsion": 0, "torsion and free": 0, "I = 0": 0}
     for index in range(400):
         kind = helpers.NULLHOMOLOGOUS_KINDS[index % len(helpers.NULLHOMOLOGOUS_KINDS)]
         sample = helpers.random_nullhomologous_heegaard(rng, kind)
@@ -127,7 +129,7 @@ def test_exterior_matches_sympy():
         exterior = h1_groups(sample).exterior
         assert exterior == expected
         diagonal = smith_normal_form(sample.relations).diagonal()
-        seen["empty block"] += all(d == 1 for d in diagonal)
+        seen["trivial H1(M)"] += all(d == 1 for d in diagonal)
         seen["singular"] += 0 in diagonal
         seen["torsion"] += bool(exterior.torsion)
         seen["torsion and free"] += bool(exterior.torsion) and exterior.free_rank > 1
@@ -155,6 +157,37 @@ def test_large_determinants_match_sympy():
             assert groups.exterior == sympy_group(rows + [[-value for value in sample.knot_relations]])
             exteriors += 1
     assert exteriors >= 80 and torsion_factors >= 30, (exteriors, torsion_factors)
+
+
+def test_singular_relations_match_sympy():
+    """Singular C of every rank up to 12x12, where h1_groups works modulo
+    a nonzero minor of order rank C: H1(M) and, for the knots that bound,
+    the exterior against sympy's factors of C and of [C; -I^T].  C is a
+    product through Z^rank, or a unimodular change of a diagonal of
+    orders that share factors."""
+    rng = random.Random("singular relations")
+    exteriors = torsion = 0
+    for genus in range(1, 13):
+        for rank in range(genus):
+            if rank % 2:
+                relations = helpers.random_matrix(rng, genus, rank, 3) @ helpers.random_matrix(rng, rank, genus, 3)
+            else:
+                diagonal = [rng.choice((1, 2, 4, 6, 12)) if i < rank else 0 for i in range(genus)]
+                middle = [[diagonal[i] * (i == j) for j in range(genus)] for i in range(genus)]
+                middle = IntegerMatrix.from_rows(middle)
+                relations = helpers.random_unimodular(rng, genus) @ middle @ helpers.random_unimodular(rng, genus)
+            certificate = helpers.random_vector(rng, genus, 3)
+            generators = relations @ certificate if rng.random() < 0.75 else helpers.random_vector(rng, genus, 3)
+            sample = HeegaardData(genus, relations, generators, helpers.random_vector(rng, genus, 3))
+            groups = h1_groups(sample)
+            rows = relations.to_rows()
+            assert groups.manifold == sympy_group(rows)
+            assert groups.manifold.free_rank == genus - rank
+            torsion += bool(groups.manifold.torsion)
+            if groups.exterior is not None:
+                assert groups.exterior == sympy_group(rows + [[-value for value in sample.knot_relations]])
+                exteriors += 1
+    assert exteriors >= 40 and torsion >= 20, (exteriors, torsion)
 
 
 def sympy_group(rows):

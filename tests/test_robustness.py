@@ -280,8 +280,10 @@ def test_convert_output_reparses(tmp_path, base):
     ids=["homology", "tb"],
 )
 def test_empty_word_on_a_genus_300_page(command, stdout):
-    """C is the 600x600 zero matrix: its Smith form and the products that
-    check it skip every entry, so the command ends well within 60 s."""
+    """C is the 600x600 zero matrix: tb's Smith form and the products that
+    check it skip every entry, and so do the products that check homology's
+    left-kernel rows and transforms modulo m = 1, so the command ends well
+    within 60 s."""
     result = subprocess.run(
         [sys.executable, "-m", "tbcalc", command, str(conftest.DATA / "empty-word-genus-300.json")],
         capture_output=True,
@@ -306,10 +308,11 @@ def test_homology_of_a_dense_44_arc_book():
     assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
 
 
-@pytest.mark.parametrize("command", ["tb", "stabilize"])
+@pytest.mark.parametrize("command", ["tb", "stabilize", "homology"])
 def test_infinite_order_on_a_singular_64_arc_book(command, tmp_path):
     """C is 64x64 of rank 40 and the knot lies outside its rational column
     span: one elimination finds a row u with u @ C == 0 and u . A != 0,
+    and homology reads H1(M) modulo a nonzero minor of order 40, both
     with no Smith form, so the command ends well within 60 s."""
     written = tmp_path / "out.json"
     out = ["--sign", "+1", "-o", str(written)] if command == "stabilize" else []
@@ -319,8 +322,9 @@ def test_infinite_order_on_a_singular_64_arc_book(command, tmp_path):
         text=True,
         timeout=60,
     )
-    stdout = {
-        "tb": "verdict: infinite order\nno positive multiple of the knot class bounds; tb is undefined\n",
-        "stabilize": f"wrote {written}\ntb undefined before and after (knot class of infinite order)\n",
+    expected = {
+        "tb": (2, "verdict: infinite order\nno positive multiple of the knot class bounds; tb is undefined\n"),
+        "stabilize": (2, f"wrote {written}\ntb undefined before and after (knot class of infinite order)\n"),
+        "homology": (0, "H1(M) = Z^24\nknot is not nullhomologous; exterior homology not reported\n"),
     }[command]
-    assert (result.returncode, result.stdout, result.stderr) == (2, stdout, "")
+    assert (result.returncode, result.stdout, result.stderr) == (*expected, "")
