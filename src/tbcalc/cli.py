@@ -37,6 +37,8 @@ from .openbook import _doubled, _tb_across_stabilization, _view, stabilize
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFINITE = 2
+# what a shell reports for a process that SIGPIPE ends: 128 + 13
+EXIT_CLOSED_STDOUT = 141
 
 VERDICT_INFINITE = "infinite order"
 NO_KNOT_BLOCK = 'the document has no knot block; add "knot": {"arcs": [...]}'
@@ -314,7 +316,13 @@ def main(argv: Sequence[str] | None = None) -> int:
                 payload = {"output": str(args.output), **payload}
                 lines = [f"wrote {args.output}", *lines]
             print(json.dumps(payload, indent=2) if args.machine else "\n".join(lines))
+            sys.stdout.flush()
         return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: print nothing, and send what is
+        # still buffered to devnull, so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except (UsageError, DocumentError, OSError) as error:
         print(f"tbcalc: error: {error}", file=sys.stderr)
         return EXIT_INPUT

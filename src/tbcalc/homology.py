@@ -4,15 +4,14 @@ Both groups are cokernels of explicit relation matrices: the manifold's
 of the compressing-curve pairings C alone, the knot exterior's of C
 extended by a meridian generator that each relation hits -I_j times.
 lattice.cokernel_factors gives their invariant factors with no Smith
-form, by elimination modulo |det C| when det C != 0 and otherwise modulo
-m, a nonzero minor of order rank C.  On the second route the answer is
-certified: checked left-kernel rows and the recomputed minor give the
-rank, so coker C (x) Z/m is the free part modulo m plus the whole
-torsion, and transforms U and V, invertible modulo m, with U @ C @ V ==
-D (mod m) checked, give that group and each invariant factor.  Its
-docstring describes both routes and their checks.  For data coming from
-an actual embedded knot that is nullhomologous, the exterior group is
-the manifold group plus one free summand; h1_groups records that as a
+form, by elimination modulo m, a nonzero minor of order rank C (|det C|
+when det C != 0), and certifies each of them: checked left-kernel rows
+and the recomputed minor give the rank, so coker C (x) Z/m is the free
+part modulo m plus the whole torsion, and transforms U and V, invertible
+modulo m, with U @ C @ V == D (mod m) checked, give that group and each
+invariant factor.  Its docstring describes the checks.  For data coming
+from an actual embedded knot that is nullhomologous, the exterior group
+is the manifold group plus one free summand; h1_groups records that as a
 consistency test, since arbitrary pairing vectors need not come from an
 embedding.
 """
@@ -93,7 +92,7 @@ def h1_groups(data: HeegaardData) -> Homology:
     mu, with relation j reading as column j of C together with
     coefficient -I_j on mu; it is computed for a knot that bounds.  The
     invariant factors of both come from lattice.cokernel_factors, whose
-    docstring describes the routes and their checks.
+    docstring describes its checks.
 
     >>> from tbcalc import IntegerMatrix
     >>> h1_groups(HeegaardData(1, IntegerMatrix.from_rows([[-2]])))

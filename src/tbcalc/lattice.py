@@ -10,7 +10,7 @@ each is one function here that factors C at most once:
   certificate E, and whether I is orthogonal to ker C; or, with no
   factorization, a checked witness that no such d exists;
 * cokernel_factors: the invariant factors of coker C and, for a knot
-  that bounds, of coker [C; -I^T], by the route det C picks.
+  that bounds, of coker [C; -I^T], each read off a checked certificate.
 
 The tools below them: the Smith normal form D = U @ M @ V with
 unimodular U and V, which one working matrix builds along with D, and
@@ -19,10 +19,9 @@ fraction-free (Bareiss) elimination, which gives the determinant, solves
 a nonsingular square system, and, carried on past the columns with no
 pivot and with its row transform kept, gives the rank, a nonzero minor
 of that order and a basis of the left kernel, among whose rows are the
-witnesses of infinite order; and elimination modulo m by 2 x 2 steps,
-which gives invariant factors: modulo |det| for a nonsingular square
-matrix, keeping no transform, and modulo a nonzero minor of order rank
-M for any other, recording U and V for a certificate that is checked.
+witnesses of infinite order; and elimination by 2 x 2 steps modulo that
+minor, |det M| for a nonsingular M, which gives the invariant factors
+and records U and V for a certificate that is checked.
 
 Tuples throughout tbcalc are built from a list, a tuple or a slice, never
 from a generator or a lazy iterator such as map, zip or chain.  CPython
@@ -36,7 +35,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from itertools import chain, compress
-from math import gcd, lcm, prod
+from math import gcd, lcm
+from operator import mul
 
 
 def _check_int(value: object) -> int:
@@ -104,7 +104,7 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     """
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 class IntegerMatrix(_Record):
@@ -172,14 +172,17 @@ class IntegerMatrix(_Record):
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
+            width = other.cols
+            columns = [other.entries[j::width] for j in range(width)]
             # an entry in a zero row of self or a zero column of other is 0
-            live_rows = [i for i in range(self.rows) if any(self.row(i))]
-            live_cols = [j for j in range(other.cols) if any(other.column(j))]
-            product = [0] * (self.rows * other.cols)
-            for i in live_rows:
-                for j in live_cols:
-                    product[i * other.cols + j] = sum(self[i, k] * other[k, j] for k in range(self.cols))
-            return IntegerMatrix(self.rows, other.cols, tuple(product))
+            live_cols = [j for j in range(width) if any(columns[j])]
+            product = [0] * (self.rows * width)
+            for i in range(self.rows):
+                row = self.entries[i * self.cols : (i + 1) * self.cols]
+                if any(row):
+                    for j in live_cols:
+                        product[i * width + j] = sum(map(mul, row, columns[j]))
+            return IntegerMatrix(self.rows, width, tuple(product))
         if isinstance(other, (tuple, list)):
             if self.cols != len(other):
                 raise ValueError(
@@ -472,7 +475,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s, t
 
 
-def _diagonalize_modulo(w: list[list[int]], n_rows: int, n_cols: int, m: int, certified: bool) -> list[int]:
+def _diagonalize_modulo(w: list[list[int]], n_rows: int, n_cols: int, m: int) -> list[int]:
     """Diagonalize the leading n_rows x n_cols block of w modulo m, in place,
     by 2 x 2 steps of determinant 1, and return its diagonal.
 
@@ -482,11 +485,10 @@ def _diagonalize_modulo(w: list[list[int]], n_rows: int, n_cols: int, m: int, ce
     below, and U @ M @ V == D (mod m) at the end.  Unimodular gcd steps on
     rows clear each pivot's column; a gcd step on a pivot of 0 is a swap.
     Then each entry b of the pivot row is cleared by subtracting q times
-    column t, which is p * e_t.  Uncertified, p first becomes gcd(p, m),
-    a step on [M | m * I] that no transform records, and q = b / p.
-    Certified, p is kept and q = (b/g) * (p/g)^-1 mod (m/g) with g =
-    gcd(p, m), so that q * p == b (mod m).  When g does not divide b, a
-    gcd step on columns lowers gcd(p, m) strictly, and column t fills again.
+    column t, which is p * e_t, with q = (b/g) * (p/g)^-1 mod (m/g) and
+    g = gcd(p, m), so that q * p == b (mod m).  When g does not divide b,
+    a gcd step on columns lowers gcd(p, m) strictly, and column t fills
+    again.
     """
     diagonal = []
     for t in range(min(n_rows, n_cols)):
@@ -505,7 +507,7 @@ def _diagonalize_modulo(w: list[list[int]], n_rows: int, n_cols: int, m: int, ce
                     tail = [(s * x + u * y) % m for x, y in zip(top[t:], row[t:])]
                     row[t:] = [(a * y - b * x) % m for x, y in zip(top[t:], row[t:])]
                     top[t:] = tail
-            p = top[t] = top[t] if certified else gcd(top[t], m)
+            p = top[t]
             g = gcd(p, m)
             for j in range(t + 1, n_cols):
                 b = top[j]
@@ -515,7 +517,7 @@ def _diagonalize_modulo(w: list[list[int]], n_rows: int, n_cols: int, m: int, ce
                         x, y = r[t], r[j]
                         r[t], r[j] = (s * x + u * y) % m, (p // h * y - b // h * x) % m
                     break
-                if b and certified:
+                if b:
                     q = b // g * pow(p // g, -1, m // g)
                     for r in w[n_rows:]:
                         r[j] = (r[j] - q * r[t]) % m
@@ -539,25 +541,6 @@ def _chain(orders: list[int]) -> list[int]:
     return orders
 
 
-def invariant_factors_modulo(matrix: IntegerMatrix, modulus: int) -> list[int]:
-    """Invariant factors of the cokernel of [M | modulus * I], one per row
-    of M, each dividing the next.
-
-    When the column span of M holds modulus * Z^rows, as it holds
-    |det M| * Z^n for a nonsingular n x n M, that cokernel is M's own.
-    No transform is kept: entries stay in [0, modulus), and
-    _diagonalize_modulo, uncertified, leaves on the diagonal the order of
-    each cyclic summand, with a row beyond the diagonal one of order
-    modulus.  The orders are then normalized to a divisibility chain.
-
-    >>> invariant_factors_modulo(IntegerMatrix.from_rows([[2, 4], [6, 3]]), 18)
-    [1, 18]
-    """
-    w = [[e % modulus for e in row] for row in matrix.to_rows()]
-    diagonal = _diagonalize_modulo(w, matrix.rows, matrix.cols, modulus, certified=False)
-    return _chain(diagonal + [modulus] * (matrix.rows - len(diagonal)))
-
-
 def _combine(row: list[int], rows: list[list[int]], width: int) -> list[int]:
     """row @ rows, for rows of width entries: the sum of the nonzero rows
     that the nonzero entries of row name, each times its entry."""
@@ -573,13 +556,13 @@ def _modular_certificate(matrix: IntegerMatrix) -> tuple:
     """(P, Q, kernel, m, U, V, diagonal), steps 1 to 3 of cokernel_factors
     for M: P, Q and kernel from _left_kernel, m = |det M[P, Q]|, its last
     pivot, and U @ M @ V == diag(diagonal) (mod m) from
-    _diagonalize_modulo, certified, on [M | I] over [I | 0]."""
+    _diagonalize_modulo on [M | I] over [I | 0]."""
     rows, cols = matrix.rows, matrix.cols
     pivot_rows, pivot_cols, pivot, kernel = _left_kernel(matrix)
     m = abs(pivot)
     w = [[e % m for e in row] + _unit(i, rows, 1 % m) for i, row in enumerate(matrix.to_rows())]
     w += [_unit(j, cols, 1 % m) for j in range(cols)]
-    diagonal = _diagonalize_modulo(w, rows, cols, m, certified=True)
+    diagonal = _diagonalize_modulo(w, rows, cols, m)
     return pivot_rows, pivot_cols, kernel, m, [row[cols:] for row in w[:rows]], w[rows:], diagonal
 
 
@@ -696,23 +679,10 @@ def cokernel_factors(
     a meridian generator joins those of C, and relation j reads as column
     j of C together with coefficient -I_j on the meridian.  In each list
     1 stands for a trivial summand and 0 for a free one; the list of C
-    has one factor per generator.  One fraction-free solve gives
-    delta = +-det C and y = delta * C^-1 @ A, and picks the route; no
-    knot solves for A = 0.
+    has one factor per generator.
 
-    When det C != 0 no Smith form is made.  The knot bounds (order 1)
-    when delta divides every y_i, and then x = y / delta is checked,
-    C @ x == A.  The factors of C are invariant_factors_modulo(C, |det C|),
-    checked to multiply to |det C|.  Those of [C; -I^T], for a bounding
-    knot, are invariant_factors_modulo([C; -I^T], |det C|), whose last
-    entry |det C| stands for the free summand and becomes 0; their
-    product is checked to be gcd(|det C|, z_1, ..., z_n), the gcd of the
-    n x n minors of [C; -I^T], with C^T @ z == delta' * I from a second
-    solve.  Each failed check raises AssertionError.  They certify the
-    group orders, not each invariant factor.
-
-    When det C == 0 no Smith form is made either; _factors_modulo_minor
-    works modulo a minor, and checks each step:
+    No Smith form is made: _factors_modulo_minor works modulo a nonzero
+    minor, |det C| for a nonsingular C, and checks each step:
     1. One Bareiss elimination of [C | I] gives the rank r, the pivot rows
        P and columns Q, and n - r rows u with u @ C == 0, each checked
        from its nonzero entries; off P each has one nonzero entry, at an
@@ -730,34 +700,16 @@ def cokernel_factors(
        order) and gcd(d_i, m) divides (U @ A)_i for every i, since the
        torsion injects into coker C (x) Z/m.  For a bounding knot
        [C; -I^T] goes through steps 1 to 3 with a minor of its own rank.
+    Each failed check raises AssertionError.
 
     >>> cokernel_factors(IntegerMatrix.from_rows([[2, 1], [1, 3]]), (3, 4), (1, 2))
     ([1, 5], [1, 1, 0])
     >>> cokernel_factors(IntegerMatrix.from_rows([[2, 0], [0, 0]]), (2, 0), (2, 0))
     ([2, 0], [2, 0, 0])
     """
-    n = relations.rows
-    delta, y = fraction_free_solve(relations, (0,) * n if generators is None else generators)
-    if delta == 0:
-        factors, bounds = _factors_modulo_minor(relations, generators)
-        if not bounds:
-            return factors, None
-        extended = IntegerMatrix(n + 1, n, relations.entries + tuple([-e for e in pairing]))
-        return factors, _factors_modulo_minor(extended, None)[0]
-    modulus = abs(delta)
-    factors = invariant_factors_modulo(relations, modulus)
-    if prod(factors) != modulus:
-        raise AssertionError("H1(M) failed its check: its order is not |det C|")
-    if generators is None or any([e % delta for e in y]):
+    factors, bounds = _factors_modulo_minor(relations, generators)
+    if not bounds:
         return factors, None
-    if relations @ [e // delta for e in y] != generators:
-        raise AssertionError("the nullhomology verdict failed its check C @ x == A")
+    n = relations.rows
     extended = IntegerMatrix(n + 1, n, relations.entries + tuple([-e for e in pairing]))
-    torsion = invariant_factors_modulo(extended, modulus)[:-1]
-    transposed = IntegerMatrix(n, n, tuple([e for j in range(n) for e in relations.column(j)]))
-    _, minors = fraction_free_solve(transposed, pairing)
-    if prod(torsion) != gcd(modulus, *minors):
-        raise AssertionError(
-            "H1 of the exterior failed its check: its torsion order is not the gcd of the n x n minors of [C; -I^T]"
-        )
-    return factors, torsion + [0]
+    return factors, _factors_modulo_minor(extended, None)[0]

@@ -699,3 +699,26 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "tb = -1" in result.stdout
+
+
+@pytest.mark.parametrize("document", ["long-word", "big-certificate"])
+def test_closed_stdout(document):
+    """A reader that has gone, as in `tbcalc tb -vv ... | head -1`: exit 141,
+    what a shell reports for a process that SIGPIPE ends, and nothing on
+    stderr.  stdout is buffered, as by default on a pipe, so the 327 bytes
+    of long-word meet the closed pipe at the flush, and the 173 KB of
+    big-certificate in the print."""
+    env = {**os.environ, "PYTHONPATH": str(conftest.SRC)}
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "tbcalc", "tb", "-vv", str(conftest.document_path(document))],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (141, b"")

@@ -257,7 +257,8 @@ class TestExteriorRoute:
 
 
 class TestNonsingularChecks:
-    """Each check of the route for det C != 0 refuses a wrong answer."""
+    """On a nonsingular C the certified route refuses, by the check's name,
+    a diagonal that U @ C @ V is not modulo m = |det C|."""
 
     # det C = 5, and A = C @ (1, 1) bounds
     SAMPLE = data([[2, 1], [1, 3]], [3, 4], [1, 2])
@@ -265,33 +266,31 @@ class TestNonsingularChecks:
     def test_the_sample_passes(self):
         assert h1_groups(self.SAMPLE) == Homology(AbelianGroup((5,), 0), AbelianGroup((), 1), False)
 
-    def test_a_wrong_solution_is_refused(self, monkeypatch):
-        solve = tbcalc.lattice.fraction_free_solve
+    def refuse(self, monkeypatch, rows, change):
+        """h1_groups on the sample, the diagonal of the certificate of its
+        matrix of rows rows replaced by change(diagonal), fails the check
+        U @ M @ V == D (mod m)."""
+        certify = tbcalc.lattice._modular_certificate
 
-        def shifted(matrix, target):
-            # still a multiple of delta, so the knot seems to bound, by x + e_0
-            delta, y = solve(matrix, target)
-            return delta, (y[0] + delta,) + y[1:]
+        def changed(matrix):
+            certificate = certify(matrix)
+            if matrix.rows != rows:
+                return certificate
+            return certificate[:-1] + (change(certificate[-1]),)
 
-        monkeypatch.setattr(tbcalc.lattice, "fraction_free_solve", shifted)
-        with pytest.raises(AssertionError, match="C @ x == A"):
+        monkeypatch.setattr(tbcalc.lattice, "_modular_certificate", changed)
+        with pytest.raises(AssertionError, match=r"U @ M @ V == D \(mod m\)"):
             h1_groups(self.SAMPLE)
+
+    def test_a_changed_diagonal_entry_is_refused(self, monkeypatch):
+        # C's unit entry as 0, which would read Z/5 + Z/5
+        self.refuse(monkeypatch, 2, lambda diagonal: [0] + diagonal[1:])
 
     def test_a_wrong_manifold_chain_is_refused(self, monkeypatch):
-        factors = tbcalc.lattice.invariant_factors_modulo
-        monkeypatch.setattr(
-            tbcalc.lattice, "invariant_factors_modulo", lambda matrix, modulus: factors(matrix, modulus)[:-1] + [1]
-        )
-        with pytest.raises(AssertionError, match="H1[(]M[)] failed"):
-            h1_groups(data([[2, 1], [1, 3]]))
+        # C's diagonal regrouped, the order 5 on the other row: the same
+        # chain, from a diagonal that U @ C @ V is not
+        self.refuse(monkeypatch, 2, lambda diagonal: diagonal[::-1])
 
     def test_a_wrong_exterior_is_refused(self, monkeypatch):
-        factors = tbcalc.lattice.invariant_factors_modulo
-
-        def wrong_exterior(matrix, modulus):
-            chain = factors(matrix, modulus)
-            return [5 * chain[0]] + chain[1:] if matrix.rows > matrix.cols else chain
-
-        monkeypatch.setattr(tbcalc.lattice, "invariant_factors_modulo", wrong_exterior)
-        with pytest.raises(AssertionError, match="exterior failed"):
-            h1_groups(self.SAMPLE)
+        # a unit of [C; -I^T] as 0, which would read Z/5 + Z
+        self.refuse(monkeypatch, 3, lambda diagonal: [0] + diagonal[1:])

@@ -199,42 +199,43 @@ class TestSmithNormalForm:
 
 class TestSkippedWork:
     """Products skip the entries of rows and columns seen to be zero in
-    their factors; reads of IntegerMatrix entries count what they compute."""
+    their factors; the multiplications of entries count what they compute."""
 
     @pytest.fixture
-    def reads(self, monkeypatch):
-        """Entry reads, one count per product since the fixture was set up."""
+    def multiplications(self, monkeypatch):
+        """Calls of lattice.mul, one count per product since the fixture was
+        set up."""
         counts = [0]
-        getitem, matmul = IntegerMatrix.__getitem__, IntegerMatrix.__matmul__
+        matmul = IntegerMatrix.__matmul__
 
-        def counting_getitem(matrix, key):
+        def counting_mul(a, b):
             counts[-1] += 1
-            return getitem(matrix, key)
+            return a * b
 
         def counting_matmul(matrix, other):
             counts.append(0)
             return matmul(matrix, other)
 
-        monkeypatch.setattr(IntegerMatrix, "__getitem__", counting_getitem)
+        monkeypatch.setattr(tbcalc.lattice, "mul", counting_mul)
         monkeypatch.setattr(IntegerMatrix, "__matmul__", counting_matmul)
         return counts
 
-    def test_zero_matrix(self, reads):
+    def test_zero_matrix(self, multiplications):
         n = 80
         result = smith_normal_form(helpers.zeros(n, n))
         assert (result.rank, result.D) == (0, helpers.zeros(n, n))
-        assert sum(reads) <= 4 * n
+        assert sum(multiplications) == 0
 
-    def test_check_reads_the_live_rows_of_u_times_m(self, reads):
+    def test_check_reads_the_live_rows_of_u_times_m(self, multiplications):
         # rows rank.. of U @ M are zero, so the second product of the
         # re-multiplication computes only the first rank rows
         rng = random.Random(12)
         n, rank = 12, 6
         matrix = helpers.random_matrix(rng, n, rank, 3) @ helpers.random_matrix(rng, rank, n, 3)
-        reads.clear()
+        multiplications.clear()
         result = smith_normal_form(matrix)
         assert result.rank == rank
-        assert reads == [2 * n**3, 2 * rank * n * n]
+        assert multiplications == [n**3, rank * n * n]
 
 
 def integer_solution(matrix, target):
@@ -365,11 +366,11 @@ class TestOrderCertificate:
 
 class TestCokernelFactors:
     def test_frozen(self):
-        # det C = 5, the route modulo |det C|; (3, 4) = C @ (1, 1) bounds
+        # det C = 5, so m = 5; (3, 4) = C @ (1, 1) bounds
         nonsingular = IntegerMatrix.from_rows([[2, 1], [1, 3]])
         assert cokernel_factors(nonsingular, (3, 4), (1, 2)) == ([1, 5], [1, 1, 0])
         assert cokernel_factors(nonsingular, (1, 0), (1, 2)) == ([1, 5], None)
-        # det C = 0, the route modulo a nonzero minor of order rank C, here 2
+        # det C = 0, and m is a nonzero minor of order rank C, here 2
         singular = IntegerMatrix.from_rows([[2, 0], [0, 0]])
         assert cokernel_factors(singular, (2, 0), (2, 0)) == ([2, 0], [2, 0, 0])
         assert cokernel_factors(singular, (1, 0), (2, 0)) == ([2, 0], None)
@@ -380,9 +381,11 @@ def certificate_cases():
     """Seeded matrices up to 8x8, square and (n+1) x n, of every rank r:
     P @ T @ Q with P and Q unimodular and T of rank r, upper triangular
     on its first r rows with orders 1, 2, 4, 6 or 12 on the diagonal, so
-    that Z/4 and Z/2 + Z/2 both occur."""
+    that Z/4 and Z/2 + Z/2 both occur; and, for each n, a nonsingular
+    n x n matrix whose determinant has 64 bits or more."""
     cases = []
     for n in range(1, 9):
+        cases.append(helpers.random_large_determinant(random.Random(f"certificate {n}x{n} of a large det"), n))
         for rows in (n, n + 1):
             for rank in range(n + 1):
                 rng = random.Random(f"certificate {rows}x{n} rank {rank}")
@@ -406,19 +409,21 @@ def modular_product(matrix, U, V, m):
 
 
 class TestModularCertificate:
-    """The certificate of the route for a singular C: left-kernel rows, a
-    minor m of order rank M, and U @ M @ V == D (mod m).  The checker
-    accepts the real one and refuses each kind of wrong one, naming the
-    check that failed."""
+    """The certificate of cokernel_factors: left-kernel rows, a nonzero
+    minor m of order rank M (|det M| for a nonsingular M), and U @ M @ V
+    == D (mod m).  The checker accepts the real one and refuses each kind
+    of wrong one, naming the check that failed."""
 
     def test_accepts_the_real_certificate(self):
-        ranks = set()
+        ranks, large = set(), 0
         for matrix in CERTIFICATE_CASES:
             certificate = _modular_certificate(matrix)
             _check_modular(matrix, certificate)
             ranks.add((matrix.rows - matrix.cols, len(certificate[0])))
+            large += certificate[3] >= 2**64
             assert _factors_modulo_minor(matrix, None)[0] == oracles.smith_factors(smith_normal_form(matrix))
         assert ranks == {(extra, r) for extra in (0, 1) for r in range(9)}
+        assert large == 8
 
     def test_the_verdict_matches_the_smith_form(self):
         rng = random.Random("certificate verdicts")
@@ -545,7 +550,7 @@ class TestMinimalOrder:
 class TestInvariantFactors:
     def test_frozen(self):
         # the padded Smith diagonal, and the factors cokernel_factors gives
-        # C, by elimination modulo |det C| when det C != 0
+        # C, by elimination modulo a nonzero minor of order rank C
         cases = [
             ([[2, 0], [0, 3]], [1, 6]),
             ([[4, 2], [2, 1]], [1, 0]),

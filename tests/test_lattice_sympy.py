@@ -115,9 +115,9 @@ def test_minimal_order_matches_sympy(family):
 
 
 def test_exterior_matches_sympy():
-    """h1_groups reads the exterior modulo |det C|, or for a singular C
-    modulo a nonzero minor of [C; -I^T] of its own rank; sympy factors the
-    whole meridian-extended matrix [C; -I^T]."""
+    """h1_groups reads the exterior modulo a nonzero minor of [C; -I^T] of
+    its own rank; sympy factors the whole meridian-extended matrix
+    [C; -I^T]."""
     rng = random.Random("exterior")
     seen = {"trivial H1(M)": 0, "singular": 0, "torsion": 0, "torsion and free": 0, "I = 0": 0}
     for index in range(400):

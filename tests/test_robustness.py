@@ -295,8 +295,9 @@ def test_empty_word_on_a_genus_300_page(command, stdout):
 
 def test_homology_of_a_dense_44_arc_book():
     """C is 44x44, dense, with entries of up to 46 bits and a determinant
-    of 274 bits: homology reads its groups modulo |det C| and makes no
-    Smith form, so the command ends well within 60 s."""
+    of 274 bits: homology reads its groups modulo pivot minors, |det C|
+    for C itself, and makes no Smith form, so the command ends well
+    within 60 s."""
     result = subprocess.run(
         [sys.executable, "-m", "tbcalc", "homology", str(conftest.DATA / "nonsingular-44.json")],
         capture_output=True,
