@@ -9,7 +9,9 @@ when det C != 0), and certifies each of them: checked left-kernel rows
 and the recomputed minor give the rank, so coker C (x) Z/m is the free
 part modulo m plus the whole torsion, and transforms U and V, invertible
 modulo m, with U @ C @ V == D (mod m) checked, give that group and each
-invariant factor.  Its docstring describes the checks.  For data coming
+invariant factor.  For a nonsingular C the exterior comes from the same
+elimination: D bordered by the row -I^T @ V, eliminated modulo m and
+checked.  Its docstring describes the checks.  For data coming
 from an actual embedded knot that is nullhomologous, the exterior group
 is the manifold group plus one free summand; h1_groups records that as a
 consistency test, since arbitrary pairing vectors need not come from an

@@ -16,12 +16,15 @@ The tools below them: the Smith normal form D = U @ M @ V with
 unimodular U and V, which one working matrix builds along with D, and
 minimal_order, which reads an order and its witness off it; one
 fraction-free (Bareiss) elimination, which gives the determinant, solves
-a nonsingular square system, and, carried on past the columns with no
-pivot and with its row transform kept, gives the rank, a nonzero minor
-of that order and a basis of the left kernel, among whose rows are the
-witnesses of infinite order; and elimination by 2 x 2 steps modulo that
-minor, |det M| for a nonsingular M, which gives the invariant factors
-and records U and V for a certificate that is checked.
+a nonsingular square system, and, run on M^T and carried on past the
+columns with no pivot, gives the rank, a nonzero minor of that order and,
+by back-substitution, a basis of the left kernel, among whose rows are
+the witnesses of infinite order; and elimination by 2 x 2 steps modulo
+that minor, |det M| for a nonsingular M, which gives the invariant
+factors and records U and V for a certificate that is checked.  For a
+nonsingular C the exterior's factors come from C's certificate: the
+same elimination modulo m runs on D bordered by the row -I^T @ V (mod m),
+so coker [C; -I^T] costs no second factorization.
 
 Tuples throughout tbcalc are built from a list, a tuple or a slice, never
 from a generator or a lazy iterator such as map, zip or chain.  CPython
@@ -283,24 +286,41 @@ def _unit(i: int, size: int, one: int = 1) -> list[int]:
 
 
 def _left_kernel(matrix: IntegerMatrix) -> tuple[list[int], list[int], int, list[list[int]]]:
-    """(P, Q, pivot, kernel) from one Bareiss elimination of [M | I] that
-    carries on past the columns with no pivot.  Q lists the pivot columns
-    and P, sorted, the rows of M that became pivot rows; pivot, the last
-    one, is +-det M[P, Q] (1 for rank 0).  Each row from the rank on is 0
-    on M, and kernel holds its I part u, with u @ M == 0; off P, u is
-    pivot at the row's own index and 0 elsewhere.
+    """(P, Q, pivot, kernel) from one Bareiss elimination of M^T that
+    carries on past the columns with no pivot.  P lists its pivot columns,
+    rows of M, and Q, sorted, the columns of M whose rows became pivot
+    rows; pivot, the last one, is +-det M[P, Q] (1 for rank 0).  For each
+    row j of M off P, back-substitution as in fraction_free_solve gives
+    the u in kernel, in the order of j: u @ M == 0, and off P, u is pivot
+    at j and 0 elsewhere; every division is exact, since u restricted to
+    P is pivot times the rational solution of M[P, Q]^T x == -M[j, Q]^T.
 
     >>> _left_kernel(IntegerMatrix.from_rows([[1, 2], [2, 4]]))
     ([0], [0], 1, [[-2, 1]])
     """
-    cols = matrix.cols
-    a = [row + _unit(i, matrix.rows) for i, row in enumerate(matrix.to_rows())]
+    rows = matrix.rows
+    a = [list(matrix.column(j)) for j in range(matrix.cols)]
     # the elimination swaps rows but never replaces one, so a row keeps its identity
-    index = {id(row): i for i, row in enumerate(a)}
-    _, pivots = _bareiss(a, cols, carry_on=True)
+    index = {id(row): j for j, row in enumerate(a)}
+    _, pivots = _bareiss(a, rows, carry_on=True)
     rank = len(pivots)
     pivot = a[rank - 1][pivots[-1]] if rank else 1
-    return sorted([index[id(row)] for row in a[:rank]]), pivots, pivot, [row[cols:] for row in a[rank:]]
+    # row i of the echelon form on the pivot columns after its own
+    later = [[a[i][k] for k in pivots[i + 1 :]] for i in range(rank)]
+    named = set(pivots)
+    kernel = []
+    for j in range(rows):
+        if j in named:
+            continue
+        y = [0] * rank
+        for i in range(rank - 1, -1, -1):
+            y[i] = (-pivot * a[i][j] - sum(map(mul, later[i], y[i + 1 :]))) // a[i][pivots[i]]
+        u = [0] * rows
+        u[j] = pivot
+        for k, e in zip(pivots, y):
+            u[k] = e
+        kernel.append(u)
+    return pivots, sorted([index[id(row)] for row in a[:rank]]), pivot, kernel
 
 
 def _infinite_order_witness(matrix: IntegerMatrix, target: Sequence[int]) -> tuple[int, ...] | None:
@@ -552,18 +572,35 @@ def _combine(row: list[int], rows: list[list[int]], width: int) -> list[int]:
     return total
 
 
+def _transforms_modulo(relations: list[list[int]], cols: int, m: int) -> tuple:
+    """(U, V, diagonal) with U @ M @ V == diag(diagonal) (mod m), for the
+    matrix M of the rows relations and cols columns, from
+    _diagonalize_modulo on [M | I] over [I | 0]."""
+    rows = len(relations)
+    w = [[e % m for e in row] + _unit(i, rows, 1 % m) for i, row in enumerate(relations)]
+    w += [_unit(j, cols, 1 % m) for j in range(cols)]
+    diagonal = _diagonalize_modulo(w, rows, cols, m)
+    return [row[cols:] for row in w[:rows]], w[rows:], diagonal
+
+
 def _modular_certificate(matrix: IntegerMatrix) -> tuple:
     """(P, Q, kernel, m, U, V, diagonal), steps 1 to 3 of cokernel_factors
     for M: P, Q and kernel from _left_kernel, m = |det M[P, Q]|, its last
-    pivot, and U @ M @ V == diag(diagonal) (mod m) from
-    _diagonalize_modulo on [M | I] over [I | 0]."""
-    rows, cols = matrix.rows, matrix.cols
+    pivot, and U @ M @ V == diag(diagonal) (mod m)."""
     pivot_rows, pivot_cols, pivot, kernel = _left_kernel(matrix)
     m = abs(pivot)
-    w = [[e % m for e in row] + _unit(i, rows, 1 % m) for i, row in enumerate(matrix.to_rows())]
-    w += [_unit(j, cols, 1 % m) for j in range(cols)]
-    diagonal = _diagonalize_modulo(w, rows, cols, m)
-    return pivot_rows, pivot_cols, kernel, m, [row[cols:] for row in w[:rows]], w[rows:], diagonal
+    return (pivot_rows, pivot_cols, kernel, m) + _transforms_modulo(matrix.to_rows(), matrix.cols, m)
+
+
+def _is_diagonal_modulo(
+    U: list[list[int]], M: list[list[int]], V: list[list[int]], diagonal: list[int], m: int, cols: int
+) -> bool:
+    """Whether U @ M @ V == diag(diagonal) (mod m), for M given by its rows
+    and cols columns; d_i is 0 past the diagonal."""
+    left = [[x % m for x in _combine(row, M, cols)] for row in U]
+    product = [[x % m for x in _combine(row, V, cols)] for row in left]
+    padded = diagonal + [0] * (len(M) - len(diagonal))
+    return product == [[d % m if j == i else 0 for j in range(cols)] for i, d in enumerate(padded)]
 
 
 def _check_modular(matrix: IntegerMatrix, certificate: tuple) -> None:
@@ -582,34 +619,70 @@ def _check_modular(matrix: IntegerMatrix, certificate: tuple) -> None:
     minor = IntegerMatrix.from_rows([[relations[i][j] for j in pivot_cols] for i in pivot_rows])
     if len(pivot_cols) != len(pivot_rows) or m == 0 or abs(minor.determinant()) != m:
         raise AssertionError("the modulus failed its check m == |det M[P, Q]| != 0")
-    left = [[x % m for x in _combine(row, relations, cols)] for row in U]
-    product = [[x % m for x in _combine(row, V, cols)] for row in left]
-    padded = diagonal + [0] * (rows - len(diagonal))
-    if product != [[d % m if j == i else 0 for j in range(cols)] for i, d in enumerate(padded)]:
+    if not _is_diagonal_modulo(U, relations, V, diagonal, m, cols):
         raise AssertionError("the transforms failed their check U @ M @ V == D (mod m)")
 
 
-def _factors_modulo_minor(matrix: IntegerMatrix, target: Sequence[int] | None) -> tuple[list[int], bool]:
-    """(factors, bounds): the invariant factors of coker M, one per row,
-    1 for a trivial summand and 0 for a free one, and whether target is 0
-    in coker M (False for no target), read off a checked certificate as
-    steps 3 and 4 of cokernel_factors say; d_i is 0 past the diagonal."""
+def _bordered(diagonal: list[int], w: list[int]) -> list[list[int]]:
+    """The rows of [D; w], D = diag(diagonal) as wide as w."""
+    return [_unit(i, len(w), d) for i, d in enumerate(diagonal)] + [w]
+
+
+def _bordered_certificate(pairing: Sequence[int], certificate: tuple) -> tuple:
+    """(w, U', V', diagonal'), step 4 of cokernel_factors for a nonsingular
+    C from its certificate (m, U, V, D): w == -I^T @ V (mod m), so that
+    diag(U, 1) @ [C; -I^T] @ V == [D; w] (mod m), and U' @ [D; w] @ V' ==
+    diag(diagonal') (mod m).  D is diagonal, so each column's row step
+    meets only w."""
+    m, V, diagonal = certificate[3], certificate[5], certificate[6]
+    w = [-x % m for x in _combine(pairing, V, len(V))]
+    return (w,) + _transforms_modulo(_bordered(diagonal, w), len(w), m)
+
+
+def _check_bordered(pairing: Sequence[int], certificate: tuple, bordered: tuple) -> None:
+    """Check a certificate of _bordered_certificate against the checked
+    certificate of C as step 4 of cokernel_factors says; a failed check
+    raises AssertionError naming it."""
+    m, V, diagonal = certificate[3], certificate[5], certificate[6]
+    w, U_border, V_border, diagonal_border = bordered
+    if w != [-x % m for x in _combine(pairing, V, len(V))]:
+        raise AssertionError("the border failed its check w == -I^T @ V (mod m)")
+    if not _is_diagonal_modulo(U_border, _bordered(diagonal, w), V_border, diagonal_border, m, len(w)):
+        raise AssertionError("the bordered transforms failed their check U' @ [D; w] @ V' == D' (mod m)")
+
+
+def _invariant_factors(orders: list[int], m: int, free: int) -> list[int]:
+    """The invariant factors of a cokernel, one per generator, 1 for a
+    trivial summand and 0 for a free one, from the orders gcd(d_i, m) of
+    its checked certificate modulo m, of which free are the free
+    summands, as step 3 of cokernel_factors says."""
+    factors = _chain(list(orders))
+    torsion = len(orders) - free
+    if factors[torsion:] != [m] * free:
+        raise AssertionError("the invariant factors failed their check: a free summand is not Z/m")
+    return factors[:torsion] + [0] * free
+
+
+def _factors_modulo_minor(
+    matrix: IntegerMatrix, target: Sequence[int] | None
+) -> tuple[list[int], bool, tuple]:
+    """(factors, bounds, certificate): the invariant factors of coker M,
+    whether target is 0 in coker M (False for no target), and the checked
+    certificate of _modular_certificate they are read off, as steps 3 and
+    4 of cokernel_factors say; d_i is 0 past the diagonal."""
     certificate = _modular_certificate(matrix)
     _check_modular(matrix, certificate)
     _, _, kernel, m, U, _, diagonal = certificate
     orders = [gcd(d, m) for d in diagonal] + [m] * (matrix.rows - len(diagonal))
-    factors = _chain(list(orders))
-    torsion = matrix.rows - len(kernel)
-    if factors[torsion:] != [m] * len(kernel):
-        raise AssertionError("the invariant factors failed their check: a free summand is not Z/m")
-    factors = factors[:torsion] + [0] * len(kernel)
+    factors = _invariant_factors(orders, m, len(kernel))
     if target is None:
-        return factors, False
+        return factors, False, certificate
     # target as a one-column matrix, so that u @ target skips u's zero entries
     column = [[a] for a in target]
     if any([_combine(u, column, 1)[0] for u in kernel]):
-        return factors, False
-    return factors, all([dot(row, target) % order == 0 for row, order in zip(U, orders) if order > 1])
+        return factors, False, certificate
+    bounds = all([dot(row, target) % order == 0 for row, order in zip(U, orders) if order > 1])
+    return factors, bounds, certificate
 
 
 def order_certificate(
@@ -683,10 +756,11 @@ def cokernel_factors(
 
     No Smith form is made: _factors_modulo_minor works modulo a nonzero
     minor, |det C| for a nonsingular C, and checks each step:
-    1. One Bareiss elimination of [C | I] gives the rank r, the pivot rows
-       P and columns Q, and n - r rows u with u @ C == 0, each checked
-       from its nonzero entries; off P each has one nonzero entry, at an
-       index of its own, so they are independent and rank C <= r.
+    1. One Bareiss elimination of C^T gives the rank r, the pivot rows P
+       and columns Q of C, and, by back-substitution, n - r rows u with
+       u @ C == 0, each checked from its nonzero entries; off P each has
+       one nonzero entry, at an index of its own, so they are independent
+       and rank C <= r.
     2. m = |det C[P, Q]|, the last pivot, is computed again from P and Q.
        It is nonzero, so rank C >= r, and every invariant factor of C
        divides it.
@@ -698,8 +772,16 @@ def cokernel_factors(
        n - r, checked to be m, are the free summands.
     4. The knot bounds when no u has u . A != 0 (such a u proves infinite
        order) and gcd(d_i, m) divides (U @ A)_i for every i, since the
-       torsion injects into coker C (x) Z/m.  For a bounding knot
-       [C; -I^T] goes through steps 1 to 3 with a minor of its own rank.
+       torsion injects into coker C (x) Z/m.  For a bounding knot and a
+       nonsingular C, the exterior is read off C's certificate: with w ==
+       -I^T @ V (mod m), checked, diag(U, 1) @ [C; -I^T] @ V == [D; w]
+       (mod m), and elimination modulo m of [D; w], which meets only w,
+       records U' and V' with U' @ [D; w] @ V' == D' (mod m), checked.
+       [C; -I^T] has rank n, since m != 0, so its cokernel is Z plus a
+       torsion whose factors divide the gcd of its n x n minors, and so
+       m: in chain form the first n orders gcd(d'_i, m) are the torsion
+       and the last, checked to be m, is the free summand.  For a singular
+       C, [C; -I^T] goes through steps 1 to 3 with a minor of its own rank.
     Each failed check raises AssertionError.
 
     >>> cokernel_factors(IntegerMatrix.from_rows([[2, 1], [1, 3]]), (3, 4), (1, 2))
@@ -707,9 +789,15 @@ def cokernel_factors(
     >>> cokernel_factors(IntegerMatrix.from_rows([[2, 0], [0, 0]]), (2, 0), (2, 0))
     ([2, 0], [2, 0, 0])
     """
-    factors, bounds = _factors_modulo_minor(relations, generators)
+    factors, bounds, certificate = _factors_modulo_minor(relations, generators)
     if not bounds:
         return factors, None
-    n = relations.rows
-    extended = IntegerMatrix(n + 1, n, relations.entries + tuple([-e for e in pairing]))
-    return factors, _factors_modulo_minor(extended, None)[0]
+    if certificate[2]:
+        # a singular C: [C; -I^T] has a minor of its own rank
+        n = relations.rows
+        extended = IntegerMatrix(n + 1, n, relations.entries + tuple([-e for e in pairing]))
+        return factors, _factors_modulo_minor(extended, None)[0]
+    bordered = _bordered_certificate(pairing, certificate)
+    _check_bordered(pairing, certificate, bordered)
+    m = certificate[3]
+    return factors, _invariant_factors([gcd(d, m) for d in bordered[3]] + [m], m, 1)

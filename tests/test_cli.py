@@ -598,7 +598,7 @@ class TestStabilize:
 
 class TestConvert:
     @pytest.mark.parametrize(
-        "name", ["standard-unknot", "overtwisted-unknot", "solution-family", "disk-page"]
+        "name", ["standard-unknot", "overtwisted-unknot", "solution-family", "disk-page", "stabilized-unknot"]
     )
     def test_preserves_tb(self, tmp_path, name):
         out_path = tmp_path / "converted.json"

@@ -228,7 +228,8 @@ class TestExteriorRoute:
     def test_factorization_count(self, monkeypatch):
         """No Smith form on any sample: a nonsingular C is read modulo
         |det C|, a singular one modulo a nonzero minor of order rank C, and
-        the exterior of a bounding knot modulo a minor of its own rank."""
+        the exterior of a bounding knot off C's certificate, or, for a
+        singular C, modulo a minor of its own rank."""
         calls = conftest.record_calls(monkeypatch, tbcalc.lattice, "smith_normal_form")
         rng = random.Random(4242)
         seen = {"knotless": 0, "not nullhomologous": 0, "nullhomologous": 0, "singular": 0, "nonsingular": 0}
@@ -256,9 +257,50 @@ class TestExteriorRoute:
         assert min(seen.values()) >= 40, seen
 
 
+    def test_one_elimination_per_nonsingular_query(self, monkeypatch):
+        """A bounding knot on a nonsingular C: one _left_kernel, of C, one
+        modular certificate of C and one bordered certificate read off it,
+        and every Bareiss elimination as wide as C, with no identity
+        carried.  On a singular C, [C; -I^T] takes a second pass."""
+        calls = []
+
+        def record(name):
+            original = getattr(tbcalc.lattice, name)
+
+            def recording(*arguments, **options):
+                calls.append((name, arguments))
+                return original(*arguments, **options)
+
+            monkeypatch.setattr(tbcalc.lattice, name, recording)
+
+        for name in ("_left_kernel", "_modular_certificate", "_bordered_certificate", "_bareiss"):
+            record(name)
+        rng = random.Random(3030)
+        seen = {"nonsingular": 0, "singular": 0}
+        for index in range(160):
+            kind = helpers.NULLHOMOLOGOUS_KINDS[index % len(helpers.NULLHOMOLOGOUS_KINDS)]
+            sample = helpers.random_nullhomologous_heegaard(rng, kind, max_genus=8)
+            calls.clear()
+            assert h1_groups(sample).exterior is not None
+            names = [name for name, _ in calls]
+            if sample.relations.determinant():
+                seen["nonsingular"] += 1
+                assert names.count("_left_kernel") == names.count("_modular_certificate") == 1
+                assert names.count("_bordered_certificate") == 1
+                assert [arguments for name, arguments in calls if name == "_left_kernel"] == [(sample.relations,)]
+                widths = {(len(arguments[0][0]), arguments[1]) for name, arguments in calls if name == "_bareiss"}
+                assert widths <= {(sample.genus, sample.genus)}, widths
+            else:
+                seen["singular"] += 1
+                assert names.count("_left_kernel") == names.count("_modular_certificate") == 2
+                assert names.count("_bordered_certificate") == 0
+        assert min(seen.values()) >= 40, seen
+
+
 class TestNonsingularChecks:
     """On a nonsingular C the certified route refuses, by the check's name,
-    a diagonal that U @ C @ V is not modulo m = |det C|."""
+    a diagonal that U @ C @ V is not modulo m = |det C|, and an exterior
+    diagonal that U' @ [D; w] @ V' is not."""
 
     # det C = 5, and A = C @ (1, 1) bounds
     SAMPLE = data([[2, 1], [1, 3]], [3, 4], [1, 2])
@@ -266,31 +308,34 @@ class TestNonsingularChecks:
     def test_the_sample_passes(self):
         assert h1_groups(self.SAMPLE) == Homology(AbelianGroup((5,), 0), AbelianGroup((), 1), False)
 
-    def refuse(self, monkeypatch, rows, change):
-        """h1_groups on the sample, the diagonal of the certificate of its
-        matrix of rows rows replaced by change(diagonal), fails the check
-        U @ M @ V == D (mod m)."""
-        certify = tbcalc.lattice._modular_certificate
+    def refuse(self, monkeypatch, certify, change, check=r"U @ M @ V == D \(mod m\)"):
+        """h1_groups on the sample, the diagonal of each certificate that
+        lattice.certify makes replaced by change(diagonal), fails the check
+        named check."""
+        original = getattr(tbcalc.lattice, certify)
 
-        def changed(matrix):
-            certificate = certify(matrix)
-            if matrix.rows != rows:
-                return certificate
+        def changed(*arguments):
+            certificate = original(*arguments)
             return certificate[:-1] + (change(certificate[-1]),)
 
-        monkeypatch.setattr(tbcalc.lattice, "_modular_certificate", changed)
-        with pytest.raises(AssertionError, match=r"U @ M @ V == D \(mod m\)"):
+        monkeypatch.setattr(tbcalc.lattice, certify, changed)
+        with pytest.raises(AssertionError, match=check):
             h1_groups(self.SAMPLE)
 
     def test_a_changed_diagonal_entry_is_refused(self, monkeypatch):
         # C's unit entry as 0, which would read Z/5 + Z/5
-        self.refuse(monkeypatch, 2, lambda diagonal: [0] + diagonal[1:])
+        self.refuse(monkeypatch, "_modular_certificate", lambda diagonal: [0] + diagonal[1:])
 
     def test_a_wrong_manifold_chain_is_refused(self, monkeypatch):
         # C's diagonal regrouped, the order 5 on the other row: the same
         # chain, from a diagonal that U @ C @ V is not
-        self.refuse(monkeypatch, 2, lambda diagonal: diagonal[::-1])
+        self.refuse(monkeypatch, "_modular_certificate", lambda diagonal: diagonal[::-1])
 
     def test_a_wrong_exterior_is_refused(self, monkeypatch):
-        # a unit of [C; -I^T] as 0, which would read Z/5 + Z
-        self.refuse(monkeypatch, 3, lambda diagonal: [0] + diagonal[1:])
+        # a unit of the bordered [D; w] as 0, which would read Z/5 + Z
+        self.refuse(
+            monkeypatch,
+            "_bordered_certificate",
+            lambda diagonal: [0] + diagonal[1:],
+            r"U' @ \[D; w\] @ V' == D' \(mod m\)",
+        )

@@ -13,8 +13,11 @@ import oracles
 import tbcalc.lattice
 from tbcalc.lattice import (
     IntegerMatrix,
+    _bordered_certificate,
+    _check_bordered,
     _check_modular,
     _factors_modulo_minor,
+    _left_kernel,
     _modular_certificate,
     cokernel_factors,
     minimal_order,
@@ -402,10 +405,65 @@ def certificate_cases():
 CERTIFICATE_CASES = certificate_cases()
 
 
+class TestLeftKernel:
+    """_left_kernel, one Bareiss elimination of M^T with back-substitution,
+    on the seeded matrices of every rank, square and (n+1) x n."""
+
+    def test_kernel_rows_rank_and_minor(self):
+        ranks = set()
+        for matrix in CERTIFICATE_CASES:
+            pivot_rows, pivot_cols, pivot, kernel = _left_kernel(matrix)
+            rank = sum(1 for f in oracles.smith_factors(smith_normal_form(matrix)) if f)
+            assert len(pivot_rows) == len(pivot_cols) == rank
+            assert len(kernel) == matrix.rows - rank
+            minor = IntegerMatrix.from_rows([[matrix[i, j] for j in pivot_cols] for i in pivot_rows])
+            assert abs(pivot) == abs(minor.determinant()) > 0
+            others = [i for i in range(matrix.rows) if i not in pivot_rows]
+            rows = matrix.to_rows()
+            for j, u in zip(others, kernel):
+                assert oracles.matmul([u], rows, matrix.cols) == [[0] * matrix.cols]
+                assert [(i, u[i]) for i in others if u[i]] == [(j, pivot)]
+            ranks.add((matrix.rows - matrix.cols, rank))
+        assert ranks == {(extra, r) for extra in (0, 1) for r in range(9)}
+
+    @given(matrices(max_dim=6, bound=3))
+    def test_matches_the_rational_rank(self, matrix):
+        pivot_rows, pivot_cols, pivot, kernel = _left_kernel(matrix)
+        rows = matrix.to_rows()
+        assert len(kernel) == matrix.rows - oracles.rational_rank(rows) == matrix.rows - len(pivot_rows)
+        assert oracles.matmul(kernel, rows, matrix.cols) == [[0] * matrix.cols for _ in kernel]
+
+
+def bordered_cases():
+    """(C, I) for each nonsingular square C of CERTIFICATE_CASES, with
+    I = 0, whose exterior is coker C + Z, and with a seeded I."""
+    rng = random.Random("bordered certificates")
+    cases = []
+    for matrix in CERTIFICATE_CASES:
+        if matrix.rows == matrix.cols and matrix.determinant():
+            cases.append((matrix, (0,) * matrix.cols))
+            cases.append((matrix, helpers.random_vector(rng, matrix.cols, 3)))
+    return cases
+
+
+BORDERED_CASES = bordered_cases()
+
+
+def bordered_product(certificate, bordered, U, V):
+    """U @ [D; w] @ V modulo m by the oracle's triple loop, for the
+    certificate of C and the bordered certificate of [C; -I^T]."""
+    m, diagonal, w = certificate[3], certificate[6], bordered[0]
+    border = [[d if j == i else 0 for j in range(len(w))] for i, d in enumerate(diagonal)] + [w]
+    return modular_product(IntegerMatrix.from_rows(border), U, V, m)
+
+
 def modular_product(matrix, U, V, m):
     """U @ M @ V modulo m by the oracle's triple loop."""
     left = oracles.matmul(U, matrix.to_rows(), matrix.cols)
     return [[e % m for e in row] for row in oracles.matmul(left, V, matrix.cols)]
+
+
+BORDERED_CHECK = r"U' @ \[D; w\] @ V' == D' \(mod m\)"
 
 
 class TestModularCertificate:
@@ -495,6 +553,89 @@ class TestModularCertificate:
             for wrong in (0, m + 1, 2 * m):
                 with pytest.raises(AssertionError, match=r"m == \|det M\[P, Q\]\| != 0"):
                     _check_modular(matrix, (pivot_rows, pivot_cols, kernel, wrong, U, V, diagonal))
+
+    def test_accepts_the_real_bordered_certificate(self):
+        """For a nonsingular C and a knot that bounds, [C; -I^T] is read off
+        C's certificate and matches the Smith form of [C; -I^T]."""
+        rng = random.Random("bordered verdicts")
+        for matrix, pairing in BORDERED_CASES:
+            certificate = _modular_certificate(matrix)
+            _check_bordered(pairing, certificate, _bordered_certificate(pairing, certificate))
+            generators = matrix @ helpers.random_vector(rng, matrix.cols, 2)
+            extended = IntegerMatrix.from_rows(matrix.to_rows() + [[-e for e in pairing]])
+            assert cokernel_factors(matrix, generators, pairing)[1] == oracles.smith_factors(
+                smith_normal_form(extended)
+            )
+        assert len(BORDERED_CASES) == 32
+
+    def test_refuses_a_changed_bordered_diagonal_entry(self):
+        refused = 0
+        for matrix, pairing in BORDERED_CASES:
+            certificate = _modular_certificate(matrix)
+            w, U, V, diagonal = _bordered_certificate(pairing, certificate)
+            m = certificate[3]
+            for i in range(len(diagonal) if m > 1 else 0):
+                changed = diagonal[:i] + [(diagonal[i] + 1) % m] + diagonal[i + 1 :]
+                with pytest.raises(AssertionError, match=BORDERED_CHECK):
+                    _check_bordered(pairing, certificate, (w, U, V, changed))
+                refused += 1
+        assert refused >= 100
+
+    def test_refuses_a_regrouped_bordered_chain(self):
+        """As for C: an order o of the exterior with p^2 dividing o, put as
+        Z/(o/p) + Z/p in place of Z/o and a unit of D'."""
+        refused = 0
+        for matrix, pairing in BORDERED_CASES:
+            certificate = _modular_certificate(matrix)
+            w, U, V, diagonal = _bordered_certificate(pairing, certificate)
+            m = certificate[3]
+            orders = [math.gcd(d, m) for d in diagonal]
+            units = [j for j, order in enumerate(orders) if order == 1]
+            for i, order in enumerate(orders):
+                p = next((p for p in (2, 3) if order % (p * p) == 0), None)
+                if p is None or not units:
+                    continue
+                regrouped = list(diagonal)
+                regrouped[i], regrouped[units[0]] = order // p, p
+                with pytest.raises(AssertionError, match=BORDERED_CHECK):
+                    _check_bordered(pairing, certificate, (w, U, V, regrouped))
+                refused += 1
+        assert refused >= 20
+
+    def test_refuses_a_changed_bordered_transform_entry(self):
+        rng = random.Random("changed bordered transforms")
+        refused = 0
+        for matrix, pairing in BORDERED_CASES:
+            certificate = _modular_certificate(matrix)
+            bordered = w, U, V, diagonal = _bordered_certificate(pairing, certificate)
+            m = certificate[3]
+            expected = bordered_product(certificate, bordered, U, V)
+            for _ in range(3):
+                i, k = rng.randrange(len(U)), rng.randrange(len(U))
+                changed_U = [list(row) for row in U]
+                changed_U[i][k] = (changed_U[i][k] + 1) % m
+                i, k = rng.randrange(len(V)), rng.randrange(len(V))
+                changed_V = [list(row) for row in V]
+                changed_V[i][k] = (changed_V[i][k] + 1) % m
+                for left, right in ((changed_U, V), (U, changed_V)):
+                    if bordered_product(certificate, bordered, left, right) != expected:
+                        with pytest.raises(AssertionError, match=BORDERED_CHECK):
+                            _check_bordered(pairing, certificate, (w, left, right, diagonal))
+                        refused += 1
+        assert refused >= 100
+
+    def test_refuses_a_wrong_border(self):
+        refused = 0
+        for matrix, pairing in BORDERED_CASES:
+            certificate = _modular_certificate(matrix)
+            w, U, V, diagonal = _bordered_certificate(pairing, certificate)
+            m = certificate[3]
+            for i in range(len(w) if m > 1 else 0):
+                changed = w[:i] + [(w[i] + 1) % m] + w[i + 1 :]
+                with pytest.raises(AssertionError, match=r"w == -I\^T @ V \(mod m\)"):
+                    _check_bordered(pairing, certificate, (changed, U, V, diagonal))
+                refused += 1
+        assert refused >= 100
 
     def test_refuses_wrong_kernel_rows(self):
         matrix = IntegerMatrix.from_rows([[1, 2], [2, 4], [3, 6]])
