@@ -100,8 +100,9 @@ def tb_heegaard(data: HeegaardData) -> TbResult | None:
     tb = -(dividing crossings)/2 + <E, I>/d for the least d >= 1 with
     C @ E == d * A.  Returns None when no such d exists (the knot is not
     rationally nullhomologous and tb is undefined), and raises ValueError
-    for data without a knot.  d, the checked certificate E and the
-    kernel verdict come from lattice.order_certificate.
+    for data without a knot.  lattice.order_certificate gives d, the
+    checked certificate E and the kernel verdict, or proves infinite order
+    by a checked rank certificate; its docstring gives the route.
     """
     if data.knot_generators is None:
         raise ValueError("the data has no knot, so it has no tb")

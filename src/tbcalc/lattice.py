@@ -3,28 +3,16 @@ asks of it.
 
 Everything in this module runs on Python's arbitrary-precision ints, so
 results are exact and nothing can overflow silently.  tbcalc asks two
-questions of a square pairing matrix C and a knot's vectors A and I, and
-each is one function here that factors C at most once:
+questions of a pairing matrix C and a knot's vectors A and I, and each
+is one function here whose docstring gives its route and certificates:
 
 * order_certificate: the least d >= 1 with C @ E == d * A, a checked
-  certificate E, and whether I is orthogonal to ker C; or, with no
-  factorization, a checked witness that no such d exists;
+  certificate E, and whether I is orthogonal to ker C, from one Bareiss
+  elimination of [C | A] and one Smith form of C; or, with no Smith form,
+  a checked rank certificate that no such d exists;
 * cokernel_factors: the invariant factors of coker C and, for a knot
-  that bounds, of coker [C; -I^T], each read off a checked certificate.
-
-The tools below them: the Smith normal form D = U @ M @ V with
-unimodular U and V, which one working matrix builds along with D, and
-minimal_order, which reads an order and its witness off it; one
-fraction-free (Bareiss) elimination, which gives the determinant, solves
-a nonsingular square system, and, run on M^T and carried on past the
-columns with no pivot, gives the rank, a nonzero minor of that order and,
-by back-substitution, a basis of the left kernel, among whose rows are
-the witnesses of infinite order; and elimination by 2 x 2 steps modulo
-that minor, |det M| for a nonsingular M, which gives the invariant
-factors and records U and V for a certificate that is checked.  For a
-nonsingular C the exterior's factors come from C's certificate: the
-same elimination modulo m runs on D bordered by the row -I^T @ V (mod m),
-so coker [C; -I^T] costs no second factorization.
+  that bounds, of coker [C; -I^T], by elimination modulo a checked
+  nonzero minor, with no Smith form.
 
 Tuples throughout tbcalc are built from a list, a tuple or a slice, never
 from a generator or a lazy iterator such as map, zip or chain.  CPython
@@ -252,89 +240,52 @@ def _bareiss(a: list[list[int]], width: int, carry_on: bool = False) -> tuple[in
     return sign, pivots
 
 
-def fraction_free_solve(matrix: IntegerMatrix, target: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """(delta, y) with delta = +-det M and M @ y == delta * target.
-
-    One Bareiss elimination of [M | target], the one determinant() runs,
-    then back-substitution, in which every division is exact: y is delta
-    times the rational solution, an integer vector by Cramer's rule.  A
-    singular M gives (0, ()).
-
-    >>> fraction_free_solve(IntegerMatrix.from_rows([[2, 0], [0, 3]]), (1, 1))
-    (6, (3, 2))
-    """
-    n = matrix.rows
-    if matrix.cols != n or len(target) != n:
-        raise ValueError(f"cannot solve a {matrix.rows}x{matrix.cols} system for {len(target)} entries")
-    if n == 0:
-        return 1, ()
-    a = [row + [t] for row, t in zip(matrix.to_rows(), target)]
-    delta = a[-1][n - 1] if _bareiss(a, n)[0] else 0
-    if delta == 0:
-        return 0, ()
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        y[i] = (delta * row[n] - sum([row[j] * y[j] for j in range(i + 1, n)])) // row[i]
-    return delta, tuple(y)
-
-
 def _unit(i: int, size: int, one: int = 1) -> list[int]:
     """Row i of the size x size identity, with one for its 1: 1 % m for
     the identity modulo m, which is 0 modulo 1."""
     return [0] * i + [one] + [0] * (size - i - 1)
 
 
-def _left_kernel(matrix: IntegerMatrix) -> tuple[list[int], list[int], int, list[list[int]]]:
-    """(P, Q, pivot, kernel) from one Bareiss elimination of M^T that
-    carries on past the columns with no pivot.  P lists its pivot columns,
-    rows of M, and Q, sorted, the columns of M whose rows became pivot
-    rows; pivot, the last one, is +-det M[P, Q] (1 for rank 0).  For each
-    row j of M off P, back-substitution as in fraction_free_solve gives
-    the u in kernel, in the order of j: u @ M == 0, and off P, u is pivot
-    at j and 0 elsewhere; every division is exact, since u restricted to
-    P is pivot times the rational solution of M[P, Q]^T x == -M[j, Q]^T.
+def _kernel(rows: list[list[int]], width: int) -> tuple[list[int], list[int], int, list[list[int]]]:
+    """(P, Q, pivot, kernel) from one Bareiss elimination, in place, of the
+    matrix M whose rows are rows, width entries each, carried on past the
+    columns with no pivot.  P lists its pivot columns and Q, sorted, the
+    rows that became pivot rows; pivot, the last one, is +-det M[Q, P] (1
+    for rank 0).  For each column j off P, back-substitution gives the x in
+    kernel, in the order of j: M @ x == 0, and off P, x is pivot at j and 0
+    elsewhere; every division is exact, since x restricted to P is pivot
+    times the rational solution of M[Q, P] @ z == -M[Q, j].
 
-    >>> _left_kernel(IntegerMatrix.from_rows([[1, 2], [2, 4]]))
+    >>> _kernel([[1, 2], [2, 4]], 2)
     ([0], [0], 1, [[-2, 1]])
     """
-    rows = matrix.rows
-    a = [list(matrix.column(j)) for j in range(matrix.cols)]
     # the elimination swaps rows but never replaces one, so a row keeps its identity
-    index = {id(row): j for j, row in enumerate(a)}
-    _, pivots = _bareiss(a, rows, carry_on=True)
+    index = {id(row): i for i, row in enumerate(rows)}
+    _, pivots = _bareiss(rows, width, carry_on=True)
     rank = len(pivots)
-    pivot = a[rank - 1][pivots[-1]] if rank else 1
+    pivot = rows[rank - 1][pivots[-1]] if rank else 1
     # row i of the echelon form on the pivot columns after its own
-    later = [[a[i][k] for k in pivots[i + 1 :]] for i in range(rank)]
+    later = [[rows[i][k] for k in pivots[i + 1 :]] for i in range(rank)]
     named = set(pivots)
     kernel = []
-    for j in range(rows):
+    for j in range(width):
         if j in named:
             continue
         y = [0] * rank
         for i in range(rank - 1, -1, -1):
-            y[i] = (-pivot * a[i][j] - sum(map(mul, later[i], y[i + 1 :]))) // a[i][pivots[i]]
-        u = [0] * rows
-        u[j] = pivot
+            y[i] = (-pivot * rows[i][j] - sum(map(mul, later[i], y[i + 1 :]))) // rows[i][pivots[i]]
+        x = [0] * width
+        x[j] = pivot
         for k, e in zip(pivots, y):
-            u[k] = e
-        kernel.append(u)
-    return pivots, sorted([index[id(row)] for row in a[:rank]]), pivot, kernel
+            x[k] = e
+        kernel.append(x)
+    return pivots, sorted([index[id(row)] for row in rows[:rank]]), pivot, kernel
 
 
-def _infinite_order_witness(matrix: IntegerMatrix, target: Sequence[int]) -> tuple[int, ...] | None:
-    """A row u with u @ M == 0 and u . target != 0, or None when target
-    lies in the rational column span of M: a left-kernel row of
-    _left_kernel that target does not annihilate.
-
-    >>> _infinite_order_witness(IntegerMatrix.from_rows([[1, 2], [2, 4]]), (1, 0))
-    (-2, 1)
-    """
-    for u in _left_kernel(matrix)[3]:
-        if dot(u, target):
-            return tuple(u)
-    return None
+def _left_kernel(matrix: IntegerMatrix) -> tuple[list[int], list[int], int, list[list[int]]]:
+    """_kernel of M^T: P lists rows of M and Q columns of M, and u @ M == 0
+    for each u in kernel."""
+    return _kernel([list(matrix.column(j)) for j in range(matrix.cols)], matrix.rows)
 
 
 class SmithDecomposition(_Record):
@@ -603,23 +554,41 @@ def _is_diagonal_modulo(
     return product == [[d % m if j == i else 0 for j in range(cols)] for i, d in enumerate(padded)]
 
 
+def _check_kernel(
+    kernel: list[list[int]], vectors: Sequence[Sequence[int]], width: int, pivots: list[int], check: str
+) -> None:
+    """Check rows of _kernel against the vectors, width entries each, that
+    they combine: u @ vectors == 0 from u's nonzero entries (named check),
+    and off pivots each u has one nonzero entry, at an index of its own,
+    so the rows are independent.  A failed check raises AssertionError."""
+    if any([any(_combine(u, vectors, width)) for u in kernel]):
+        raise AssertionError(f"a kernel row failed its check {check}")
+    named = set(pivots)
+    others = [i for i in range(len(vectors)) if i not in named]
+    if sorted([[i for i in others if u[i]] for u in kernel]) != [[i] for i in others]:
+        raise AssertionError("the kernel rows failed their check of independence off the pivots")
+
+
+def _check_minor(
+    rows: Sequence[Sequence[int]], row_indices: list[int], col_indices: list[int], m: int, check: str
+) -> None:
+    """Check m == |det| != 0 of the minor on row_indices and col_indices of
+    the matrix whose rows are rows, computed again; a failure raises
+    AssertionError naming check."""
+    minor = IntegerMatrix.from_rows([[rows[i][j] for j in col_indices] for i in row_indices])
+    if len(row_indices) != len(col_indices) or m == 0 or abs(minor.determinant()) != m:
+        raise AssertionError(f"the pivot minor failed its check {check}")
+
+
 def _check_modular(matrix: IntegerMatrix, certificate: tuple) -> None:
     """Check a certificate of _modular_certificate as steps 1 to 3 of
     cokernel_factors say; a failed check raises AssertionError naming it.
     U and V are invertible modulo m by construction."""
     pivot_rows, pivot_cols, kernel, m, U, V, diagonal = certificate
-    rows, cols = matrix.rows, matrix.cols
     relations = matrix.to_rows()
-    if any([any(_combine(u, relations, cols)) for u in kernel]):
-        raise AssertionError("a left-kernel row failed its check u @ M == 0")
-    named = set(pivot_rows)
-    others = [i for i in range(rows) if i not in named]
-    if sorted([[i for i in others if u[i]] for u in kernel]) != [[i] for i in others]:
-        raise AssertionError("the left-kernel rows failed their check of independence off the pivot rows")
-    minor = IntegerMatrix.from_rows([[relations[i][j] for j in pivot_cols] for i in pivot_rows])
-    if len(pivot_cols) != len(pivot_rows) or m == 0 or abs(minor.determinant()) != m:
-        raise AssertionError("the modulus failed its check m == |det M[P, Q]| != 0")
-    if not _is_diagonal_modulo(U, relations, V, diagonal, m, cols):
+    _check_kernel(kernel, relations, matrix.cols, pivot_rows, "u @ M == 0")
+    _check_minor(relations, pivot_rows, pivot_cols, m, "m == |det M[P, Q]| != 0")
+    if not _is_diagonal_modulo(U, relations, V, diagonal, m, matrix.cols):
         raise AssertionError("the transforms failed their check U @ M @ V == D (mod m)")
 
 
@@ -691,21 +660,28 @@ def order_certificate(
     """(d, E, kernel_orthogonal) for the least d >= 1 with C @ E == d * A,
     or None when no such d exists.
 
-    C is relations, A generators and I pairing.  For a square C one
-    fraction-free solve gives delta = +-det C and y = delta * C^-1 @ A.
-    When C is singular or not square, one rank-revealing elimination
-    looks for a witness of infinite order, a row u with u @ C == 0 and
-    u . A != 0; one exists exactly when A lies outside the rational
-    column span of C.  Both facts are checked and None is returned, with
-    no Smith form.
-
-    Otherwise one Smith form of C gives d and E (minimal_order) and a
-    basis of ker C, the trailing columns of V; kernel_orthogonal says
-    whether I has inner product 0 with each of them.  E is checked,
-    C @ E == d * A, and when delta != 0 so is the Smith answer against
-    Cramer's rule: d == |delta| / gcd(delta, y_1, ..., y_n), the least
-    d that makes d * y / delta integral, and E == d * y / delta.  Each
-    failed check raises AssertionError.
+    C is relations, n columns wide, A generators and I pairing; each step
+    is checked, and a failed check raises AssertionError:
+    1. One Bareiss elimination of the rows of [C | A], carried on past the
+       columns with no pivot (_kernel), gives its pivot columns P and rows
+       Q, its last pivot p and, for each column off P, a row k with
+       [C | A] @ k == 0 that off P is p at that column and 0 elsewhere.
+    2. If A's column n is in P, A lies outside the rational column span
+       of C, and None is returned on a rank certificate, with no Smith
+       form.  The n + 1 - |P| rows k are each checked 0 in A's slot and
+       C @ k == 0, from their nonzero entries, and are independent off P,
+       so rank C <= |P| - 1; |det [C | A][Q, P]| == |p|, computed again,
+       is nonzero, so rank [C | A] >= |P|.
+    3. Otherwise the row of column n gives delta = p and y = -k[:n] with
+       C @ y == delta * A, and the other n - |P| rows are checked as in 2.
+    4. One Smith form of C gives d and E (minimal_order), and C @ E == d *
+       A is checked.  When all n columns of C pivot, y / delta is the one
+       rational solution, and Cramer's rule checks the Smith answer: d ==
+       |delta| / gcd(delta, y_1, ..., y_n), the least d that makes d * y /
+       delta integral, and E == d * y / delta.
+    5. The Smith form's D = U @ C @ V, checked, has rank D <= rank C, and
+       rank D == |P| is checked; so the rows of step 3 span ker C over the
+       rationals, and kernel_orthogonal says whether I . k == 0 for each.
 
     >>> order_certificate(IntegerMatrix.from_rows([[4, 2], [2, 1]]), (2, 1), (1, -2))
     (1, (0, 1), False)
@@ -715,15 +691,21 @@ def order_certificate(
     generators = _check_ints(generators)
     if len(generators) != relations.rows:
         raise ValueError(f"target length {len(generators)} != row count {relations.rows}")
-    square = relations.rows == relations.cols
-    delta, y = fraction_free_solve(relations, generators) if square else (0, ())
-    if delta == 0:
-        witness = _infinite_order_witness(relations, generators)
-        if witness is not None:
-            image = [dot(witness, relations.column(j)) for j in range(relations.cols)]
-            if any(image) or dot(witness, generators) == 0:
-                raise AssertionError("the infinite-order witness failed its check u @ C == 0, u . A != 0")
-            return None
+    n = relations.cols
+    pivots, pivot_rows, pivot, kernel = _kernel(
+        [row + [a] for row, a in zip(relations.to_rows(), generators)], n + 1
+    )
+    outside = n in pivots
+    if not outside:
+        delta, y = pivot, [-e for e in kernel.pop()[:n]]
+    if any([k[n] for k in kernel]):
+        raise AssertionError("a kernel row failed its check k_n == 0, in A's slot")
+    kernel = [k[:n] for k in kernel]
+    _check_kernel(kernel, [relations.column(j) for j in range(n)], relations.rows, pivots, "C @ k == 0")
+    if outside:
+        augmented = [relations.row(i) + (a,) for i, a in enumerate(generators)]
+        _check_minor(augmented, pivot_rows, pivots, abs(pivot), "|det [C | A][Q, P]| == |p| != 0")
+        return None
     smith = smith_normal_form(relations)
     found = minimal_order(smith, generators)
     if found is None:
@@ -731,14 +713,15 @@ def order_certificate(
     order, solution = found
     if relations @ solution != tuple([order * a for a in generators]):
         raise AssertionError("the tb certificate failed its check C @ E == d * A")
-    if delta and (
+    if len(pivots) == n and (
         order != abs(delta) // gcd(delta, *y) or [order * e for e in y] != [delta * e for e in solution]
     ):
         raise AssertionError(
-            "the tb certificate failed its Cramer check d == |det C| / gcd(det C, y), E == d * y / det C"
+            "the tb certificate failed its Cramer check d == |delta| / gcd(delta, y), E == d * y / delta"
         )
-    kernel = range(smith.rank, smith.D.cols)
-    return order, solution, all(dot(smith.V.column(j), pairing) == 0 for j in kernel)
+    if smith.rank != len(pivots):
+        raise AssertionError("the kernel rows failed their check rank D == |P|, that they span ker C")
+    return order, solution, all([dot(k, pairing) == 0 for k in kernel])
 
 
 def cokernel_factors(

@@ -35,7 +35,7 @@ def test_every_exported_name_exists():
         assert hasattr(tbcalc, name), name
 
 
-LATTICE_ROUTINES = {"smith_normal_form", "minimal_order", "fraction_free_solve"}
+LATTICE_ROUTINES = {"smith_normal_form", "minimal_order"}
 
 
 def names_used(source: str) -> set[str]:

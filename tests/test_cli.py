@@ -33,11 +33,23 @@ from tbcalc.cli import _exact_int_output as unlimited_int_digits
 # an open book whose certificate entries run past 10000 digits
 BIG_CERTIFICATE = pathlib.Path(__file__).resolve().parent / "data" / "big-certificate.json"
 
+# k and a of 4000 digits, which the parser reads; C = [[1, 0, 0], [k, 1, 0],
+# [0, k, 1]] and A = (a, 0, 0) have the one answer E = (a, -k*a, k^2*a)
+HUGE_K, HUGE_A = 10**3999 + 7, 10**3999 + 3
+
 
 def write_obj(tmp_path, obj, name="doc.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
+
+
+def write_huge_answer(tmp_path):
+    """A Heegaard document whose answer has 11998 digits by construction:
+    E_3 = k^2 * a, and tb = <E, I> = E_3 with I = (0, 0, 1)."""
+    k, a = HUGE_K, HUGE_A
+    document = {"mode": "heegaard", "genus": 3, "C": [[1, 0, 0], [k, 1, 0], [0, k, 1]]}
+    return write_obj(tmp_path, {**document, "A": [a, 0, 0], "I": [0, 0, 1], "dividing": 0}, "huge-answer.json")
 
 
 KNOTLESS_OPENBOOK = {
@@ -98,7 +110,7 @@ class TestTb:
     )
     def test_one_factorization_for_a_finite_order(self, monkeypatch, tmp_path, name, factorizations):
         """tb factors C once for a knot of finite order, and not at all for
-        one of infinite order, whose verdict a left-kernel witness proves."""
+        one of infinite order, whose verdict a rank certificate proves."""
         if name == "infinite-order":
             path = write_obj(tmp_path, INFINITE_OPENBOOK)
         else:
@@ -315,7 +327,9 @@ class TestHugeIntegers:
             result = tb_open_book(*self.book_and_knot())
             assert certificate == f"certificate E = {list(result.certificate)}"
 
-    def test_tb_json(self):
+    def test_tb_json(self, tmp_path):
+        """big-certificate's certificate, which runs past 10000 digits, and
+        an answer of 11998 digits by construction, each printed in full."""
         limit = self.digit_limit()
         code, out, err = run_cli("tb", "--json", str(BIG_CERTIFICATE))
         assert (code, err) == (0, "")
@@ -329,6 +343,15 @@ class TestHugeIntegers:
         certificate = tuple(payload["certificate"])
         assert monodromy_matrix(book) @ certificate == knot.arc_pairings
         assert payload["tb_numerator"] == -sum(e * a for e, a in zip(certificate, knot.arc_pairings))
+        code, out, err = run_cli("tb", "--json", write_huge_answer(tmp_path))
+        assert (code, err) == (0, "")
+        assert self.digit_limit() == limit
+        k, a = HUGE_K, HUGE_A
+        with unlimited_int_digits():
+            payload = json.loads(out)
+            assert len(str(k * k * a)) == 11_998
+        assert payload["certificate"] == [a, -k * a, k * k * a]
+        assert (payload["order"], payload["tb_numerator"], payload["tb_denominator"]) == (1, k * k * a, 1)
 
     def test_stabilize_json(self, tmp_path):
         out_path = tmp_path / "stab.json"
@@ -580,7 +603,7 @@ class TestStabilize:
         the knot is orthogonal to ker C (standard-unknot, and long-word
         of order 81); only a knot that meets ker C has diag(C, sign)
         factored as well.  A knot of infinite order is proved so by a
-        left-kernel witness, with no factorization."""
+        rank certificate, with no factorization."""
         if name == "infinite-order":
             path = write_obj(tmp_path, INFINITE_OPENBOOK)
         else:
@@ -701,20 +724,21 @@ def test_module_entry_point():
     assert "tb = -1" in result.stdout
 
 
-@pytest.mark.parametrize("document", ["long-word", "big-certificate"])
-def test_closed_stdout(document):
+@pytest.mark.parametrize("document", ["long-word", "big-certificate", "huge-answer"])
+def test_closed_stdout(document, tmp_path):
     """A reader that has gone, as in `tbcalc tb -vv ... | head -1`: exit 141,
     what a shell reports for a process that SIGPIPE ends, and nothing on
     stderr.  stdout is buffered, as by default on a pipe, so the 327 bytes
     of long-word meet the closed pipe at the flush, and the 173 KB of
-    big-certificate in the print."""
+    big-certificate and the 44 KB of huge-answer in the print."""
+    path = write_huge_answer(tmp_path) if document == "huge-answer" else conftest.document_path(document)
     env = {**os.environ, "PYTHONPATH": str(conftest.SRC)}
     env.pop("PYTHONUNBUFFERED", None)
     read, write = os.pipe()
     os.close(read)
     try:
         result = subprocess.run(
-            [sys.executable, "-m", "tbcalc", "tb", "-vv", str(conftest.document_path(document))],
+            [sys.executable, "-m", "tbcalc", "tb", "-vv", str(path)],
             stdout=write,
             stderr=subprocess.PIPE,
             env=env,

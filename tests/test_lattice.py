@@ -338,16 +338,69 @@ class TestOrderCertificate:
         assert found[2] is orthogonal
 
     @pytest.mark.parametrize(
-        "wrong", [lambda u: (u[0] + 1,) + u[1:], lambda u: (0, 1, -1)], ids=["one entry", "u.A=0"]
+        "wrong, target, check",
+        [
+            (lambda P, Q, p, kernel: (P, Q, p, [[1] + kernel[0][1:], kernel[1]]), (0, 1, 1), "C @ k == 0"),
+            (lambda P, Q, p, kernel: (P, Q, p, [kernel[0][:3] + [1], kernel[1]]), (0, 1, 1), "in A's slot"),
+            (lambda P, Q, p, kernel: (P, Q, p, [kernel[0], kernel[0]]), (0, 1, 1), "independence"),
+            (lambda P, Q, p, kernel: (P, [1, 2], p, kernel), (0, 1, 1), r"\|det \[C \| A\]\[Q, P\]\| == \|p\|"),
+            (lambda P, Q, p, kernel: ([0, 1], Q, p, kernel[1:]), (1, 0, 0), r"rank D == \|P\|"),
+        ],
+        ids=["changed row", "nonzero in A's slot", "repeated row", "minor of 0", "rows that do not span"],
     )
-    def test_a_wrong_witness_fails_its_check(self, monkeypatch, wrong):
-        """The witness of infinite order is checked, u @ C == 0 and
-        u . A != 0, before None is returned."""
-        found = tbcalc.lattice._infinite_order_witness
-        monkeypatch.setattr(tbcalc.lattice, "_infinite_order_witness", lambda m, t: wrong(found(m, t)))
+    def test_a_wrong_rank_certificate_fails_its_check(self, monkeypatch, wrong, target, check):
+        """Infinite order, for the target (0, 1, 1), rests on kernel rows of
+        C, checked 0 in A's slot, C @ k == 0 and independent off P, so rank
+        C <= |P| - 1, and on the minor [C | A][Q, P], computed again and
+        nonzero, so rank [C | A] >= |P|.  For the target (1, 0, 0) in the
+        span, a row dropped and its column named a pivot passes the checks
+        of the rows left, and would pair I with too few rows; rank D == |P|
+        on the checked Smith form refuses it.  Each is refused by name."""
         matrix = IntegerMatrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-        with pytest.raises(AssertionError, match="u @ C == 0, u . A != 0"):
-            order_certificate(matrix, (0, 1, 1), (1, 1, 1))
+        found = tbcalc.lattice._kernel
+        outside, inside = [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 1]], [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
+        assert found(outside, 4) == ([0, 3], [0, 1], 1, [[0, 1, 0, 0], [0, 0, 1, 0]])
+        assert found(inside, 4) == ([0], [0], 1, [[0, 1, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 1]])
+        monkeypatch.setattr(tbcalc.lattice, "_kernel", lambda rows, width: wrong(*found(rows, width)))
+        with pytest.raises(AssertionError, match=check):
+            order_certificate(matrix, target, (0, 1, 0))
+
+    def test_one_elimination_per_query(self, monkeypatch):
+        """Each query makes one _kernel elimination, of the rows of [C | A],
+        and no _left_kernel; it computes a minor again only when A lies
+        outside the span, and makes a Smith form only for a finite order,
+        on the seeded matrices of every rank, square and (n+1) x n."""
+        calls = []
+
+        def record(name, copy=lambda arguments: arguments):
+            original = getattr(tbcalc.lattice, name)
+
+            def recording(*arguments, **options):
+                calls.append((name, copy(arguments)))
+                return original(*arguments, **options)
+
+            monkeypatch.setattr(tbcalc.lattice, name, recording)
+
+        # _kernel eliminates its rows in place, so they are recorded as given
+        record("_kernel", lambda arguments: ([list(row) for row in arguments[0]], arguments[1]))
+        for name in ("_left_kernel", "_check_minor", "smith_normal_form", "_bareiss"):
+            record(name)
+        rng = random.Random("one elimination per tb query")
+        seen = {True: 0, False: 0}
+        for matrix in CERTIFICATE_CASES:
+            image = matrix @ helpers.random_vector(rng, matrix.cols, 2)
+            for target in (image, helpers.random_vector(rng, matrix.rows, 2)):
+                calls.clear()
+                infinite = order_certificate(matrix, target, (1,) * matrix.cols) is None
+                names = [name for name, _ in calls]
+                augmented = [row + [a] for row, a in zip(matrix.to_rows(), target)]
+                kernels = [arguments for name, arguments in calls if name == "_kernel"]
+                assert kernels == [(augmented, matrix.cols + 1)]
+                assert names.count("_left_kernel") == 0
+                assert names.count("_check_minor") == names.count("_bareiss") - 1 == infinite
+                assert names.count("smith_normal_form") == (not infinite)
+                seen[infinite] += 1
+        assert min(seen.values()) >= 40, seen
 
     @pytest.mark.parametrize("rows, target", [([[-2]], (-1,)), ([[2, 1], [1, 3]], (1, 0))])
     def test_the_cramer_check_refuses_a_multiple_of_the_order(self, monkeypatch, rows, target):
@@ -449,21 +502,42 @@ def bordered_cases():
 BORDERED_CASES = bordered_cases()
 
 
-def bordered_product(certificate, bordered, U, V):
-    """U @ [D; w] @ V modulo m by the oracle's triple loop, for the
-    certificate of C and the bordered certificate of [C; -I^T]."""
-    m, diagonal, w = certificate[3], certificate[6], bordered[0]
-    border = [[d if j == i else 0 for j in range(len(w))] for i, d in enumerate(diagonal)] + [w]
-    return modular_product(IntegerMatrix.from_rows(border), U, V, m)
-
-
 def modular_product(matrix, U, V, m):
     """U @ M @ V modulo m by the oracle's triple loop."""
     left = oracles.matmul(U, matrix.to_rows(), matrix.cols)
     return [[e % m for e in row] for row in oracles.matmul(left, V, matrix.cols)]
 
 
-BORDERED_CHECK = r"U' @ \[D; w\] @ V' == D' \(mod m\)"
+# the check each kind of transform certificate fails by
+TRANSFORM_CHECKS = {"C": r"U @ M @ V == D \(mod m\)", "bordered": r"U' @ \[D; w\] @ V' == D' \(mod m\)"}
+
+
+def transform_certificates(kind):
+    """(M, m, U, V, diagonal, check) for each certificate U @ M @ V ==
+    diag(diagonal) (mod m) of the kind: "C", with M = C, for each of
+    CERTIFICATE_CASES, or "bordered", with M = [D; w] read off C's
+    certificate, for each of BORDERED_CASES.  check(U, V, diagonal) runs
+    the checker on the certificate with those parts in place of its own."""
+    if kind == "C":
+        for matrix in CERTIFICATE_CASES:
+            certificate = _modular_certificate(matrix)
+            m, U, V, diagonal = certificate[3:]
+
+            def check(U, V, diagonal, matrix=matrix, head=certificate[:4]):
+                _check_modular(matrix, head + (U, V, diagonal))
+
+            yield matrix, m, U, V, diagonal, check
+        return
+    for matrix, pairing in BORDERED_CASES:
+        certificate = _modular_certificate(matrix)
+        w, U, V, diagonal = _bordered_certificate(pairing, certificate)
+        m = certificate[3]
+        border = [[d if j == i else 0 for j in range(len(w))] for i, d in enumerate(certificate[6])] + [w]
+
+        def check(U, V, diagonal, pairing=pairing, certificate=certificate, w=w):
+            _check_bordered(pairing, certificate, (w, U, V, diagonal))
+
+        yield IntegerMatrix.from_rows(border), m, U, V, diagonal, check
 
 
 class TestModularCertificate:
@@ -495,24 +569,24 @@ class TestModularCertificate:
                 seen[bounds] += 1
         assert min(seen.values()) >= 50, seen
 
-    def test_refuses_a_changed_diagonal_entry(self):
+    @pytest.mark.parametrize("kind, floor", [("C", 300), ("bordered", 100)], ids=["C", "bordered"])
+    def test_refuses_a_changed_diagonal_entry(self, kind, floor):
         refused = 0
-        for matrix in CERTIFICATE_CASES:
-            pivot_rows, pivot_cols, kernel, m, U, V, diagonal = _modular_certificate(matrix)
+        for _, m, U, V, diagonal, check in transform_certificates(kind):
             for i in range(len(diagonal) if m > 1 else 0):
                 changed = diagonal[:i] + [(diagonal[i] + 1) % m] + diagonal[i + 1 :]
-                with pytest.raises(AssertionError, match=r"U @ M @ V == D \(mod m\)"):
-                    _check_modular(matrix, (pivot_rows, pivot_cols, kernel, m, U, V, changed))
+                with pytest.raises(AssertionError, match=TRANSFORM_CHECKS[kind]):
+                    check(U, V, changed)
                 refused += 1
-        assert refused >= 300
+        assert refused >= floor
 
-    def test_refuses_factors_regrouped_with_the_same_product(self):
+    @pytest.mark.parametrize("kind, floor", [("C", 100), ("bordered", 20)], ids=["C", "bordered"])
+    def test_refuses_factors_regrouped_with_the_same_product(self, kind, floor):
         """Z/o with p^2 dividing o, put as Z/(o/p) + Z/p in place of Z/o and
         a unit of D (Z/4 as Z/2 + Z/2): the orders multiply to the same
-        product, and the group differs."""
+        product, and the group differs; of C, or of the exterior."""
         refused = 0
-        for matrix in CERTIFICATE_CASES:
-            pivot_rows, pivot_cols, kernel, m, U, V, diagonal = _modular_certificate(matrix)
+        for _, m, U, V, diagonal, check in transform_certificates(kind):
             orders = [math.gcd(d, m) for d in diagonal]
             units = [j for j, order in enumerate(orders) if order == 1]
             for i, order in enumerate(orders):
@@ -522,30 +596,34 @@ class TestModularCertificate:
                 regrouped = list(diagonal)
                 regrouped[i], regrouped[units[0]] = order // p, p
                 assert math.prod([math.gcd(d, m) for d in regrouped]) == math.prod(orders)
-                with pytest.raises(AssertionError, match=r"U @ M @ V == D \(mod m\)"):
-                    _check_modular(matrix, (pivot_rows, pivot_cols, kernel, m, U, V, regrouped))
+                with pytest.raises(AssertionError, match=TRANSFORM_CHECKS[kind]):
+                    check(U, V, regrouped)
                 refused += 1
-        assert refused >= 100
+        assert refused >= floor
 
-    def test_refuses_a_changed_transform_entry(self):
-        rng = random.Random("changed transforms")
+    @pytest.mark.parametrize(
+        "kind, seed, floor",
+        [("C", "changed transforms", 300), ("bordered", "changed bordered transforms", 100)],
+        ids=["C", "bordered"],
+    )
+    def test_refuses_a_changed_transform_entry(self, kind, seed, floor):
+        rng = random.Random(seed)
         refused = 0
-        for matrix in CERTIFICATE_CASES:
-            pivot_rows, pivot_cols, kernel, m, U, V, diagonal = _modular_certificate(matrix)
+        for matrix, m, U, V, diagonal, check in transform_certificates(kind):
             expected = modular_product(matrix, U, V, m)
             for _ in range(3):
-                i, k = rng.randrange(matrix.rows), rng.randrange(matrix.rows)
+                i, k = rng.randrange(len(U)), rng.randrange(len(U))
                 changed_U = [list(row) for row in U]
                 changed_U[i][k] = (changed_U[i][k] + 1) % m
-                i, k = rng.randrange(matrix.cols), rng.randrange(matrix.cols)
+                i, k = rng.randrange(len(V)), rng.randrange(len(V))
                 changed_V = [list(row) for row in V]
                 changed_V[i][k] = (changed_V[i][k] + 1) % m
                 for left, right in ((changed_U, V), (U, changed_V)):
                     if modular_product(matrix, left, right, m) != expected:
-                        with pytest.raises(AssertionError, match=r"U @ M @ V == D \(mod m\)"):
-                            _check_modular(matrix, (pivot_rows, pivot_cols, kernel, m, left, right, diagonal))
+                        with pytest.raises(AssertionError, match=TRANSFORM_CHECKS[kind]):
+                            check(left, right, diagonal)
                         refused += 1
-        assert refused >= 300
+        assert refused >= floor
 
     def test_refuses_a_modulus_that_is_not_the_named_minor(self):
         for matrix in CERTIFICATE_CASES:
@@ -567,62 +645,6 @@ class TestModularCertificate:
                 smith_normal_form(extended)
             )
         assert len(BORDERED_CASES) == 32
-
-    def test_refuses_a_changed_bordered_diagonal_entry(self):
-        refused = 0
-        for matrix, pairing in BORDERED_CASES:
-            certificate = _modular_certificate(matrix)
-            w, U, V, diagonal = _bordered_certificate(pairing, certificate)
-            m = certificate[3]
-            for i in range(len(diagonal) if m > 1 else 0):
-                changed = diagonal[:i] + [(diagonal[i] + 1) % m] + diagonal[i + 1 :]
-                with pytest.raises(AssertionError, match=BORDERED_CHECK):
-                    _check_bordered(pairing, certificate, (w, U, V, changed))
-                refused += 1
-        assert refused >= 100
-
-    def test_refuses_a_regrouped_bordered_chain(self):
-        """As for C: an order o of the exterior with p^2 dividing o, put as
-        Z/(o/p) + Z/p in place of Z/o and a unit of D'."""
-        refused = 0
-        for matrix, pairing in BORDERED_CASES:
-            certificate = _modular_certificate(matrix)
-            w, U, V, diagonal = _bordered_certificate(pairing, certificate)
-            m = certificate[3]
-            orders = [math.gcd(d, m) for d in diagonal]
-            units = [j for j, order in enumerate(orders) if order == 1]
-            for i, order in enumerate(orders):
-                p = next((p for p in (2, 3) if order % (p * p) == 0), None)
-                if p is None or not units:
-                    continue
-                regrouped = list(diagonal)
-                regrouped[i], regrouped[units[0]] = order // p, p
-                with pytest.raises(AssertionError, match=BORDERED_CHECK):
-                    _check_bordered(pairing, certificate, (w, U, V, regrouped))
-                refused += 1
-        assert refused >= 20
-
-    def test_refuses_a_changed_bordered_transform_entry(self):
-        rng = random.Random("changed bordered transforms")
-        refused = 0
-        for matrix, pairing in BORDERED_CASES:
-            certificate = _modular_certificate(matrix)
-            bordered = w, U, V, diagonal = _bordered_certificate(pairing, certificate)
-            m = certificate[3]
-            expected = bordered_product(certificate, bordered, U, V)
-            for _ in range(3):
-                i, k = rng.randrange(len(U)), rng.randrange(len(U))
-                changed_U = [list(row) for row in U]
-                changed_U[i][k] = (changed_U[i][k] + 1) % m
-                i, k = rng.randrange(len(V)), rng.randrange(len(V))
-                changed_V = [list(row) for row in V]
-                changed_V[i][k] = (changed_V[i][k] + 1) % m
-                for left, right in ((changed_U, V), (U, changed_V)):
-                    if bordered_product(certificate, bordered, left, right) != expected:
-                        with pytest.raises(AssertionError, match=BORDERED_CHECK):
-                            _check_bordered(pairing, certificate, (w, left, right, diagonal))
-                        refused += 1
-        assert refused >= 100
 
     def test_refuses_a_wrong_border(self):
         refused = 0

@@ -254,24 +254,6 @@ class TestMonodromyMatrix:
 
 
 class TestTbOpenBook:
-    def test_standard_unknot(self):
-        result = tb_open_book(annulus(1), PageKnot((-1,)))
-        assert result.order == 1
-        assert result.tb == Fraction(-1)
-        assert result.certificate == (-1,)
-        assert result.kernel_orthogonal
-
-    def test_overtwisted_unknot(self):
-        result = tb_open_book(annulus(-1), PageKnot((-1,)))
-        assert result.order == 1
-        assert result.tb == Fraction(1)
-        assert result.certificate == (1,)
-
-    def test_disk_page(self):
-        book = OpenBookPresentation(PageSurface(0, 1), (), helpers.zeros(0, 0))
-        result = tb_open_book(book, PageKnot(()))
-        assert result.order == 1 and result.tb == 0 and result.certificate == ()
-
     def test_solution_family(self):
         book = OpenBookPresentation(
             PageSurface(0, 3),
